@@ -181,6 +181,18 @@ class CompiledPlan:
         )
 
     @cached_property
+    def is_classical(self) -> bool:
+        """True for the classical ``<1,1,1>`` schedule at any depth: one
+        product with unit coefficients, i.e. exactly ``C += A @ B``.  The
+        direct engine serves such a plan as a single BLAS call
+        (:func:`repro.core.runtime.execute_blas`)."""
+        return (
+            self.plan.dims_total == (1, 1, 1)
+            and self.plan.rank_total == 1
+            and self.Ut.item() == self.Vt.item() == self.W.item() == 1.0
+        )
+
+    @cached_property
     def schedule_signature(self) -> str:
         """The :attr:`schedule`'s string signature (e.g. ``"<2,2,2>@2"``).
 

@@ -1,8 +1,13 @@
 """Execution engines and the public ``multiply`` entry points.
 
-Every multiply flows through one compiled artifact: the
+Every FMM multiply flows through one compiled artifact: the
 :class:`~repro.core.compile.CompiledPlan` produced (and LRU-cached) by
-:func:`repro.core.compile.compile`.  Since the task-graph refactor the
+:func:`repro.core.compile.compile`.  The classical ``<1,1,1>`` schedule
+on the direct engine is the exception: it has nothing to fuse or stage,
+so :func:`multiply` / :func:`multiply_batched` run it as one BLAS call
+(:func:`repro.core.runtime.execute_blas`) before any plan is compiled,
+and :class:`DirectEngine` does the same with a classical plan it is
+handed.  Since the task-graph refactor the
 engines are thin *clients of the runtime*
 (:mod:`repro.core.runtime`) — they re-derive nothing per call and own no
 execution loop of their own:
@@ -212,18 +217,28 @@ class DirectEngine:
         """Run a compiled plan through the runtime: ``C += A @ B``.
 
         Operands may be 2-D or batched ``(batch, rows, cols)`` stacks whose
-        trailing dims match the plan's ``(m, k, n)``.
+        trailing dims match the plan's ``(m, k, n)``.  A classical
+        ``<1,1,1>`` plan runs as one BLAS call
+        (:func:`repro.core.runtime.execute_blas`) unless ``C`` cannot
+        absorb the plan dtype (e.g. an integer ``C``).
         """
         self.last_peel = cplan.peel_plan
         self.last_plan = cplan
-        out = runtime.execute_plan(
-            cplan, A, B, C,
-            threads=self.threads,
-            vector_cap=self.vector_cap,
-            chunk_target=self.chunk_target,
-            backend=self.backend,
-            workers=self.workers,
-        )
+        if cplan.is_classical and runtime.blas_can_accumulate(cplan.dtype, C):
+            _check_exec_shapes(cplan, A, B, C)
+            out = runtime.execute_blas(
+                A, B, C, dtype=cplan.dtype, variant=cplan.variant,
+                threads=self.threads, levels=len(cplan.ml.levels),
+            )
+        else:
+            out = runtime.execute_plan(
+                cplan, A, B, C,
+                threads=self.threads,
+                vector_cap=self.vector_cap,
+                chunk_target=self.chunk_target,
+                backend=self.backend,
+                workers=self.workers,
+            )
         self.last_report = runtime.last_report()
         return out
 
@@ -347,6 +362,26 @@ def _dispatch(
         )
 
 
+def _blas_route(engine: str, algorithm, dt: np.dtype, C) -> bool:
+    """Whether a resolved configuration runs as one BLAS call: the
+    classical ``<1,1,1>`` schedule on the direct engine, with a ``C``
+    (if any) that can absorb the compute dtype."""
+    return (engine == "direct" and algorithm == "classical"
+            and runtime.blas_can_accumulate(dt, C))
+
+
+def _run_blas(A, B, C, dt, levels, variant, threads) -> np.ndarray:
+    """The classical schedule as one ``np.matmul`` — no plan compile,
+    task graph, arena or pool (:func:`repro.core.runtime.execute_blas`)."""
+    levels = int(levels)
+    if levels < 1:
+        raise ValueError("levels must be >= 1")
+    return runtime.execute_blas(
+        A, B, C, dtype=dt, variant=normalize_variant(variant),
+        threads=threads, levels=levels,
+    )
+
+
 def multiply(
     A: np.ndarray,
     B: np.ndarray,
@@ -394,7 +429,12 @@ def multiply(
         ``"blocked"`` the instrumented simulated-BLIS substrate;
         ``"auto"`` picks schedule, variant, engine *and thread count*
         from wisdom + the §4.4 performance model, falling back to
-        classical GEMM when FMM will not pay off.
+        classical GEMM when FMM will not pay off.  A classical pick (or
+        ``algorithm="classical"`` on the direct engine) runs as one BLAS
+        call — no plan compile, task graph, arena or pool; ``threads``,
+        ``backend``, ``workers`` and ``fusion`` are still validated, and
+        ``last_report()`` shows ``core_path="blas"``.  A ``C`` that cannot
+        absorb the compute dtype (e.g. integer) keeps the runtime path.
     params : BlockingParams, optional
         Cache/register blocking for the blocked engine.
     threads : int, optional
@@ -527,6 +567,8 @@ def multiply(
         threads = 1
     if backend is None:
         backend = "reference"
+    if _blas_route(engine, algorithm, dt, C):
+        return _run_blas(A, B, C, dt, levels, variant, threads)
     if C is None:
         C = np.zeros((m, n), dtype=dt)
     cplan = plancache.compile(
@@ -577,7 +619,9 @@ fusion, backend, workers, procs
         As in :func:`multiply` (``algorithm`` accepts the same schedule
         grammar, including ``"atom@count"`` strings); under
         ``engine="auto"`` the thread pick weighs the *whole batch's*
-        flops, not one element's.  Compiling backends serve 2-D calls
+        flops, not one element's — except for a classical pick, which
+        runs the stack as one batched BLAS call (``np.matmul``) with no
+        re-pick, plan or arena.  Compiling backends serve 2-D calls
         only, so a batched request with ``backend="specialized"`` is
         valid but executes on the interpreted pipeline
         (``last_report().backend_path == "interpreted"``).
@@ -640,10 +684,11 @@ fusion, backend, workers, procs
         )
         if backend is None:
             backend = auto_backend
-        if threads is None:
+        if threads is None and not _blas_route(engine, algorithm, dt, C):
             # Re-pick with the whole batch in view: the runtime folds the
             # batch into its task slabs, so the parallelism threshold is
-            # the batch total's flops, not one element's.
+            # the batch total's flops, not one element's.  (One BLAS call
+            # has nothing to shard, so the BLAS route skips this.)
             ml = None if algorithm == "classical" else resolve_levels(
                 algorithm, levels
             )
@@ -662,10 +707,12 @@ fusion, backend, workers, procs
         threads = 1
     if backend is None:
         backend = "reference"
+    if C is not None and C.shape != (batch, m, n):
+        raise ValueError(f"C has shape {C.shape}, expected {(batch, m, n)}")
+    if _blas_route(engine, algorithm, dt, C):
+        return _run_blas(A, B, C, dt, levels, variant, threads)
     if C is None:
         C = np.zeros((batch, m, n), dtype=dt)
-    elif C.shape != (batch, m, n):
-        raise ValueError(f"C has shape {C.shape}, expected {(batch, m, n)}")
     cplan = plancache.compile(
         (m, k, n), algorithm, levels, variant, dtype=dt, fusion=fusion
     )

@@ -74,6 +74,14 @@ serve the whole core with one per-plan exec-compiled kernel
 any call it cannot specialize, so behavior never depends on the backend
 choice, only speed does.
 
+The classical ``<1,1,1>`` schedule — the §4.4 poly-algorithm's GEMM
+fallback — has no operand sums to fuse and no workspace to avoid, so it
+never enters the task graph: :func:`execute_blas` runs it as one
+``np.matmul`` (``core_path="blas"``), bitwise-equal to interpreting the
+classical plan.  The direct engine and ``multiply`` route classical
+configurations there; :func:`execute_plan` itself still interprets
+every plan it is handed.
+
 Fallbacks (both serial, both documented limits of the arena path): staged
 cores whose stacked intermediates exceed ``vector_cap`` run the
 memory-light per-step loop, as does a destination dtype that cannot
@@ -120,6 +128,8 @@ __all__ = [
     "TaskGraph",
     "lower_plan",
     "execute_plan",
+    "execute_blas",
+    "blas_can_accumulate",
     "last_report",
     "get_pool",
     "pool_info",
@@ -891,7 +901,14 @@ def _tiled_io_stats(cplan, lead_elems, bm, bk, bn, n_slots, group,
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ExecutionReport:
-    """What one :func:`execute_plan` call actually did.
+    """What one :func:`execute_plan` (or :func:`execute_blas`) call did.
+
+    The BLAS route (``core_path="blas"``) runs the classical ``<1,1,1>``
+    schedule as one ``np.matmul``: there is no plan interpretation, task
+    graph or arena, so its report records that — see the per-field notes
+    below.  It publishes like every other execution (thread-local
+    :func:`last_report`, the report history, ``runtime.executions`` and
+    the latency histogram).
 
     Attributes
     ----------
@@ -899,12 +916,15 @@ class ExecutionReport:
         Plan shape ``(m, k, n)`` and leading batch count (1 for 2-D).
     variant, fusion:
         The §4.1 write-back variant and the lowering mode that executed
-        (``fusion`` may differ from the plan's when a leaf forces fused).
+        (``fusion`` may differ from the plan's when a leaf forces fused;
+        it is ``"none"`` on the BLAS route, which lowers nothing).
     threads:
-        Worker count requested.
+        Worker count requested (the BLAS route validates but cannot
+        shard one call; ``worker_mode``/``n_workers`` say what ran).
     core_path:
         ``"kernel"`` (a backend's compiled whole-core kernel), ``"graph"``
-        (task-graph pipeline), ``"steps"`` (serial per-step fallback) or
+        (task-graph pipeline), ``"steps"`` (serial per-step fallback),
+        ``"blas"`` (the classical schedule as one ``np.matmul``) or
         ``"none"`` (pure-fringe problem).
     n_tasks:
         Tasks in the lowered graph (0 off the graph path).
@@ -915,15 +935,21 @@ class ExecutionReport:
         its figure is the analytic live footprint of one product's
         S/T/M buffers instead, never a misleading zero.  A compiled
         kernel's buffers likewise live outside the arena; its figure is
-        the kernel's preallocated-buffer total.
+        the kernel's preallocated-buffer total.  The BLAS route follows
+        the same analytic convention: 0 when ``np.matmul`` writes the
+        fresh result itself, ``m * n * itemsize * batch`` (the product
+        temporary) when it accumulates into a caller's ``C``.
     backend:
         The leaf-kernel backend this call resolved
-        (:mod:`repro.kernels`); ``"reference"`` is the interpreter.
+        (:mod:`repro.kernels`); ``"reference"`` is the interpreter.  The
+        BLAS route always reports ``"reference"``, a registered name, so
+        the report's configuration replays through :func:`execute_plan`.
     backend_path:
         How the backend served the core: ``"compiled"`` (exec-compiled
         specialized kernel), ``"jit"`` (numba-wrapped kernel),
         ``"compiled-parallel"`` / ``"jit-parallel"`` (the phase-parallel
-        emission driven through the thread pool at ``threads > 1``) or
+        emission driven through the thread pool at ``threads > 1``),
+        ``"blas"`` (no leaf ran: one ``np.matmul``) or
         ``"interpreted"`` (delegated to the task-graph pipeline —
         always the case for the reference backend and for the process
         runtime, whose workers cannot share a kernel's process-local
@@ -934,11 +960,12 @@ class ExecutionReport:
         kernel path.
     worker_mode:
         How the core's tasks actually executed: ``"serial"`` (inline, no
-        pool — including every ``threads=1`` call and the per-step
-        fallback), ``"threads"`` (shared thread pool) or ``"processes"``
-        (GIL-free worker-process pool over shared memory).  May differ
-        from the *requested* mode when the core could not shard (e.g. a
-        pure-fringe problem).
+        pool — including every ``threads=1`` call, the per-step
+        fallback and the BLAS route), ``"threads"`` (shared thread
+        pool) or ``"processes"`` (GIL-free worker-process pool over
+        shared memory).  May differ from the *requested* mode when the
+        core could not shard (e.g. a pure-fringe problem or one BLAS
+        call).
     n_workers:
         Workers the executing pool used (1 when ``worker_mode="serial"``).
     ipc_bytes:
@@ -947,14 +974,16 @@ class ExecutionReport:
         process path — thread workers share the caller's address space.
         A batched execution reports the **sum** over its chunks.
     schedule:
-        The plan's schedule signature (e.g. ``"<2,2,2>@2"``) — the key
-        the report history and wisdom seeding aggregate on.  Empty for
-        reports built without a plan.
+        The plan's schedule signature (e.g. ``"<2,2,2>@2"``;
+        ``"classical@1"`` on the BLAS route) — the key the report
+        history and wisdom seeding aggregate on.  Empty for reports
+        built without a plan.
     dtype:
         The plan compute dtype name (``"float64"``, ...).
     duration_s:
-        Wall-clock seconds for the whole ``execute_plan`` call; the
-        report-history percentiles aggregate this.
+        Wall-clock seconds for the whole ``execute_plan`` (or
+        ``execute_blas``) call; the report-history percentiles
+        aggregate this.
     n_chunks:
         ``_run_core`` invocations this call made: 1 for a 2-D multiply,
         the chunk count for a batched stack.  One report always covers
@@ -1046,6 +1075,77 @@ def check_exec_shapes(cplan: CompiledPlan, A, B, C) -> None:
         raise ValueError(
             f"batch dims disagree: A {A.shape}, B {B.shape}, C {C.shape}"
         )
+
+
+def blas_can_accumulate(dtype, C) -> bool:
+    """Whether :func:`execute_blas` can serve ``C += A @ B`` in ``dtype``.
+
+    A fresh result (``C is None``) always qualifies; a caller's ``C`` must
+    absorb the compute dtype under ``same_kind`` casting — an integer
+    ``C`` keeps the runtime's dtype-preserving per-step path instead.
+    """
+    return C is None or np.can_cast(dtype, C.dtype, casting="same_kind")
+
+
+def execute_blas(
+    A: np.ndarray,
+    B: np.ndarray,
+    C: np.ndarray | None = None,
+    *,
+    dtype,
+    variant: str = "abc",
+    threads: int = 1,
+    levels: int = 1,
+) -> np.ndarray:
+    """Run the classical ``<1,1,1>`` schedule as one ``np.matmul``.
+
+    Returns a fresh ``A @ B`` (allocated by ``np.matmul``) when ``C`` is
+    None, else accumulates ``C += A @ B`` in place — callers check
+    :func:`blas_can_accumulate` first.  Operands (2-D or same-batch
+    stacks) are cast to C-contiguous ``dtype`` exactly like the
+    runtime's gather, so the result is bitwise-equal to interpreting the
+    classical plan through :func:`execute_plan`; there is simply no
+    plan, task graph, arena or pool to pay for.  ``levels`` is the
+    schedule's depth (``<1,1,1>`` at any depth is one product).  Emits
+    one ``blas`` span and publishes an :class:`ExecutionReport` with
+    ``core_path="blas"`` (see its docstring for the per-field contract).
+    """
+    t_start = time.perf_counter()
+    dtype = np.dtype(dtype)
+    A = np.ascontiguousarray(A, dtype=dtype)
+    B = np.ascontiguousarray(B, dtype=dtype)
+    m, k = A.shape[-2:]
+    n = B.shape[-1]
+    if C is not None and C.shape != A.shape[:-2] + (m, n):
+        # In-place += would silently broadcast a mis-shaped C.
+        raise ValueError(
+            f"C has shape {C.shape}, expected {A.shape[:-2] + (m, n)}"
+        )
+    batch = int(math.prod(A.shape[:-2]))
+    with obs_trace.span("blas", "runtime", shape=f"{m}x{k}x{n}", batch=batch):
+        if C is None:
+            C = np.matmul(A, B)
+            peak = 0
+        else:
+            product = np.matmul(A, B)
+            C += product
+            peak = product.nbytes
+    _publish_report(ExecutionReport(
+        shape=(m, k, n),
+        batch=batch,
+        variant=variant,
+        fusion="none",
+        threads=threads,
+        core_path="blas",
+        n_tasks=0,
+        peak_workspace_bytes=peak,
+        backend="reference",
+        backend_path="blas",
+        schedule=f"classical@{levels}",
+        dtype=dtype.name,
+        duration_s=time.perf_counter() - t_start,
+    ))
+    return C
 
 
 def execute_plan(

@@ -23,10 +23,13 @@ START_METHODS = [
 ]
 
 
-def _host_shm_names() -> set[str]:
+def _own_shm_names() -> set[str]:
+    """This process's SHM segments: names carry the creating pid and the
+    parent creates every segment, so another repro process on the same
+    host cannot show up here."""
     return {
         os.path.basename(p)
-        for p in glob.glob(f"/dev/shm/{SHM_PREFIX}_*")
+        for p in glob.glob(f"/dev/shm/{SHM_PREFIX}_{os.getpid()}_*")
     }
 
 
@@ -153,7 +156,7 @@ class TestKnobs:
 class TestShmHygiene:
     def test_no_leaked_segments_and_arena_recycles(self):
         shared_arena_clear()
-        before = _host_shm_names()
+        before = _own_shm_names()
         A, B = _mats(96, 96, 96)
         for _ in range(3):
             multiply(A, B, algorithm="strassen", procs=2)
@@ -163,5 +166,5 @@ class TestShmHygiene:
         shared_arena_clear()
         stats = shared_arena_stats()
         assert stats.live_names == 0
-        leaked = _host_shm_names() - before
+        leaked = _own_shm_names() - before
         assert leaked == set(), f"leaked shm segments: {leaked}"

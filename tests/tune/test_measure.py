@@ -37,6 +37,18 @@ class TestMeasureCandidate:
         meas = measure_candidate(48, 48, 48, "classical")
         assert meas.time_s > 0
 
+    def test_classical_baseline_measures_the_blas_route(self):
+        # Wisdom verdicts must time what dispatch runs: a classical pick
+        # executes as one BLAS call, so its finalist must too — timing the
+        # interpreted plan would charge the baseline runtime overhead that
+        # dispatch no longer pays.
+        from repro.core.runtime import last_report
+
+        measure_candidate(48, 48, 48, "classical")
+        rep = last_report()
+        assert rep.core_path == "blas"
+        assert rep.backend_path == "blas" and rep.backend == "reference"
+
     def test_float32(self):
         meas = measure_candidate(32, 32, 32, "strassen", dtype=np.float32)
         assert meas.dtype == "float32"

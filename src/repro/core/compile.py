@@ -36,6 +36,7 @@ from repro.core.peeling import PeelPlan
 from repro.core.plan import ExecutionPlan, build_plan
 from repro.core.spec import (
     Schedule,
+    classical_depth,
     normalize_fusion,
     normalize_variant,
     operand_slab_bytes,
@@ -65,9 +66,16 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def _catalog_atom(alg):
-    """Shape atom when ``alg`` *is* the catalog entry for its dims, else ``alg``."""
+    """Shape atom when ``alg`` *is* the catalog entry for its dims, else ``alg``.
+
+    The classical ``<1,1,1>`` triple is the ``"classical"`` name atom, so a
+    classical plan signs ``"classical@L"`` — the same key the BLAS route
+    stamps, and one that re-parses.
+    """
     from repro.algorithms.catalog import get_entry
 
+    if classical_depth(alg):
+        return "classical"
     try:
         cat = get_entry(*alg.dims).algorithm
     except KeyError:
@@ -186,11 +194,7 @@ class CompiledPlan:
         product with unit coefficients, i.e. exactly ``C += A @ B``.  The
         direct engine serves such a plan as a single BLAS call
         (:func:`repro.core.runtime.execute_blas`)."""
-        return (
-            self.plan.dims_total == (1, 1, 1)
-            and self.plan.rank_total == 1
-            and self.Ut.item() == self.Vt.item() == self.W.item() == 1.0
-        )
+        return classical_depth(self.ml) > 0
 
     @cached_property
     def schedule_signature(self) -> str:

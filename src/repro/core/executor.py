@@ -47,12 +47,14 @@ from repro.core.compile import SUPPORTED_DTYPES, CompiledPlan
 from repro.core.kronecker import MultiLevelFMM
 from repro.core.runtime import check_exec_shapes as _check_exec_shapes
 from repro.core.spec import (
+    classical_depth,
     normalize_backend,
     normalize_fusion,
     normalize_threads,
     normalize_tune,
     normalize_variant,
     normalize_workers,
+    resolve_fusion,
     resolve_levels,
 )
 from repro.core.variants import BlisProductLeaf
@@ -220,11 +222,12 @@ class DirectEngine:
         trailing dims match the plan's ``(m, k, n)``.  A classical
         ``<1,1,1>`` plan runs as one BLAS call
         (:func:`repro.core.runtime.execute_blas`) unless ``C`` cannot
-        absorb the plan dtype (e.g. an integer ``C``).
+        absorb the plan dtype (e.g. an integer ``C``) or the plan lowers
+        out-of-core (``fusion="tiled"``).
         """
         self.last_peel = cplan.peel_plan
         self.last_plan = cplan
-        if cplan.is_classical and runtime.blas_can_accumulate(cplan.dtype, C):
+        if cplan.is_classical and _blas_ok(cplan.dtype, C, cplan.fusion):
             _check_exec_shapes(cplan, A, B, C)
             out = runtime.execute_blas(
                 A, B, C, dtype=cplan.dtype, variant=cplan.variant,
@@ -362,24 +365,30 @@ def _dispatch(
         )
 
 
-def _blas_route(engine: str, algorithm, dt: np.dtype, C) -> bool:
-    """Whether a resolved configuration runs as one BLAS call: the
-    classical ``<1,1,1>`` schedule on the direct engine, with a ``C``
-    (if any) that can absorb the compute dtype."""
-    return (engine == "direct" and algorithm == "classical"
-            and runtime.blas_can_accumulate(dt, C))
-
-
-def _run_blas(A, B, C, dt, levels, variant, threads) -> np.ndarray:
-    """The classical schedule as one ``np.matmul`` — no plan compile,
-    task graph, arena or pool (:func:`repro.core.runtime.execute_blas`)."""
-    levels = int(levels)
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    return runtime.execute_blas(
-        A, B, C, dtype=dt, variant=normalize_variant(variant),
-        threads=threads, levels=levels,
+def _blas_ok(dt: np.dtype, C, fusion: str) -> bool:
+    """Whether a classical configuration in resolved lowering ``fusion``
+    can run as one BLAS call.  ``C`` (if any) must absorb ``dt`` under
+    ``same_kind`` casting — an integer ``C`` keeps the runtime's
+    dtype-preserving per-step path — and the lowering must not be
+    ``"tiled"``: the out-of-core pipeline streams through a bounded RAM
+    window, where one ``np.matmul`` would allocate the whole product."""
+    return fusion != "tiled" and (
+        C is None or np.can_cast(dt, C.dtype, casting="same_kind")
     )
+
+
+def _blas_depth(engine, algorithm, levels, variant, fusion, dt, C, shape) -> int:
+    """Depth of the classical schedule when a resolved configuration runs
+    as one BLAS call (:func:`repro.core.runtime.execute_blas`) instead of
+    compiling a plan, else 0."""
+    depth = classical_depth(algorithm, levels) if engine == "direct" else 0
+    if not depth:
+        return 0
+    m, k, n = shape
+    # (m*k + k*n) * itemsize is operand_slab_bytes of the <1,1,1>
+    # partition, so this resolves exactly as compile() would.
+    fusion = resolve_fusion(fusion, variant, 0, (m * k + k * n) * dt.itemsize)
+    return depth if _blas_ok(dt, C, fusion) else 0
 
 
 def multiply(
@@ -434,7 +443,9 @@ def multiply(
         call — no plan compile, task graph, arena or pool; ``threads``,
         ``backend``, ``workers`` and ``fusion`` are still validated, and
         ``last_report()`` shows ``core_path="blas"``.  A ``C`` that cannot
-        absorb the compute dtype (e.g. integer) keeps the runtime path.
+        absorb the compute dtype (e.g. integer) and an out-of-core
+        lowering (``fusion="tiled"``, or ``"auto"`` past the memory
+        budget) keep the runtime path.
     params : BlockingParams, optional
         Cache/register blocking for the blocked engine.
     threads : int, optional
@@ -567,8 +578,13 @@ def multiply(
         threads = 1
     if backend is None:
         backend = "reference"
-    if _blas_route(engine, algorithm, dt, C):
-        return _run_blas(A, B, C, dt, levels, variant, threads)
+    depth = _blas_depth(engine, algorithm, levels, variant, fusion, dt, C,
+                        (m, k, n))
+    if depth:
+        return runtime.execute_blas(
+            A, B, C, dtype=dt, variant=normalize_variant(variant),
+            threads=threads, levels=depth,
+        )
     if C is None:
         C = np.zeros((m, n), dtype=dt)
     cplan = plancache.compile(
@@ -675,8 +691,10 @@ fusion, backend, workers, procs
     m, k, n = A.shape[1], A.shape[2], B.shape[2]
     A = np.ascontiguousarray(np.broadcast_to(A, (batch, m, k)), dtype=dt)
     B = np.ascontiguousarray(np.broadcast_to(B, (batch, k, n)), dtype=dt)
-    if engine == "auto":
-        from repro.core.parallel import pick_threads, pick_workers
+    if C is not None and C.shape != (batch, m, n):
+        raise ValueError(f"C has shape {C.shape}, expected {(batch, m, n)}")
+    auto = engine == "auto"
+    if auto:
         from repro.core.selection import auto_config
 
         algorithm, levels, variant, engine, _, auto_backend, auto_workers = (
@@ -684,13 +702,18 @@ fusion, backend, workers, procs
         )
         if backend is None:
             backend = auto_backend
-        if threads is None and not _blas_route(engine, algorithm, dt, C):
+    depth = _blas_depth(engine, algorithm, levels, variant, fusion, dt, C,
+                        (m, k, n))
+    if auto:
+        if threads is None and not depth:
+            from repro.core.parallel import pick_threads, pick_workers
+
             # Re-pick with the whole batch in view: the runtime folds the
             # batch into its task slabs, so the parallelism threshold is
             # the batch total's flops, not one element's.  (One BLAS call
             # has nothing to shard, so the BLAS route skips this.)
-            ml = None if algorithm == "classical" else resolve_levels(
-                algorithm, levels
+            ml = None if classical_depth(algorithm, levels) else (
+                resolve_levels(algorithm, levels)
             )
             threads = pick_threads(
                 m, k, n, ml, variant,
@@ -707,10 +730,11 @@ fusion, backend, workers, procs
         threads = 1
     if backend is None:
         backend = "reference"
-    if C is not None and C.shape != (batch, m, n):
-        raise ValueError(f"C has shape {C.shape}, expected {(batch, m, n)}")
-    if _blas_route(engine, algorithm, dt, C):
-        return _run_blas(A, B, C, dt, levels, variant, threads)
+    if depth:
+        return runtime.execute_blas(
+            A, B, C, dtype=dt, variant=normalize_variant(variant),
+            threads=threads, levels=depth,
+        )
     if C is None:
         C = np.zeros((batch, m, n), dtype=dt)
     cplan = plancache.compile(

@@ -129,7 +129,6 @@ __all__ = [
     "lower_plan",
     "execute_plan",
     "execute_blas",
-    "blas_can_accumulate",
     "last_report",
     "get_pool",
     "pool_info",
@@ -974,8 +973,9 @@ class ExecutionReport:
         process path — thread workers share the caller's address space.
         A batched execution reports the **sum** over its chunks.
     schedule:
-        The plan's schedule signature (e.g. ``"<2,2,2>@2"``;
-        ``"classical@1"`` on the BLAS route) — the key the report
+        The plan's schedule signature (e.g. ``"<2,2,2>@2"``; the
+        classical schedule signs ``"classical@1"`` whether it ran on the
+        BLAS route or through the task graph) — the key the report
         history and wisdom seeding aggregate on.  Empty for reports
         built without a plan.
     dtype:
@@ -1077,16 +1077,6 @@ def check_exec_shapes(cplan: CompiledPlan, A, B, C) -> None:
         )
 
 
-def blas_can_accumulate(dtype, C) -> bool:
-    """Whether :func:`execute_blas` can serve ``C += A @ B`` in ``dtype``.
-
-    A fresh result (``C is None``) always qualifies; a caller's ``C`` must
-    absorb the compute dtype under ``same_kind`` casting — an integer
-    ``C`` keeps the runtime's dtype-preserving per-step path instead.
-    """
-    return C is None or np.can_cast(dtype, C.dtype, casting="same_kind")
-
-
 def execute_blas(
     A: np.ndarray,
     B: np.ndarray,
@@ -1100,8 +1090,10 @@ def execute_blas(
     """Run the classical ``<1,1,1>`` schedule as one ``np.matmul``.
 
     Returns a fresh ``A @ B`` (allocated by ``np.matmul``) when ``C`` is
-    None, else accumulates ``C += A @ B`` in place — callers check
-    :func:`blas_can_accumulate` first.  Operands (2-D or same-batch
+    None, else accumulates ``C += A @ B`` in place, so a caller's ``C``
+    must absorb ``dtype`` under ``same_kind`` casting (an integer ``C``
+    belongs on :func:`execute_plan`'s dtype-preserving per-step path).
+    Operands (2-D or same-batch
     stacks) are cast to C-contiguous ``dtype`` exactly like the
     runtime's gather, so the result is bitwise-equal to interpreting the
     classical plan through :func:`execute_plan`; there is simply no

@@ -61,6 +61,7 @@ __all__ = [
     "VARIANTS",
     "WORKER_MODES",
     "Schedule",
+    "classical_depth",
     "effective_fused_auto_threshold",
     "effective_fused_group",
     "effective_mem_budget_bytes",
@@ -386,6 +387,38 @@ def normalize_spec(algorithm, levels: int = 1) -> tuple:
                 raise TypeError(f"cannot interpret per-level atom {a!r}")
         return atoms
     raise TypeError(f"cannot interpret algorithm spec {algorithm!r}")
+
+
+def _is_classical_atom(atom) -> bool:
+    """True for the classical ``<1,1,1>`` triple: the ``"classical"``
+    catalog name, or an algorithm object with one unit-coefficient
+    product (exactly ``C += A @ B``)."""
+    if isinstance(atom, str):
+        return atom.strip().lower() == "classical"
+    return (
+        isinstance(atom, FMMAlgorithm)
+        and atom.dims == (1, 1, 1)
+        and atom.rank == 1
+        and atom.U.item() == atom.V.item() == atom.W.item() == 1.0
+    )
+
+
+def classical_depth(algorithm, levels: int = 1) -> int:
+    """Depth of a spec that is the classical ``<1,1,1>`` triple at every
+    level, else 0.
+
+    Every spelling counts — ``"classical"`` with ``levels``,
+    ``"classical@2"``, ``["classical"]``, or a :class:`Schedule` /
+    :class:`MultiLevelFMM` of classical triples — because every one
+    compiles to the same single-product plan, which the direct engine
+    runs as one BLAS call.  A malformed spec returns 0, leaving the plan
+    compiler to raise its usual error.
+    """
+    try:
+        atoms = normalize_spec(algorithm, levels)
+    except (TypeError, ValueError):
+        return 0
+    return len(atoms) if all(_is_classical_atom(a) for a in atoms) else 0
 
 
 def normalize_threads(threads) -> int | None:

@@ -59,16 +59,19 @@ def _config_from_observation(obs: dict) -> dict | None:
     Returns ``None`` when the schedule signature does not re-parse (an
     ad-hoc algorithm object was planned directly) — such traffic cannot
     be replayed from a stored name, so it is skipped rather than
-    misattributed.
+    misattributed.  The classical schedule is stored in the
+    ``"classical"`` form the tuner writes: its ``<1,1,1>`` dims name no
+    catalog shape, so a dims list would not replay.
     """
-    from repro.core.spec import resolve_levels
+    from repro.core.spec import classical_depth, resolve_levels
 
     try:
         ml = resolve_levels(obs["schedule"], 1)
     except Exception:
         return None
     return {
-        "algorithm": [list(level.dims) for level in ml.levels],
+        "algorithm": "classical" if classical_depth(ml)
+        else [list(level.dims) for level in ml.levels],
         "levels": len(ml.levels),
         "variant": obs["variant"],
         "engine": "direct",

@@ -12,10 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms.classical import classical
 from repro.core import compile as plancache
 from repro.core.executor import DirectEngine, multiply, multiply_batched
 from repro.core.runtime import execute_plan, last_report
+from repro.core.kronecker import MultiLevelFMM
 from repro.core.selection import auto_config
+from repro.core.spec import Schedule
 from repro.core.workspace import arena_stats
 from repro.obs import reports as obs_reports
 from repro.obs import trace
@@ -192,6 +195,9 @@ class TestCallerC:
         cplan = plancache.compile((12, 10, 8), "classical")
         DirectEngine().execute(cplan, A, B, C)
         assert last_report().core_path == "steps"
+        # Both routes sign the classical schedule alike, so the report
+        # history and wisdom seeding see one configuration, not two.
+        assert last_report().schedule == "classical@1"
         assert C.dtype == np.int64 and np.array_equal(C, A @ B)
         # Through multiply the operands promote to float64, and the
         # runtime path rejects the cast exactly as it always has.
@@ -231,6 +237,107 @@ class TestBatched:
         rep = _assert_blas_report((20, 12, 18), batch=3)
         assert rep.peak_workspace_bytes == 3 * 20 * 18 * 8
         _assert_same(C, _forced(A, B, C0.copy()))
+
+
+class TestSpellings:
+    @pytest.mark.parametrize("spec", [
+        "classical@1", ["classical"], "CLASSICAL", Schedule(("classical",)),
+        MultiLevelFMM([classical(1, 1, 1)]),
+    ])
+    def test_every_spelling_takes_the_route(self, rng, spec):
+        A, B = _operands(rng, 24, 20, 16)
+        cache0 = plancache.plan_cache_info()
+        C = multiply(A, B, algorithm=spec)
+        _assert_blas_report((24, 20, 16))
+        assert plancache.plan_cache_info() == cache0
+        _assert_same(C, _forced(A, B))
+
+    def test_depth_is_stamped(self, rng):
+        A, B = _operands(rng, 24, 20, 16)
+        for kwargs in ({"algorithm": "classical", "levels": 2},
+                       {"algorithm": "classical@2"}):
+            C = multiply(A, B, **kwargs)
+            rep = last_report()
+            assert rep.core_path == "blas" and rep.schedule == "classical@2"
+            _assert_same(C, _forced(A, B))
+        cplan = plancache.compile((24, 20, 16), "classical", levels=2)
+        assert cplan.is_classical and cplan.schedule_signature == "classical@2"
+
+    def test_non_classical_specs_do_not(self, rng):
+        A, B = _operands(rng, 24, 20, 16)
+        for spec in ("strassen", "classical+strassen", ["strassen", "classical"]):
+            multiply(A, B, algorithm=spec)
+            assert last_report().core_path != "blas"
+        multiply(A, B, algorithm="classical", engine="blocked")
+        assert last_report().core_path != "blas"
+        assert last_report().schedule == "classical@1"
+
+
+class TestMemoryBudget:
+    """An out-of-core lowering keeps the tiled pipeline's bounded RAM
+    window rather than one full-size product temporary."""
+
+    def test_budget_keeps_a_memmap_c_tiled(self, tmp_path, rng, monkeypatch):
+        monkeypatch.setenv("REPRO_MEM_BUDGET", "4K")
+        A, B = _operands(rng, 64, 48, 40)
+        C = np.memmap(tmp_path / "C", dtype=np.float64, mode="w+",
+                      shape=(64, 40))
+        multiply(A, B, C, algorithm="classical")
+        rep = last_report()
+        assert rep.fusion == "tiled" and rep.core_path != "blas"
+        assert rep.n_tiles > 0
+        np.testing.assert_allclose(C, A @ B, rtol=1e-12, atol=1e-12)
+
+    def test_budget_keeps_batched_and_engine_tiled(self, rng, monkeypatch):
+        monkeypatch.setenv("REPRO_MEM_BUDGET", "4K")
+        A, B = _operands(rng, 32, 24, 16, lead=(3,))
+        C = multiply_batched(A, B, algorithm="classical")
+        assert last_report().fusion == "tiled"
+        np.testing.assert_allclose(C, A @ B, rtol=1e-12, atol=1e-12)
+        cplan = plancache.compile((32, 24, 16), "classical")
+        assert cplan.fusion == "tiled"
+        DirectEngine().execute(cplan, A[0], B[0], np.zeros((32, 16)))
+        assert last_report().fusion == "tiled"
+
+    def test_explicit_tiled_is_honoured(self, rng):
+        A, B = _operands(rng, 40, 30, 20)
+        C = multiply(A, B, algorithm="classical", fusion="tiled")
+        rep = last_report()
+        assert rep.fusion == "tiled" and rep.core_path != "blas"
+        np.testing.assert_allclose(C, A @ B, rtol=1e-12, atol=1e-12)
+
+    def test_within_budget_takes_the_route(self, rng, monkeypatch):
+        monkeypatch.setenv("REPRO_MEM_BUDGET", "64M")
+        A, B = _operands(rng, 40, 30, 20)
+        multiply(A, B, algorithm="classical")
+        assert last_report().core_path == "blas"
+
+
+class TestObservedWisdom:
+    def test_seeded_classical_verdict_replays(self, tmp_path, rng):
+        from repro.tune import (
+            WisdomStore,
+            seed_wisdom_from_observations,
+            set_default_store,
+        )
+
+        assert auto_config(96, 96, 96, tune="off")[0] == "classical"
+        A, B = _operands(rng, 96, 96, 96)
+        obs_reports.clear()
+        for _ in range(3):
+            multiply(A, B, engine="auto")
+        store = WisdomStore(tmp_path / "wisdom.json")
+        assert seed_wisdom_from_observations(store, min_count=3)
+        cfg = store.lookup(96, 96, 96, dtype=np.float64)
+        assert cfg["algorithm"] == "classical" and cfg["levels"] == 1
+        set_default_store(store)
+        try:
+            assert auto_config(96, 96, 96, tune="readonly")[0] == "classical"
+            C = multiply(A, B, engine="auto", tune="readonly")
+        finally:
+            set_default_store(None)
+        _assert_blas_report((96, 96, 96))
+        _assert_same(C, _forced(A, B))
 
 
 class TestBypass:

@@ -367,14 +367,13 @@ def _dispatch(
 
 def _blas_ok(dt: np.dtype, C, fusion: str) -> bool:
     """Whether a classical configuration in resolved lowering ``fusion``
-    can run as one BLAS call.  ``C`` (if any) must absorb ``dt`` under
-    ``same_kind`` casting — an integer ``C`` keeps the runtime's
-    dtype-preserving per-step path — and the lowering must not be
-    ``"tiled"``: the out-of-core pipeline streams through a bounded RAM
-    window, where one ``np.matmul`` would allocate the whole product."""
-    return fusion != "tiled" and (
-        C is None or np.can_cast(dt, C.dtype, casting="same_kind")
-    )
+    can accumulate into a caller's ``C`` as one BLAS call.  ``C`` must
+    absorb ``dt`` under ``same_kind`` casting — an integer ``C`` keeps
+    the runtime's dtype-preserving per-step path — and the lowering must
+    not be ``"tiled"``: the out-of-core pipeline streams into ``C``
+    through a bounded RAM window, where ``C += A @ B`` would hold the
+    whole product in RAM."""
+    return fusion != "tiled" and np.can_cast(dt, C.dtype, casting="same_kind")
 
 
 def _blas_depth(engine, algorithm, levels, variant, fusion, dt, C, shape) -> int:
@@ -382,8 +381,12 @@ def _blas_depth(engine, algorithm, levels, variant, fusion, dt, C, shape) -> int
     as one BLAS call (:func:`repro.core.runtime.execute_blas`) instead of
     compiling a plan, else 0."""
     depth = classical_depth(algorithm, levels) if engine == "direct" else 0
-    if not depth:
+    if not depth or fusion == "tiled":
         return 0
+    if C is None:
+        # np.matmul allocates only the result, which every lowering
+        # allocates too, so no memory budget can favour the runtime.
+        return depth
     m, k, n = shape
     # (m*k + k*n) * itemsize is operand_slab_bytes of the <1,1,1>
     # partition, so this resolves exactly as compile() would.
@@ -443,9 +446,9 @@ def multiply(
         call — no plan compile, task graph, arena or pool; ``threads``,
         ``backend``, ``workers`` and ``fusion`` are still validated, and
         ``last_report()`` shows ``core_path="blas"``.  A ``C`` that cannot
-        absorb the compute dtype (e.g. integer) and an out-of-core
-        lowering (``fusion="tiled"``, or ``"auto"`` past the memory
-        budget) keep the runtime path.
+        absorb the compute dtype (e.g. integer) keeps the runtime path,
+        and so does an out-of-core lowering: ``fusion="tiled"``, or a
+        caller's ``C`` under ``"auto"`` past the memory budget.
     params : BlockingParams, optional
         Cache/register blocking for the blocked engine.
     threads : int, optional

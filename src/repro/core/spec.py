@@ -415,6 +415,10 @@ def classical_depth(algorithm, levels: int = 1) -> int:
     compiler to raise its usual error.
     """
     try:
+        if isinstance(algorithm, str) and algorithm == "classical":
+            # The spelling auto dispatch returns: skip the parse on the
+            # per-call hot path.
+            return int(levels) if levels >= 1 else 0
         atoms = normalize_spec(algorithm, levels)
     except (TypeError, ValueError):
         return 0

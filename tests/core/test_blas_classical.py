@@ -291,7 +291,7 @@ class TestMemoryBudget:
     def test_budget_keeps_batched_and_engine_tiled(self, rng, monkeypatch):
         monkeypatch.setenv("REPRO_MEM_BUDGET", "4K")
         A, B = _operands(rng, 32, 24, 16, lead=(3,))
-        C = multiply_batched(A, B, algorithm="classical")
+        C = multiply_batched(A, B, np.zeros((3, 32, 16)), algorithm="classical")
         assert last_report().fusion == "tiled"
         np.testing.assert_allclose(C, A @ B, rtol=1e-12, atol=1e-12)
         cplan = plancache.compile((32, 24, 16), "classical")
@@ -309,8 +309,18 @@ class TestMemoryBudget:
     def test_within_budget_takes_the_route(self, rng, monkeypatch):
         monkeypatch.setenv("REPRO_MEM_BUDGET", "64M")
         A, B = _operands(rng, 40, 30, 20)
-        multiply(A, B, algorithm="classical")
+        multiply(A, B, np.zeros((40, 20)), algorithm="classical")
         assert last_report().core_path == "blas"
+
+    def test_fresh_result_takes_the_route_past_the_budget(self, rng,
+                                                          monkeypatch):
+        # Without a caller's C every lowering allocates the full result,
+        # and np.matmul allocates nothing more.
+        monkeypatch.setenv("REPRO_MEM_BUDGET", "4K")
+        A, B = _operands(rng, 64, 48, 40)
+        C = multiply(A, B, algorithm="classical")
+        assert last_report().core_path == "blas"
+        _assert_same(C, _forced(A, B))
 
 
 class TestObservedWisdom:

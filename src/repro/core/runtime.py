@@ -1093,9 +1093,8 @@ def execute_blas(
     None, else accumulates ``C += A @ B`` in place, so a caller's ``C``
     must absorb ``dtype`` under ``same_kind`` casting (an integer ``C``
     belongs on :func:`execute_plan`'s dtype-preserving per-step path).
-    Operands (2-D or same-batch
-    stacks) are cast to C-contiguous ``dtype`` exactly like the
-    runtime's gather, so the result is bitwise-equal to interpreting the
+    Operands (2-D or same-batch stacks) are cast to C-contiguous
+    ``dtype`` exactly like the runtime's gather, so the result is bitwise-equal to interpreting the
     classical plan through :func:`execute_plan`; there is simply no
     plan, task graph, arena or pool to pay for.  ``levels`` is the
     schedule's depth (``<1,1,1>`` at any depth is one product).  Emits

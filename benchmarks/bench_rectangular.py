@@ -49,7 +49,7 @@ def _auto_pick(m, k, n):
     from repro.core.selection import auto_config
     from repro.core.spec import Schedule
 
-    algo, levels, variant, engine, threads, _backend = auto_config(m, k, n, tune="off")
+    algo, levels = auto_config(m, k, n, tune="off")[:2]
     if algo == "classical":
         return "classical", "classical@1", levels
     sched = Schedule(tuple(tuple(s) for s in algo))

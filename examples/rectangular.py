@@ -38,9 +38,7 @@ def best_of(algorithm, levels=1, reps=5):
 
 
 # -- what does the model-guided selector pick for this skew? ----------- #
-algo, levels, variant, engine, threads, backend = repro.auto_config(
-    M, K, N, tune="off"
-)
+algo, levels, variant = repro.auto_config(M, K, N, tune="off")[:3]
 schedule = repro.Schedule(tuple(tuple(s) for s in algo)) \
     if algo != "classical" else repro.Schedule(("classical",))
 print(f"problem {M}x{K}x{N} (aspect m/k = {M / K:.1f})")

@@ -427,15 +427,25 @@ SWEEP_PRESETS = {
 
 
 def cmd_tune(args) -> int:
-    from repro.tune.tuner import calibrate_machine, tune_problem, tune_sweep
+    from repro.model.machines import generic_laptop
+    from repro.tune.tuner import (
+        calibrate_machine,
+        resolve_machine,
+        tune_problem,
+        tune_sweep,
+    )
 
     store = _wisdom_store(args)
     budget = _parse_budget(args.budget)
     dtype = np.float32 if args.dtype == "float32" else np.float64
 
-    if args.calibrate or (store.machine_params() is None and not args.no_calibrate):
-        mp = calibrate_machine(store=store)
-        if not args.json:
+    recorded = store.machine_params()
+    if args.no_calibrate and not args.calibrate:
+        mp = recorded or generic_laptop()
+    else:
+        mp = (calibrate_machine(store=store) if args.calibrate
+              else resolve_machine(store))
+        if (args.calibrate or recorded is None) and not args.json:
             print(f"calibrated machine: {mp.name} "
                   f"(peak {mp.peak_gflops_per_core:.1f} GF/core, "
                   f"bw {mp.bandwidth_gbs:.1f} GB/s, lambda {mp.lam:.2f})")
@@ -443,11 +453,12 @@ def cmd_tune(args) -> int:
     if args.sweep:
         problems = SWEEP_PRESETS[args.sweep]
         reports = tune_sweep(problems, budget_s=budget, dtype=dtype,
-                             threads=args.threads, top=args.top, store=store)
+                             threads=args.threads, top=args.top, store=store,
+                             machine=mp)
     else:
         reports = [tune_problem(args.m, args.k, args.n, dtype=dtype,
                                 threads=args.threads, top=args.top,
-                                store=store, budget_s=budget)]
+                                store=store, budget_s=budget, machine=mp)]
 
     if args.json:
         print(json.dumps([
@@ -681,7 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tune", choices=("off", "readonly", "on"),
                    default="readonly",
                    help="autotuning-wisdom use under --engine auto "
-                        "(default: readonly)")
+                        "(default: readonly; a wisdom miss measures the host "
+                        "once per store; off never touches the store)")
     p.add_argument("--fusion", choices=("auto", "staged", "fused", "tiled"),
                    default="auto",
                    help="runtime lowering: staged slabs (O(R) product "

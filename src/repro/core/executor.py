@@ -466,7 +466,12 @@ def multiply(
         Autotuning-wisdom use under ``engine="auto"`` (:mod:`repro.tune`):
         ``"readonly"`` (default) dispatches on the measured-best config
         when one is stored, ``"on"`` additionally tunes on a miss,
-        ``"off"`` never touches the store.  Ignored for explicit engines.
+        ``"off"`` never touches the store (the pure model on a generic
+        machine).  Under ``"readonly"`` and ``"on"`` a miss prices the
+        model with this host's machine: the first such call per wisdom
+        store measures the host (about 40 ms) and records the fit;
+        ``repro tune --calibrate`` re-measures.  Ignored for explicit
+        engines.
     fusion : {"auto", "staged", "fused", "tiled"}, optional
         Runtime lowering mode: ``"staged"`` materializes every
         gather/product/scatter slab (O(R) live product buffers);
@@ -636,7 +641,9 @@ def multiply_batched(
     algorithm, levels, variant, engine, params, threads, mode, dtype, tune, \
 fusion, backend, workers, procs
         As in :func:`multiply` (``algorithm`` accepts the same schedule
-        grammar, including ``"atom@count"`` strings); under
+        grammar, including ``"atom@count"`` strings, and ``tune`` the
+        same modes: the first model-path call per wisdom store measures
+        the host and records it, ``"off"`` never touches the store); under
         ``engine="auto"`` the thread pick weighs the *whole batch's*
         flops, not one element's — except for a classical pick, which
         runs the stack as one batched BLAS call (``np.matmul``) with no

@@ -267,11 +267,17 @@ def _model_config(
     ``(algorithm, levels, variant, engine, threads, backend, workers)``
     ready for the plan compiler and runtime: the winning per-level shape
     stack and variant when the model predicts FMM beats the GEMM baseline,
-    else the classical ``<1,1,1>`` plan (a single plain matmul).  The
-    execution engine is the direct task-graph runtime — the
-    wall-clock-fast path of this substrate; callers wanting the
-    instrumented blocked substrate ask for it explicitly.  ``threads``
-    comes from the canonical multicore scaling model
+    else the classical ``<1,1,1>`` plan.  The execution engine is the
+    direct task-graph runtime — the wall-clock-fast path of this
+    substrate; callers wanting the instrumented blocked substrate ask for
+    it explicitly.
+
+    A classical pick is the serial config ``threads=1``,
+    ``backend="reference"``, ``workers="threads"``: it runs as one BLAS
+    call, which threads itself, so there is no pool, leaf backend or
+    worker mode to price (and a classical plan that stays on the runtime
+    has a single product to run).  For an FMM pick ``threads`` comes from
+    the canonical multicore scaling model
     (:func:`repro.core.parallel.pick_threads`, which walks the
     paper-testbed ``machine_factory`` since ``machine`` here is a single
     configuration point, not a cores->bandwidth family), capped by the
@@ -291,10 +297,7 @@ def _model_config(
     candidates = enumerate_candidates(m, k, n, machine, max_levels=max_levels)
     best = rank_candidates(candidates)[0] if candidates else None
     if best is None or best.prediction.time >= predict_gemm(m, k, n, machine).time:
-        threads = pick_threads(m, k, n, None, "abc")
-        workers = pick_workers(m, k, n, None, "abc", threads=threads)
-        return ("classical", 1, "abc", "direct", threads,
-                _model_backend(threads, workers), workers)
+        return ("classical", 1, "abc", "direct", 1, "reference", "threads")
     ml = best.multilevel()
     threads = pick_threads(m, k, n, ml, best.variant)
     workers = pick_workers(m, k, n, ml, best.variant, threads=threads)
@@ -319,11 +322,15 @@ def auto_config(
     (:mod:`repro.tune.wisdom`) is consulted for this problem class —
     a hit returns the *measured-best* configuration in a dict probe,
     without enumerating or pricing a single candidate.  On a miss the
-    model path runs (:func:`_model_config`), using the back-fit
-    calibrated machine from the wisdom file when one exists and no
-    explicit ``machine`` was given.  ``tune="on"`` additionally runs a
-    short budgeted tuning pass on a miss and returns (and records) its
-    winner; ``tune="off"`` is the pure cold-model path.
+    model path runs (:func:`_model_config`) priced with this host's
+    machine model unless an explicit ``machine`` was given: the one the
+    store recorded, or — on the first miss against a store without one —
+    a calibration taken then (about 40 ms, once per store) and recorded
+    (:func:`repro.tune.tuner.resolve_machine`).  ``repro tune
+    --calibrate`` re-measures.  ``tune="on"`` additionally runs a short
+    budgeted tuning pass on a miss and returns (and records) its winner;
+    ``tune="off"`` never touches the store: it is the pure cold-model
+    path on :func:`~repro.model.machines.generic_laptop` (or ``machine``).
 
     ``dtype`` and ``threads`` scope the wisdom bucket (``threads=None``
     is the ``auto`` thread class); they do not affect the model path,
@@ -358,6 +365,10 @@ def auto_config(
             return (*cfg[:5], _usable_backend(cfg[5]), cfg[6])
         if machine is None:
             machine = store.machine_params()
+            if machine is None:  # first model-path miss on this store
+                from repro.tune.tuner import resolve_machine
+
+                machine = resolve_machine(store)
     return _model_config(m, k, n, machine, max_levels)
 
 

@@ -40,6 +40,16 @@ class MachineParams:
             raise ValueError(f"lambda must lie in (0, 1], got {self.lam}")
         if self.cores < 1:
             raise ValueError("cores must be >= 1")
+        # Hashed on every model-path engine="auto" call (the selector's
+        # cache key), so compute it once.  Only the numeric fields are
+        # hashed: equal params still hash equal, and a pickled copy's
+        # stored value stays valid under another process's str-hash seed.
+        object.__setattr__(self, "_hash", hash((
+            self.peak_gflops_per_core, self.bandwidth_gbs, self.cores,
+            self.lam, self.blocking)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def tau_a(self) -> float:

@@ -10,7 +10,9 @@ of a cold model.  :func:`tune_sweep` amortizes one budget across many
 problems; :func:`calibrate_machine` closes the loop in the other
 direction, back-fitting the machine model's effective peak and bandwidth
 from measurements so even wisdom *misses* rank candidates with calibrated
-constants.
+constants.  :func:`resolve_machine` is the one place the model path gets
+its machine: an explicit one, the store's record, or — on the first miss
+against a store without one — a calibration taken then and recorded.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from repro.core.selection import enumerate_candidates, rank_candidates
 from repro.core.spec import normalize_threads
-from repro.model.machines import MachineParams, generic_laptop
+from repro.model.machines import MachineParams
 from repro.model.perfmodel import calibrate_lambda, effective_gflops
 from repro.obs.logcfg import get_logger
 from repro.tune.measure import MeasureConfig, Measurement, measure_candidate
@@ -38,6 +40,7 @@ __all__ = [
     "tune_fused_group",
     "calibrate_machine",
     "fit_machine_params",
+    "resolve_machine",
 ]
 
 
@@ -108,7 +111,8 @@ def tune_problem(
         included).  Default 2.
     machine : MachineParams, optional
         Model constants for the ranking pass; defaults to the store's
-        calibrated machine, else :func:`~repro.model.machines.generic_laptop`.
+        calibrated machine, measuring this host first when the store has
+        none (:func:`resolve_machine`).
     store : WisdomStore, optional
         Where the verdict is recorded; defaults to
         :func:`~repro.tune.wisdom.default_store`.
@@ -120,7 +124,9 @@ def tune_problem(
     measure_config : MeasureConfig, optional
         Warmup/repeat/GC-pinning policy for each measurement.
     record : bool, optional
-        Set False to measure without writing wisdom.
+        Set False to measure without writing a wisdom entry (a store
+        with no machine record still gets the calibration
+        :func:`resolve_machine` takes).
 
     Returns
     -------
@@ -138,7 +144,7 @@ def tune_problem(
     t_start = time.perf_counter()
     threads = normalize_threads(threads)  # bad counts fail before measuring
     store = store if store is not None else default_store()
-    machine = machine or store.machine_params() or generic_laptop()
+    machine = resolve_machine(store, machine)
     dt = np.dtype(dtype)
 
     ranked = rank_candidates(
@@ -331,18 +337,30 @@ def tune_fused_group(
 # ---------------------------------------------------------------------- #
 # Machine-model back-fit
 # ---------------------------------------------------------------------- #
-def _time_matmul(m: int, k: int, n: int, repeats: int = 3, seed: int = 0) -> float:
-    """Best-of-N wall-clock of one ``np.matmul`` (the real GEMM substrate)."""
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((m, k))
-    B = rng.standard_normal((k, n))
-    C = np.empty((m, n))
-    np.matmul(A, B, out=C)  # warm
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        np.matmul(A, B, out=C)
-        best = min(best, time.perf_counter() - t0)
+def _time_matmuls(shapes, rounds: int = 10) -> list[float]:
+    """Best-of-``rounds`` wall-clock of one ``np.matmul`` (the real GEMM
+    substrate) per ``(m, k, n)`` in ``shapes``.
+
+    Each round times every shape once, so all probes sample the same host
+    conditions.  Timed back to back instead, load from other processes
+    preempts the long compute probe far more often than the short
+    bandwidth one, and skews their ratio — the quantity the model's
+    FMM-vs-GEMM verdict turns on — toward FMM.
+    """
+    rng = np.random.default_rng(0)
+    ops = []
+    for m, k, n in shapes:
+        A = rng.standard_normal((m, k))
+        B = rng.standard_normal((k, n))
+        C = np.empty((m, n))
+        np.matmul(A, B, out=C)  # warm
+        ops.append((A, B, C))
+    best = [float("inf")] * len(ops)
+    for _ in range(rounds):
+        for i, (A, B, C) in enumerate(ops):
+            t0 = time.perf_counter()
+            np.matmul(A, B, out=C)
+            best[i] = min(best[i], time.perf_counter() - t0)
     return best
 
 
@@ -355,12 +373,19 @@ def fit_machine_params(
 ) -> MachineParams:
     """Back-fit a :class:`MachineParams` from two measured rates.
 
-    ``compute_gflops`` is the sustained rate of a large compute-bound
-    GEMM on one core; the effective peak is set ``headroom`` above it and
-    the prefetch-efficiency lambda is then bisected
-    (:func:`repro.model.perfmodel.calibrate_lambda`) so the *model*
-    reproduces the measurement exactly.  ``bandwidth_gbs`` comes from a
-    memory-bound streaming measurement.
+    ``compute_gflops`` is the sustained rate of a compute-bound GEMM and
+    ``bandwidth_gbs`` the effective rate of a memory-bound streaming
+    product, both as :func:`calibrate_machine` measures them: the best
+    of repeated single ``np.matmul`` calls, which the BLAS runs on all of
+    its threads.  The
+    fit sets the effective peak *per core* ``headroom`` above
+    ``compute_gflops`` and ``cores`` to ``os.cpu_count()`` unless given,
+    so the modeled whole-host peak is ``cores * headroom`` times the
+    measured multi-threaded rate.  The prefetch-efficiency lambda is then
+    bisected (:func:`repro.model.perfmodel.calibrate_lambda`) toward the
+    model's large-GEMM rate matching ``compute_gflops``; where that rate
+    stays above the measurement even at lambda = 1 (the usual case on a
+    multi-core host, because of the ``cores`` factor), lambda is 1.
     """
     if compute_gflops <= 0 or bandwidth_gbs <= 0:
         raise ValueError("measured rates must be positive")
@@ -383,19 +408,22 @@ def calibrate_machine(
 ) -> MachineParams:
     """Measure this host and back-fit the machine model the selector prices with.
 
-    Two quick probes: a ``size``^3 matmul for the sustained compute rate,
-    and a wide rank-k update (``size x 8 x size``, traffic-dominated) for
-    the effective bandwidth.  The fitted params are persisted in the
-    wisdom file so future processes rank candidates with calibrated
-    constants even on wisdom misses.
+    Two quick probes, interleaved and best-of-10 (about 40 ms including
+    the record on a 2-core host): a ``size``^3 matmul for the sustained
+    compute rate, and a wide rank-k update (``size x 8 x size``,
+    traffic-dominated) for the effective bandwidth;
+    :func:`fit_machine_params` turns them into model constants.  With
+    ``record`` the fit is stored in the wisdom file (best effort, see
+    :meth:`~repro.tune.wisdom.WisdomStore.record_machine`) so future
+    processes rank candidates with calibrated constants even on wisdom
+    misses.  :func:`resolve_machine` calls this once per store on its
+    first model-path miss; ``repro tune --calibrate`` re-measures.
     """
     store = store if store is not None else default_store()
 
-    t_c = _time_matmul(size, size, size)
-    compute = effective_gflops(size, size, size, t_c)
-
     kk = 8
-    t_b = _time_matmul(size, kk, size)
+    t_c, t_b = _time_matmuls([(size, size, size), (size, kk, size)])
+    compute = effective_gflops(size, size, size, t_c)
     bytes_moved = 8.0 * (size * kk + kk * size + 2 * size * size)
     bandwidth = bytes_moved / t_b / 1e9
     # A cache-resident probe can report absurd bandwidth; clamp to a sane
@@ -406,3 +434,39 @@ def calibrate_machine(
     if record:
         store.record_machine(params)
     return params
+
+
+def resolve_machine(
+    store: WisdomStore, machine: MachineParams | None = None
+) -> MachineParams:
+    """The machine model a wisdom miss prices candidates with.
+
+    ``machine`` when given; else the store's recorded calibration; else
+    this host is measured now (:func:`calibrate_machine`) and the fit
+    recorded, so later misses in this process — and, once the file is
+    written, in any process sharing the store — price with it instead of
+    re-measuring.  Concurrent first misses serialize on the store's
+    :attr:`~repro.tune.wisdom.WisdomStore.calibration_lock` and re-check
+    the record inside it: the host is probed once, not once per thread
+    (each probe would also time the others' BLAS work).
+
+    ``multiply(engine="auto")`` under ``tune="readonly"`` or ``"on"``,
+    :func:`tune_problem` and ``repro tune`` all resolve through here;
+    ``tune="off"`` bypasses it for the pure
+    :func:`~repro.model.machines.generic_laptop` model.
+    """
+    if machine is not None:
+        return machine
+    recorded = store.machine_params()
+    if recorded is not None:
+        return recorded
+    with store.calibration_lock:
+        recorded = store.machine_params()
+        if recorded is None:
+            recorded = calibrate_machine(store=store)
+            _log.info(
+                "calibrated %s for %s: peak %.1f GF/core, bandwidth %.1f GB/s",
+                recorded.name, store.path, recorded.peak_gflops_per_core,
+                recorded.bandwidth_gbs,
+            )
+        return recorded

@@ -22,7 +22,11 @@ path, so it must never take the process down):
   not a log/bucket computation.
 
 The calibrated machine model (back-fit by :mod:`repro.tune.tuner`) rides
-in the same file under ``"machine"``.
+in the same file under ``"machine"``.  The first model-path
+``engine="auto"`` call on a store without one measures the host and
+records it (:func:`repro.tune.tuner.resolve_machine`); that record is
+persisted best effort — an unwritable file logs a warning and the model
+stays in memory for the process.
 """
 
 from __future__ import annotations
@@ -295,11 +299,15 @@ class WisdomStore:
         self.path = Path(path)
         self._lock = threading.RLock()
         self._entries: dict[str, dict] = {}
-        self._machine: dict | None = None
+        self._machine: MachineParams | None = None
         self._tunables: dict = {}
         self._fingerprint = machine_fingerprint()
         self._hot: OrderedDict[tuple, dict | None] = OrderedDict()
         self._hot_size = int(hot_size)
+        #: Held while the host is measured for this store
+        #: (:func:`repro.tune.tuner.resolve_machine`), so concurrent first
+        #: misses calibrate once instead of timing each other's probes.
+        self.calibration_lock = threading.Lock()
         self.hot_hits = 0
         self.hot_misses = 0
         #: Diagnostics from the last load.
@@ -338,7 +346,7 @@ class WisdomStore:
                     _validate_entry(entry)
                 machine = doc.get("machine")
                 if machine is not None:
-                    self._machine_params_from(machine)  # validates
+                    machine = self._machine_params_from(machine)  # validates
                 tunables = _validate_tunables(doc.get("tunables", {}))
             except Exception:
                 self.recovered_corrupt = True
@@ -393,8 +401,7 @@ class WisdomStore:
                     self._entries[bucket] = entry
                     merged = True
             if self._machine is None and doc.get("machine") is not None:
-                self._machine_params_from(doc["machine"])  # validates
-                self._machine = doc["machine"]
+                self._machine = self._machine_params_from(doc["machine"])
             # Tunables are deliberately NOT merged from disk: like a
             # record(), the last record_tunables() wins — otherwise a
             # cleared section would resurrect from the previous save.
@@ -416,7 +423,14 @@ class WisdomStore:
                 "entries": self._entries,
             }
             if self._machine is not None:
-                doc["machine"] = self._machine
+                mp = self._machine
+                doc["machine"] = {
+                    "name": mp.name,
+                    "peak_gflops_per_core": mp.peak_gflops_per_core,
+                    "bandwidth_gbs": mp.bandwidth_gbs,
+                    "cores": mp.cores,
+                    "lam": mp.lam,
+                }
             if self._tunables:
                 doc["tunables"] = self._tunables
             payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -575,17 +589,24 @@ class WisdomStore:
     # Calibrated machine model
     # ------------------------------------------------------------------ #
     def record_machine(self, params: MachineParams, *, save: bool = True) -> None:
-        """Persist a back-fit machine model alongside the wisdom entries."""
+        """Record a back-fit machine model alongside the wisdom entries.
+
+        Persisting is best effort: the record is a quick measurement any
+        process can repeat, and it is taken on the ``engine="auto"``
+        dispatch path.  When the file cannot be written (a read-only
+        directory, a parent path that is a file) a warning is logged and
+        the model is kept in memory for this store instead of raising.
+        """
         with self._lock:
-            self._machine = {
-                "name": params.name,
-                "peak_gflops_per_core": params.peak_gflops_per_core,
-                "bandwidth_gbs": params.bandwidth_gbs,
-                "cores": params.cores,
-                "lam": params.lam,
-            }
+            self._machine = params
             if save:
-                self.save()
+                try:
+                    self.save()
+                except OSError as exc:
+                    _log.warning(
+                        "could not write the calibrated machine to %s (%s); "
+                        "keeping it in memory for this process", self.path, exc,
+                    )
 
     @staticmethod
     def _machine_params_from(doc: dict) -> MachineParams:
@@ -599,10 +620,7 @@ class WisdomStore:
 
     def machine_params(self) -> MachineParams | None:
         """The calibrated machine model, if one has been back-fit."""
-        with self._lock:
-            if self._machine is None:
-                return None
-            return self._machine_params_from(self._machine)
+        return self._machine  # one read of an immutable object: no lock
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -15,6 +15,9 @@ def _isolated_wisdom(tmp_path_factory):
     previously tuned machine could flip model-path assertions.  Pointing
     ``REPRO_WISDOM`` at a session temp file isolates even code that
     resets the default store mid-test (it re-resolves from the env).
+    The session store still calibrates this host on its first model-path
+    miss, so a test asserting what the *model* picks pins it with
+    ``tune="off"`` or an explicit ``machine``.
     """
     from repro.tune import set_default_store
 

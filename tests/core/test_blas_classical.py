@@ -335,7 +335,7 @@ class TestObservedWisdom:
         A, B = _operands(rng, 96, 96, 96)
         obs_reports.clear()
         for _ in range(3):
-            multiply(A, B, engine="auto")
+            multiply(A, B, engine="auto", tune="off")
         store = WisdomStore(tmp_path / "wisdom.json")
         assert seed_wisdom_from_observations(store, min_count=3)
         cfg = store.lookup(96, 96, 96, dtype=np.float64)

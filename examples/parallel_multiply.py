@@ -13,13 +13,7 @@ import os
 
 import numpy as np
 
-from repro import (
-    arena_stats,
-    measured_scaling_curve,
-    multiply,
-    pick_threads,
-    resolve_levels,
-)
+from repro import arena_stats, last_report, measured_scaling_curve, multiply
 
 
 def main() -> None:
@@ -43,12 +37,13 @@ def main() -> None:
     print(f"arena: {after.allocations} workspaces allocated, "
           f"{after.reuses - before.reuses} reuses over 10 calls")
 
-    # 3. Auto-dispatch also picks the thread count from the machine model.
-    t = pick_threads(n, n, n, resolve_levels("strassen", 1))
-    print(f"model-picked threads for {n}^3 on this host "
-          f"({os.cpu_count()} cores): {t}")
-    C = multiply(A, B, engine="auto")
-    print(f"engine='auto' max err:       {np.abs(C - A @ B).max():.3e}")
+    # 3. Auto-dispatch picks the schedule, not the thread count: it runs
+    #    serial unless threads= is given.
+    C = multiply(A, B, engine="auto", threads=2)
+    rep = last_report()
+    print(f"engine='auto' max err:       {np.abs(C - A @ B).max():.3e} "
+          f"({rep.schedule}, {rep.threads} thread(s) requested, "
+          f"{rep.worker_mode})")
 
     # 4. Measured strong scaling of the real runtime on this machine.
     threads = tuple(

@@ -33,19 +33,13 @@ Public surface
   (:func:`arena_stats` / :func:`arena_clear`); every execution publishes
   an :class:`ExecutionReport` with measured peak workspace bytes
   (:func:`last_report`).
-* :func:`measured_scaling_curve` / :func:`pick_threads` — measured vs
+* :func:`measured_scaling_curve` / :func:`scaling_curve` — measured vs
   modeled multicore scaling (:mod:`repro.core.parallel`).
 * :func:`predict_fmm` / :func:`predict_gemm` — the Fig.-5 performance model.
 * :func:`select` — model-guided poly-algorithm selection (Fig. 8).
 * :func:`tune_problem` / :func:`tune_sweep` / :class:`WisdomStore` —
   empirical autotuning with persistent wisdom (:mod:`repro.tune`);
   ``multiply(engine="auto", tune="readonly")`` dispatches on it.
-* :mod:`repro.kernels` — pluggable leaf-kernel backends behind the
-  runtime (:func:`backend_names` / :func:`backend_infos` /
-  :class:`LeafBackend`): the reference numpy interpreter, per-plan
-  ``exec``-compiled specialized kernels, and an optional numba JIT
-  wrapper; ``multiply(backend=...)`` selects one, ``engine="auto"``
-  prices and tunes the choice.
 * :func:`set_runtime_tunables` / :func:`runtime_tunables` — per-machine
   runtime knobs (fused group size, auto-fusion threshold, serve
   coalescing window/batch cap); wisdom files carry measured overrides
@@ -96,7 +90,7 @@ from repro.core.executor import (
 )
 from repro.core.fmm import FMMAlgorithm
 from repro.core.kronecker import MultiLevelFMM
-from repro.core.parallel import measured_scaling_curve, pick_threads, scaling_curve
+from repro.core.parallel import measured_scaling_curve, scaling_curve
 from repro.core.plan import build_plan
 from repro.core.runtime import (
     ExecutionReport,
@@ -111,7 +105,6 @@ from repro.core.spec import (
     FUSION_MODES,
     VARIANTS,
     Schedule,
-    normalize_backend,
     normalize_fusion,
     normalize_schedule,
     normalize_spec,
@@ -121,13 +114,6 @@ from repro.core.spec import (
     runtime_tunables,
     schedule_signature,
     set_runtime_tunables,
-)
-from repro.kernels import (
-    LeafBackend,
-    available_backends,
-    backend_infos,
-    backend_names,
-    get_backend,
 )
 from repro.core.workspace import arena_clear, arena_stats
 from repro.model.machines import MachineParams, generic_laptop, ivy_bridge_e5_2680_v2
@@ -201,7 +187,6 @@ __all__ = [
     "arena_clear",
     "scaling_curve",
     "measured_scaling_curve",
-    "pick_threads",
     "auto_config",
     "get_algorithm",
     "get_entry",
@@ -247,12 +232,6 @@ __all__ = [
     "report_stats",
     "observed_measurements",
     "seed_wisdom_from_observations",
-    "LeafBackend",
-    "available_backends",
-    "backend_infos",
-    "backend_names",
-    "get_backend",
-    "normalize_backend",
     "runtime_tunables",
     "set_runtime_tunables",
     "MultiplyService",

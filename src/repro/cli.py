@@ -7,7 +7,6 @@ Commands
 ``select``    Model-guided implementation selection for a problem size.
 ``tune``      Measure the model's favorites; persist the winner as wisdom.
 ``wisdom``    Inspect or clear the persistent autotuning wisdom store.
-``backends``  List leaf-kernel backends, availability and kernel caches.
 ``trace``     Record a multiply under the span tracer; write a Chrome trace.
 ``stats``     Print the process-wide metrics snapshot and report history.
 ``serve``     Drive the async MultiplyService under synthetic load.
@@ -67,19 +66,9 @@ def cmd_multiply(args) -> int:
         C = multiply_batched(
             A, B, algorithm=ml if ml is not None else "strassen",
             variant=args.variant, engine=args.engine, threads=args.threads,
-            tune=args.tune, fusion=args.fusion, backend=args.backend,
-            workers=args.workers, procs=args.procs,
+            tune=args.tune, fusion=args.fusion,
         )
     elif args.engine == "blocked":
-        if args.backend not in (None, "reference"):
-            raise SystemExit(
-                f"--backend {args.backend} is only valid with --engine direct"
-            )
-        if args.workers == "processes" or args.procs is not None:
-            raise SystemExit(
-                "--workers processes / --procs are only valid with "
-                "--engine direct or auto"
-            )
         # BlockedEngine normalizes threads itself (None -> 1, 0/neg raise).
         eng = BlockedEngine(variant=args.variant, threads=args.threads)
         C = np.zeros((args.m, args.n), dtype=dtype)
@@ -89,20 +78,17 @@ def cmd_multiply(args) -> int:
         C = multiply(
             A, B, algorithm=ml if ml is not None else "strassen",
             variant=args.variant, engine=args.engine, threads=args.threads,
-            tune=args.tune, fusion=args.fusion, backend=args.backend,
-            workers=args.workers, procs=args.procs,
+            tune=args.tune, fusion=args.fusion,
         )
     from repro.core.runtime import last_report
 
     rep = last_report()
     if rep is not None:
         print(f"runtime: {rep.fusion} lowering, {rep.threads} thread(s), "
-              f"backend {rep.backend} ({rep.backend_path}), "
               f"peak workspace {rep.peak_workspace_bytes / 2**20:.2f} MiB")
         if args.report:
             print(f"report: worker_mode={rep.worker_mode} "
                   f"n_workers={rep.n_workers} "
-                  f"ipc_bytes={rep.ipc_bytes} "
                   f"core_path={rep.core_path} n_tasks={rep.n_tasks} "
                   f"n_chunks={rep.n_chunks}")
             if rep.fusion == "tiled":
@@ -156,9 +142,7 @@ def cmd_trace(args) -> int:
         for _ in range(repeat):
             call(A, B, algorithm=ml if ml is not None else "strassen",
                  variant=args.variant, engine=args.engine,
-                 threads=args.threads, tune="off", fusion=args.fusion,
-                 backend=args.backend, workers=args.workers,
-                 procs=args.procs)
+                 threads=args.threads, tune="off", fusion=args.fusion)
         doc = trace.export_chrome(args.out)
     finally:
         trace.disable()
@@ -209,7 +193,7 @@ def cmd_stats(args) -> int:
             print(f"  {key}: n={st.count} p50={st.p50_s * 1e3:.2f}ms "
                   f"p95={st.p95_s * 1e3:.2f}ms best={st.best_s * 1e3:.2f}ms "
                   f"peak {st.peak_bytes_hw / 2**20:.2f} MiB "
-                  f"backends={st.backends} modes={st.worker_modes}{tiled}")
+                  f"modes={st.worker_modes}{tiled}")
     else:
         print("report history: empty (nothing executed in this process)")
     return 0
@@ -227,9 +211,6 @@ def cmd_serve(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     dtype = np.float32 if args.dtype == "float32" else np.float64
-    workers, threads = args.workers, args.threads
-    if args.procs:
-        workers, threads = "processes", args.procs
     A = rng.standard_normal((args.m, args.k)).astype(dtype)
     B = rng.standard_normal((args.k, args.n)).astype(dtype)
 
@@ -240,8 +221,7 @@ def cmd_serve(args) -> int:
         byte_budget=(None if args.byte_budget_mb is None
                      else int(args.byte_budget_mb * 2**20)),
         policy=args.policy,
-        threads=threads,
-        workers=workers,
+        threads=args.threads,
     )
     handles, errors = [], []
     lock = threading.Lock()
@@ -271,8 +251,7 @@ def cmd_serve(args) -> int:
 
     if handles:
         C_ref = multiply(A, B, algorithm=args.algorithm, levels=args.levels,
-                         variant=args.variant, threads=threads,
-                         workers=workers)
+                         variant=args.variant, threads=args.threads)
         if not np.array_equal(results[0], C_ref):
             print("FAIL: service result != direct multiply")
             return 1
@@ -285,8 +264,7 @@ def cmd_serve(args) -> int:
         "jobs": args.jobs,
         "submitters": n_sub,
         "policy": svc.policy,
-        "workers": workers or "threads",
-        "threads": threads or 1,
+        "threads": args.threads or 1,
         "stats": st,
         "rejected_at_submit": len(errors),
         "latency_s": {k: lat.get(k) for k in ("count", "mean", "p50", "p95")},
@@ -346,7 +324,7 @@ def cmd_jobs(args) -> int:
         m, k, n = h.shape
         rep = h.report()
         dur = f"{rep.duration_s * 1e3:9.2f}ms" if rep else f"{'-':>11s}"
-        via = (f"{rep.worker_mode}/{rep.backend}" if rep else "-")
+        via = rep.worker_mode if rep else "-"
         print(f"{h.id:8s} {m}x{k}x{n:<8d} {h.dtype.name:8s} {h.status:10s} "
               f"{h.batch_size or '-':<5} {dur}  {via}")
     st = svc.stats()
@@ -471,7 +449,7 @@ def cmd_tune(args) -> int:
                 "beat_model": r.beat_model,
                 "bucket": r.bucket,
                 "measured": [
-                    {"label": ms.label, "backend": ms.backend,
+                    {"label": ms.label,
                      "time_s": ms.time_s, "gflops": ms.gflops,
                      "samples": ms.samples}
                     for ms in r.measurements
@@ -548,72 +526,8 @@ def cmd_wisdom(args) -> int:
             )
         )
         m, k, n = e["problem"]
-        backend = cfg.get("backend", "reference")
-        bnote = "" if backend == "reference" else f" [{backend}]"
         print(f"  {bucket:<32} {label}/{cfg['variant']} t{cfg['threads']}"
-              f"{bnote} {e['gflops']:.2f} GF (tuned at {m}x{k}x{n})")
-    return 0
-
-
-def cmd_backends(args) -> int:
-    from repro import kernels
-
-    probe_reports = {}
-    if args.probe:
-        from repro.core.executor import multiply
-        from repro.core.runtime import last_report
-
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((64, 64))
-        B = rng.standard_normal((64, 64))
-        # Non-contiguous views (as mmap-backed operands routinely are):
-        # compiling backends delegate these to the interpreter.
-        An = rng.standard_normal((128, 128))[::2, ::2]
-        Bn = rng.standard_normal((128, 128))[::2, ::2]
-        for b in kernels.available_backends():
-            # Two calls: the second shows the cached-kernel steady state.
-            multiply(A, B, algorithm="strassen", backend=b.name)
-            multiply(A, B, algorithm="strassen", backend=b.name)
-            rep = last_report()
-            multiply(An, Bn, algorithm="strassen", backend=b.name)
-            ncrep = last_report()
-            probe_reports[b.name] = {
-                "backend_path": rep.backend_path,
-                "kernel_cached": rep.kernel_cached,
-                "fusion": rep.fusion,
-                "noncontiguous_path": ncrep.backend_path,
-            }
-
-    rows = []
-    for info in kernels.backend_infos():
-        stats = kernels.get_backend(info.name).cache_stats()
-        rows.append({
-            "name": info.name,
-            "available": info.available,
-            "requires": info.requires,
-            "summary": info.summary,
-            "cache": stats,
-            "probe": probe_reports.get(info.name),
-        })
-    if args.json:
-        print(json.dumps({"backends": rows}, indent=2))
-        return 0
-    print(f"{'backend':<12} {'available':<10} {'plans':>6} {'kernels':>8} "
-          f"{'compiles':>9} {'hits':>6}")
-    for row in rows:
-        avail = "yes" if row["available"] else f"no ({row['requires']})"
-        c = row["cache"]
-        print(f"{row['name']:<12} {avail:<10} {c['plans']:>6} "
-              f"{c['kernels']:>8} {c['compiles']:>9} {c['hits']:>6}")
-        print(f"    {row['summary']}")
-        probe = row["probe"]
-        if probe is not None:
-            cached = ("" if not probe["kernel_cached"]
-                      else ", kernel cache hit")
-            print(f"    probe 64^3 strassen: {probe['backend_path']} path, "
-                  f"{probe['fusion']} lowering{cached}; "
-                  f"non-contiguous operands: "
-                  f"{probe['noncontiguous_path']} path")
+              f" {e['gflops']:.2f} GF (tuned at {m}x{k}x{n})")
     return 0
 
 
@@ -682,8 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("direct", "blocked", "auto"),
                    default="direct")
     p.add_argument("--threads", type=int, default=None,
-                   help="runtime worker threads (default: 1; with "
-                        "--engine auto the machine model picks)")
+                   help="runtime worker threads (default: 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dtype", choices=("float32", "float64"), default="float64")
     p.add_argument("--batch", type=int, default=1,
@@ -701,22 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(O(threads) buffers); auto resolves per plan. "
                         "The blocked engine's packed kernel always "
                         "streams (staged requests execute fused there)")
-    p.add_argument("--backend", choices=("reference", "specialized", "numba"),
-                   default=None,
-                   help="leaf-kernel backend (direct engine): reference "
-                        "interpreter, per-plan compiled kernels, or their "
-                        "numba-JIT wrapper; default follows --engine auto's "
-                        "pick, else reference")
-    p.add_argument("--workers", choices=("threads", "processes"), default=None,
-                   help="runtime worker mode (direct engine): the shared "
-                        "thread pool, or GIL-free worker processes over "
-                        "shared-memory segments; default follows --engine "
-                        "auto's pick, else threads")
-    p.add_argument("--procs", type=int, default=None,
-                   help="shorthand for --workers processes --threads N")
     p.add_argument("--report", action="store_true",
                    help="print the execution report's worker fields "
-                        "(worker_mode, n_workers, ipc_bytes, core path)")
+                        "(worker_mode, n_workers, core path)")
 
     p = sub.add_parser("select", help="model-guided selection")
     _add_shape(p)
@@ -732,8 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=3,
                    help="model finalists to measure (plus the GEMM baseline)")
     p.add_argument("--threads", type=int, default=None,
-                   help="tune for an explicit thread count "
-                        "(default: the model picks per candidate)")
+                   help="tune for an explicit thread count (default: serial)")
     p.add_argument("--dtype", choices=("float32", "float64"), default="float64")
     p.add_argument("--store", default=None,
                    help="wisdom file (default: $REPRO_WISDOM or "
@@ -754,13 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "~/.cache/repro/wisdom.json)")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("backends",
-                       help="list leaf-kernel backends and kernel caches")
-    p.add_argument("--probe", action="store_true",
-                   help="run a small multiply through each available "
-                        "backend and report its execution path")
-    p.add_argument("--json", action="store_true")
-
     p = sub.add_parser("trace",
                        help="record a multiply under the span tracer")
     p.add_argument("action", nargs="?", choices=("run",), default="run")
@@ -776,12 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--fusion", choices=("auto", "staged", "fused", "tiled"),
                    default="auto")
-    p.add_argument("--backend", choices=("reference", "specialized", "numba"),
-                   default=None)
-    p.add_argument("--workers", choices=("threads", "processes"),
-                   default=None)
-    p.add_argument("--procs", type=int, default=None,
-                   help="shorthand for --workers processes --threads N")
     p.add_argument("--repeat", type=int, default=2,
                    help="runs to record; the first shows the plan compile, "
                         "later ones the cached steady state (default 2)")
@@ -820,10 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="over-budget behavior (default reject)")
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--workers", choices=("threads", "processes"),
-                   default=None)
-    p.add_argument("--procs", type=int, default=None,
-                   help="shorthand for --workers processes --threads N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true",
                    help="emit the serve summary as machine-readable JSON")
@@ -864,7 +746,6 @@ def main(argv=None) -> int:
         "select": cmd_select,
         "tune": cmd_tune,
         "wisdom": cmd_wisdom,
-        "backends": cmd_backends,
         "trace": cmd_trace,
         "stats": cmd_stats,
         "serve": cmd_serve,

@@ -2,47 +2,20 @@
 
 The paper's generator emits C that unrolls the operand linear combinations
 of eq. (3) into packing routines and micro-kernel updates.  The Python
-analog has two emitters:
-
-* :func:`generate_source` / :func:`compile_plan` — a standalone,
-  dependency-light function (NumPy only) with the products fully unrolled
-  as literal expressions: readable, diffable demo output.
-* :func:`generate_kernel_source` / :func:`compile_plan_kernel` — the **hot
-  path** behind the ``"specialized"`` leaf-kernel backend
-  (:mod:`repro.kernels.specialized`): a whole-core closure specialized to
-  one :class:`CompiledPlan`, with gather/scatter index arrays and every
-  working buffer precomputed once, coefficient loops unrolled into literal
-  slice expressions, and every operation writing through ``out=`` in the
-  plan dtype (no hidden upcasts, no per-call allocation).  The emitted
-  shape mirrors the interpreter's lowering — a staged plan becomes four
-  dense coefficient matmuls plus an unrolled scatter, a fused plan becomes
-  per-group coefficient-GEMM strips with the scatter-accumulates unrolled
-  while each group is hot — so the kernel keeps the interpreter's
-  arithmetic while dropping its per-task Python machinery.
+analog, :func:`generate_source` / :func:`compile_plan`, emits a
+standalone, dependency-light function (NumPy only) with the products
+fully unrolled as literal expressions: readable, diffable demo output.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 from repro.core.compile import CompiledPlan
 from repro.core.plan import ExecutionPlan
-from repro.core.spec import effective_fused_group, validate_resolved_fusion
 
 __all__ = [
-    "ParallelPlanKernel",
-    "PlanKernel",
-    "TAKE_GATHER_MAX",
     "compile_plan",
-    "compile_plan_kernel",
-    "compile_parallel_plan_kernel",
-    "gather_indices",
-    "generate_kernel_source",
-    "generate_parallel_kernel_source",
     "generate_source",
 ]
 
@@ -141,474 +114,3 @@ def compile_plan(plan: ExecutionPlan, func_name: str | None = None):
     exec(compile(src, "<repro-codegen>", "exec"), namespace)
     fn_name = src.split("(", 1)[0].split()[-1]
     return namespace[fn_name], src
-
-
-# ---------------------------------------------------------------------- #
-# Per-plan specialized kernels (the "specialized" backend's hot path)
-# ---------------------------------------------------------------------- #
-
-#: Block sizes (elements) up to which the gather runs as one flat-index
-#: ``np.take`` over a precomputed index array; larger blocks gather as a
-#: ``np.stack`` of literal views, whose per-block memcpy beats take's
-#: per-element index arithmetic once blocks outgrow this.
-TAKE_GATHER_MAX = 64 * 64
-
-
-def gather_indices(table, br: int, bc: int, row_stride: int) -> np.ndarray:
-    """Flat ``intp`` indices gathering every ``(br, bc)`` block of one
-    operand out of a C-contiguous 2-D array whose rows are ``row_stride``
-    elements apart (the *full* array's trailing dimension, so the core of
-    a peeled problem still indexes correctly).  Block-major order matches
-    the operand's recursive block table.
-    """
-    P = len(table)
-    idx = np.empty((P, br, bc), dtype=np.intp)
-    ii = np.arange(br)[:, None] * row_stride + np.arange(bc)[None, :]
-    for p, (r, c) in enumerate(table):
-        idx[p] = (r * br) * row_stride + (c * bc) + ii
-    return idx.reshape(-1)
-
-
-@dataclass(eq=False)
-class PlanKernel:
-    """One exec-compiled whole-core kernel specialized to a plan.
-
-    ``fn(A, B, C)`` accumulates the FMM core of ``C += A @ B`` for 2-D
-    C-contiguous operands of exactly the plan's shape and dtype; fringes
-    stay with the caller (the runtime's peel loop).  The closure owns its
-    preallocated buffers (``workspace_bytes`` of them), so one kernel
-    instance must not run concurrently with itself.
-    """
-
-    fn: Callable
-    source: str
-    fusion: str
-    group: int
-    workspace_bytes: int
-
-
-def generate_kernel_source(cplan: CompiledPlan, fusion: str | None = None,
-                           group: int | None = None):
-    """Emit the specialized whole-core kernel source for one plan.
-
-    Returns ``(source, namespace, meta)``: the namespace carries the
-    precomputed index arrays, coefficient operators and preallocated
-    buffers the source closes over; ``meta`` records the emitted fusion
-    shape, group size and buffer bytes.  ``fusion`` defaults to the
-    plan's resolved mode; ``group`` (fused shape only) defaults to at
-    least 16 — double the interpreter's streaming group — because with
-    the per-task machinery gone, longer coefficient-GEMM strips win
-    (this is also what closes the float32 fused-scatter gap).
-    """
-    pp = cplan.peel_plan
-    if not pp.has_core:
-        raise ValueError("cannot specialize a plan with no FMM core")
-    fusion = validate_resolved_fusion(
-        cplan.fusion if fusion is None else fusion
-    )
-    mp, kp, npp = pp.core
-    Mt, Kt, Nt = cplan.dims_total
-    bm, bk, bn = mp // Mt, kp // Kt, npp // Nt
-    m, k, n = cplan.shape
-    dt = cplan.dtype
-    R = cplan.rank_total
-    Pa, Pb = len(cplan.a_table), len(cplan.b_table)
-    Pc = len(cplan.c_table)
-
-    ns: dict = {
-        "take": np.take, "matmul": np.matmul, "add": np.add,
-        "subtract": np.subtract, "multiply": np.multiply, "stack": np.stack,
-    }
-    buffers: list[np.ndarray] = []
-
-    def alloc(name, shape):
-        arr = np.empty(shape, dtype=dt)
-        ns[name] = arr
-        buffers.append(arr)
-        return arr
-
-    Af = alloc("Af", Pa * bm * bk)
-    Bf = alloc("Bf", Pb * bk * bn)
-    ns["A2"] = Af.reshape(Pa, bm * bk)
-    ns["B2"] = Bf.reshape(Pb, bk * bn)
-    ns["A3"] = Af.reshape(Pa, bm, bk)
-    ns["B3"] = Bf.reshape(Pb, bk, bn)
-
-    name = f"fmm_kernel_{m}x{k}x{n}_{cplan.variant}_{fusion}_{dt.name}"
-    L = [
-        f"def {name}(A, B, C):",
-        f'    """Specialized {fusion}-shape kernel: {cplan.ml.name}, '
-        f"R={R}, dtype={dt.name}.",
-        "",
-        "    Auto-generated by repro.core.codegen.generate_kernel_source",
-        "    -- do not edit.  Accumulates the FMM core into C (fringes",
-        "    are the caller's).",
-        '    """',
-    ]
-
-    def emit_gather(op, table, br, bc, stride):
-        if br * bc <= TAKE_GATHER_MAX:
-            idx = gather_indices(table, br, bc, stride)
-            ns[f"idx{op}"] = idx
-            buffers.append(idx)
-            L.append(f"    take({op}.reshape(-1), idx{op}, out={op}f)")
-        else:
-            views = ", ".join(
-                f"{op}[{r * br}:{(r + 1) * br}, {c * bc}:{(c + 1) * bc}]"
-                for r, c in table
-            )
-            # Trailing comma: one view must still read as a tuple, not
-            # as a bare 2-D array handed to stack as a row sequence.
-            L.append(f"    stack(({views},), out={op}3)")
-
-    emit_gather("A", cplan.a_table, bm, bk, k)
-    emit_gather("B", cplan.b_table, bk, bn, n)
-
-    def c_slice(i):
-        r, c = cplan.c_table[i]
-        return f"C[{r * bm}:{(r + 1) * bm}, {c * bn}:{(c + 1) * bn}]"
-
-    if fusion == "staged":
-        group_eff = 0
-        S = alloc("S", (R, bm, bk))
-        T = alloc("T", (R, bk, bn))
-        M = alloc("M", (R, bm, bn))
-        ns["S2"], ns["T2"] = S.reshape(R, -1), T.reshape(R, -1)
-        ns["M2"] = M.reshape(R, -1)
-        upd = alloc("upd", (Pc, bm, bn))
-        ns["upd2"] = upd.reshape(Pc, -1)
-        ns["Ut"], ns["Vt"], ns["W"] = cplan.Ut, cplan.Vt, cplan.W
-        L += [
-            "    matmul(Ut, A2, out=S2)",
-            "    matmul(Vt, B2, out=T2)",
-            "    matmul(S, T, out=M)",
-            "    matmul(W, M2, out=upd2)",
-        ]
-        for p in range(Pc):
-            L.append(f"    _c = {c_slice(p)}")
-            L.append(f"    add(_c, upd[{p}], out=_c)")
-    else:
-        if group is None:
-            group = max(16, effective_fused_group())
-        g = group_eff = max(1, min(int(group), R))
-        S = alloc("S", (g, bm, bk))
-        T = alloc("T", (g, bk, bn))
-        M = alloc("M", (g, bm, bn))
-        ns["S2"], ns["T2"] = S.reshape(g, -1), T.reshape(g, -1)
-        ns["Ut"], ns["Vt"] = cplan.Ut, cplan.Vt
-        if any(w not in (1.0, -1.0)
-               for s in cplan.steps for _, w in s.c_terms):
-            alloc("MS", (bm, bn))
-        for lo in range(0, R, g):
-            hi = min(lo + g, R)
-            w_ = hi - lo
-            L.append(f"    matmul(Ut[{lo}:{hi}], A2, out=S2[:{w_}])")
-            L.append(f"    matmul(Vt[{lo}:{hi}], B2, out=T2[:{w_}])")
-            L.append(f"    matmul(S[:{w_}], T[:{w_}], out=M[:{w_}])")
-            for j in range(w_):
-                for i, wgt in cplan.steps[lo + j].c_terms:
-                    L.append(f"    _c = {c_slice(i)}")
-                    if wgt == 1.0:
-                        L.append(f"    add(_c, M[{j}], out=_c)")
-                    elif wgt == -1.0:
-                        L.append(f"    subtract(_c, M[{j}], out=_c)")
-                    else:
-                        # dtype-matched scatter: scale into the recycled
-                        # MS strip, never through a float64 temporary.
-                        L.append(f"    multiply(M[{j}], {wgt!r}, out=MS)")
-                        L.append("    add(_c, MS, out=_c)")
-    L.append("    return C")
-
-    meta = {
-        "name": name,
-        "fusion": fusion,
-        "group": group_eff,
-        "workspace_bytes": int(sum(a.nbytes for a in buffers)),
-    }
-    return "\n".join(L) + "\n", ns, meta
-
-
-def compile_plan_kernel(cplan: CompiledPlan, fusion: str | None = None,
-                        group: int | None = None) -> PlanKernel:
-    """Emit and ``exec``-compile the specialized kernel for one plan."""
-    src, ns, meta = generate_kernel_source(cplan, fusion, group)
-    exec(compile(src, f"<repro-kernel:{meta['name']}>", "exec"), ns)
-    return PlanKernel(
-        fn=ns[meta["name"]],
-        source=src,
-        fusion=meta["fusion"],
-        group=meta["group"],
-        workspace_bytes=meta["workspace_bytes"],
-    )
-
-
-# ---------------------------------------------------------------------- #
-# Parallel per-plan kernels: phase x worker grids for the thread pool
-# ---------------------------------------------------------------------- #
-
-def _split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    """Balanced half-open ranges covering ``[0, total)`` (no empty ranges).
-
-    Mirror of the runtime's task splitter (``repro.core.runtime._split``;
-    re-stated here because the runtime imports this package at module
-    load) — the emitted slot partition must match the interpreter's so
-    the fused kernel's slot-order reduce reproduces the thread path.
-    """
-    parts = max(1, min(parts, total))
-    step, rem = divmod(total, parts)
-    ranges, lo = [], 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < rem else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
-@dataclass(eq=False)
-class ParallelPlanKernel:
-    """One exec-compiled *parallel* whole-core kernel.
-
-    ``phases`` is a tuple of barrier-separated phases, each a tuple of
-    per-worker ``fn(A, B, C)`` closures touching disjoint ranges of the
-    shared preallocated buffers — run every function of a phase (on the
-    ``threads``-worker pool), barrier, move to the next phase.  The
-    staged shape keeps each matmul row-partitioned (bitwise-equal to the
-    serial kernel); the fused shape mirrors the interpreter's slot
-    partition and slot-order reduce.
-    """
-
-    phases: tuple
-    source: str
-    fusion: str
-    group: int
-    workspace_bytes: int
-    threads: int
-
-
-def generate_parallel_kernel_source(
-    cplan: CompiledPlan,
-    threads: int,
-    fusion: str | None = None,
-    group: int | None = None,
-):
-    """Emit the phase x worker parallel kernel source for one plan.
-
-    Returns ``(source, namespace, meta)`` like
-    :func:`generate_kernel_source`; ``meta["functions"]`` lists the
-    emitted function names as one tuple per phase.  The emitted shape is
-    the interpreter's own phase structure with the per-task machinery
-    compiled away:
-
-    * **staged** — pack / operand-sum / product / scatter phases, every
-      coefficient matmul row-partitioned over the workers (disjoint
-      output rows, so each phase is embarrassingly parallel and the
-      arithmetic is the serial kernel's exactly);
-    * **fused** — pack, then one worker per *slot* streaming its product
-      range through private ``S``/``T``/``M`` strips into a private
-      ``Cacc`` accumulator, then a reduce phase folding the slots into
-      ``C`` in ascending slot order (the runtime's deterministic-reduce
-      contract, so the result matches the thread interpreter at the same
-      worker count).
-    """
-    pp = cplan.peel_plan
-    if not pp.has_core:
-        raise ValueError("cannot specialize a plan with no FMM core")
-    threads = int(threads)
-    if threads < 2:
-        raise ValueError("parallel kernels need threads >= 2; "
-                         "compile_plan_kernel serves the serial case")
-    fusion = validate_resolved_fusion(
-        cplan.fusion if fusion is None else fusion
-    )
-    mp, kp, npp = pp.core
-    Mt, Kt, Nt = cplan.dims_total
-    bm, bk, bn = mp // Mt, kp // Kt, npp // Nt
-    m, k, n = cplan.shape
-    dt = cplan.dtype
-    R = cplan.rank_total
-    Pa, Pb = len(cplan.a_table), len(cplan.b_table)
-    Pc = len(cplan.c_table)
-
-    ns: dict = {
-        "take": np.take, "matmul": np.matmul, "add": np.add,
-        "subtract": np.subtract, "multiply": np.multiply, "stack": np.stack,
-    }
-    buffers: list[np.ndarray] = []
-
-    def alloc(name, shape):
-        arr = np.empty(shape, dtype=dt)
-        ns[name] = arr
-        buffers.append(arr)
-        return arr
-
-    Af = alloc("Af", Pa * bm * bk)
-    Bf = alloc("Bf", Pb * bk * bn)
-    ns["A2"] = Af.reshape(Pa, bm * bk)
-    ns["B2"] = Bf.reshape(Pb, bk * bn)
-    ns["A3"] = Af.reshape(Pa, bm, bk)
-    ns["B3"] = Bf.reshape(Pb, bk, bn)
-
-    name = (f"fmm_pkernel_{m}x{k}x{n}_{cplan.variant}_{fusion}_"
-            f"{dt.name}_t{threads}")
-
-    def gather_lines(op, table, br, bc, stride, lo, hi):
-        if br * bc <= TAKE_GATHER_MAX:
-            key = f"idx{op}"
-            if key not in ns:
-                idx = gather_indices(table, br, bc, stride)
-                ns[key] = idx
-                buffers.append(idx)
-            blk = br * bc
-            return [f"take({op}.reshape(-1), idx{op}[{lo * blk}:{hi * blk}], "
-                    f"out={op}f[{lo * blk}:{hi * blk}])"]
-        views = ", ".join(
-            f"{op}[{r * br}:{(r + 1) * br}, {c * bc}:{(c + 1) * bc}]"
-            for r, c in table[lo:hi]
-        )
-        # Trailing comma: one view must still read as a tuple.
-        return [f"stack(({views},), out={op}3[{lo}:{hi}])"]
-
-    def c_slice(i):
-        r, c = cplan.c_table[i]
-        return f"C[{r * bm}:{(r + 1) * bm}, {c * bn}:{(c + 1) * bn}]"
-
-    # phases[i][w] = list of body lines for phase i, worker w
-    phases: list[list[list[str]]] = []
-
-    # -- pack phase: the A and B gathers, block-partitioned ------------- #
-    a_ranges = _split_ranges(Pa, threads)
-    b_ranges = _split_ranges(Pb, threads)
-    pack: list[list[str]] = [[] for _ in range(max(len(a_ranges),
-                                                  len(b_ranges)))]
-    for w, (lo, hi) in enumerate(a_ranges):
-        pack[w] += gather_lines("A", cplan.a_table, bm, bk, k, lo, hi)
-    for w, (lo, hi) in enumerate(b_ranges):
-        pack[w] += gather_lines("B", cplan.b_table, bk, bn, n, lo, hi)
-    phases.append(pack)
-
-    if fusion == "staged":
-        group_eff = 0
-        S = alloc("S", (R, bm, bk))
-        T = alloc("T", (R, bk, bn))
-        M = alloc("M", (R, bm, bn))
-        ns["S2"], ns["T2"] = S.reshape(R, -1), T.reshape(R, -1)
-        ns["M2"] = M.reshape(R, -1)
-        upd = alloc("upd", (Pc, bm, bn))
-        ns["upd2"] = upd.reshape(Pc, -1)
-        ns["Ut"], ns["Vt"], ns["W"] = cplan.Ut, cplan.Vt, cplan.W
-        phases.append([
-            [f"matmul(Ut[{lo}:{hi}], A2, out=S2[{lo}:{hi}])",
-             f"matmul(Vt[{lo}:{hi}], B2, out=T2[{lo}:{hi}])"]
-            for lo, hi in _split_ranges(R, threads)
-        ])
-        phases.append([
-            [f"matmul(S[{lo}:{hi}], T[{lo}:{hi}], out=M[{lo}:{hi}])"]
-            for lo, hi in _split_ranges(R, threads)
-        ])
-        scatter: list[list[str]] = []
-        for lo, hi in _split_ranges(Pc, threads):
-            lines = [f"matmul(W[{lo}:{hi}], M2, out=upd2[{lo}:{hi}])"]
-            for p in range(lo, hi):
-                lines.append(f"_c = {c_slice(p)}")
-                lines.append(f"add(_c, upd[{p}], out=_c)")
-            scatter.append(lines)
-        phases.append(scatter)
-    else:
-        if group is None:
-            group = max(16, effective_fused_group())
-        slot_ranges = _split_ranges(R, threads)
-        slots = len(slot_ranges)
-        g = group_eff = max(1, min(int(group), R))
-        S = alloc("S", (slots, g, bm, bk))
-        T = alloc("T", (slots, g, bk, bn))
-        M = alloc("M", (slots, g, bm, bn))
-        for s in range(slots):
-            ns[f"S2_{s}"] = S[s].reshape(g, -1)
-            ns[f"T2_{s}"] = T[s].reshape(g, -1)
-        alloc("Cacc", (slots, Pc, bm, bn))
-        ns["Ut"], ns["Vt"] = cplan.Ut, cplan.Vt
-        if any(w not in (1.0, -1.0)
-               for s_ in cplan.steps for _, w in s_.c_terms):
-            alloc("MS", (slots, bm, bn))
-        slot_phase: list[list[str]] = []
-        for s, (lo, hi) in enumerate(slot_ranges):
-            lines = [f"Cacc[{s}].fill(0)"]
-            for go in range(lo, hi, g):
-                ghi = min(go + g, hi)
-                w_ = ghi - go
-                lines.append(f"matmul(Ut[{go}:{ghi}], A2, out=S2_{s}[:{w_}])")
-                lines.append(f"matmul(Vt[{go}:{ghi}], B2, out=T2_{s}[:{w_}])")
-                lines.append(
-                    f"matmul(S[{s}][:{w_}], T[{s}][:{w_}], out=M[{s}][:{w_}])"
-                )
-                for j in range(w_):
-                    for i, wgt in cplan.steps[go + j].c_terms:
-                        lines.append(f"_c = Cacc[{s}][{i}]")
-                        if wgt == 1.0:
-                            lines.append(f"add(_c, M[{s}][{j}], out=_c)")
-                        elif wgt == -1.0:
-                            lines.append(f"subtract(_c, M[{s}][{j}], out=_c)")
-                        else:
-                            lines.append(
-                                f"multiply(M[{s}][{j}], {wgt!r}, out=MS[{s}])"
-                            )
-                            lines.append(f"add(_c, MS[{s}], out=_c)")
-            slot_phase.append(lines)
-        phases.append(slot_phase)
-        reduce_phase: list[list[str]] = []
-        for lo, hi in _split_ranges(Pc, threads):
-            lines = []
-            for p in range(lo, hi):
-                lines.append(f"_c = {c_slice(p)}")
-                for s in range(slots):
-                    lines.append(f"add(_c, Cacc[{s}][{p}], out=_c)")
-            reduce_phase.append(lines)
-        phases.append(reduce_phase)
-
-    L = [f"# Parallel {fusion}-shape kernel: {cplan.ml.name}, R={R}, "
-         f"dtype={dt.name}, {threads} workers.",
-         "# Auto-generated by repro.core.codegen."
-         "generate_parallel_kernel_source -- do not edit.",
-         "# One function per (phase, worker); barrier between phases."]
-    functions: list[tuple[str, ...]] = []
-    for pi, workers_ in enumerate(phases):
-        names = []
-        for wi, body in enumerate(workers_):
-            fn_name = f"{name}_p{pi}_w{wi}"
-            names.append(fn_name)
-            L.append("")
-            L.append(f"def {fn_name}(A, B, C):")
-            for line in (body or ["pass"]):
-                L.append(f"    {line}")
-        functions.append(tuple(names))
-
-    meta = {
-        "name": name,
-        "functions": tuple(functions),
-        "fusion": fusion,
-        "group": group_eff,
-        "threads": threads,
-        "workspace_bytes": int(sum(a.nbytes for a in buffers)),
-    }
-    return "\n".join(L) + "\n", ns, meta
-
-
-def compile_parallel_plan_kernel(
-    cplan: CompiledPlan,
-    threads: int,
-    fusion: str | None = None,
-    group: int | None = None,
-) -> ParallelPlanKernel:
-    """Emit and ``exec``-compile the parallel kernel for one plan."""
-    src, ns, meta = generate_parallel_kernel_source(cplan, threads, fusion,
-                                                    group)
-    exec(compile(src, f"<repro-kernel:{meta['name']}>", "exec"), ns)
-    return ParallelPlanKernel(
-        phases=tuple(tuple(ns[f] for f in names)
-                     for names in meta["functions"]),
-        source=src,
-        fusion=meta["fusion"],
-        group=meta["group"],
-        workspace_bytes=meta["workspace_bytes"],
-        threads=meta["threads"],
-    )

@@ -26,12 +26,12 @@ execution loop of their own:
   same shared runtime pools.
 
 Public API on top: :func:`multiply` (with model-guided
-``engine="auto"`` dispatch, which also picks a thread count from the
-machine model), :func:`multiply_batched` (one compiled plan amortized
-over a stack of same-shape multiplies), and dtype generality —
-float32/float64 operands are preserved end-to-end, everything else is
-promoted to float64.  Peeling for non-divisible sizes (paper §4.1) and
-per-level hybrid algorithms (§5.2) come with the plan.
+``engine="auto"`` dispatch), :func:`multiply_batched` (one compiled plan
+amortized over a stack of same-shape multiplies), and dtype generality —
+float32/float64 operands are preserved end-to-end, other real types are
+promoted to float64 and complex operands raise ``TypeError``.  Peeling
+for non-divisible sizes (paper §4.1) and per-level hybrid algorithms
+(§5.2) come with the plan.
 """
 
 from __future__ import annotations
@@ -47,13 +47,12 @@ from repro.core.compile import SUPPORTED_DTYPES, CompiledPlan
 from repro.core.kronecker import MultiLevelFMM
 from repro.core.runtime import check_exec_shapes as _check_exec_shapes
 from repro.core.spec import (
+    check_backend_workers,
     classical_depth,
-    normalize_backend,
     normalize_fusion,
     normalize_threads,
     normalize_tune,
     normalize_variant,
-    normalize_workers,
     resolve_fusion,
     resolve_levels,
 )
@@ -78,9 +77,17 @@ ENGINES = ("direct", "blocked")
 def _compute_dtype(*arrays, dtype=None) -> np.dtype:
     """Execution dtype: an explicit request, or the operands' common type.
 
-    float32/float64 are preserved; any other input type (ints, float16...)
-    promotes to float64 like a NumPy ufunc would round up.
+    float32/float64 are preserved; any other real input type (ints,
+    float16...) promotes to float64 like a NumPy ufunc would round up.
+    Complex operands raise ``TypeError``: every path computes in a real
+    dtype, so casting would silently drop the imaginary part.
     """
+    for X in arrays:
+        if X.dtype.kind == "c":
+            raise TypeError(
+                f"complex operands ({X.dtype}) are not supported; "
+                "multiply the real and imaginary parts separately"
+            )
     if dtype is not None:
         dt = np.dtype(dtype)
         if dt not in SUPPORTED_DTYPES:
@@ -88,6 +95,21 @@ def _compute_dtype(*arrays, dtype=None) -> np.dtype:
         return dt
     dt = np.result_type(*arrays)
     return dt if dt in SUPPORTED_DTYPES else np.dtype(np.float64)
+
+
+def _check_c_dtype(dt: np.dtype, C) -> None:
+    """Reject a caller's ``C`` that cannot absorb compute dtype ``dt``.
+
+    ``multiply`` and ``multiply_batched`` run before any selection, plan
+    compile or arena checkout, so a mismatched ``C`` fails with nothing
+    done.  (The engines themselves keep an integer-``C`` path: the
+    runtime's per-step loop.)
+    """
+    if C is not None and not np.can_cast(dt, C.dtype, casting="same_kind"):
+        raise TypeError(
+            f"C has dtype {C.dtype}, which cannot hold the {dt} result "
+            "(same_kind casting); pass a float C or omit it"
+        )
 
 
 def _contig_operand(X: np.ndarray, dt: np.dtype, name: str) -> np.ndarray:
@@ -129,30 +151,6 @@ def _compile_for(A: np.ndarray, B: np.ndarray, algorithm, variant: str) -> Compi
     )
 
 
-def _resolve_workers(workers, procs, threads):
-    """Fold the ``workers``/``procs`` knobs into a ``(workers, threads)`` pair.
-
-    ``procs=N`` is shorthand for ``workers="processes", threads=N``; it
-    conflicts with an explicit ``workers="threads"`` or a *different*
-    explicit ``threads`` count.
-    """
-    workers = normalize_workers(workers)
-    if procs is None:
-        return workers, threads
-    procs = normalize_threads(procs)
-    if workers is not None and workers != "processes":
-        raise ValueError(
-            f"procs={procs} requests the process runtime; it cannot be "
-            f"combined with workers={workers!r}"
-        )
-    if threads is not None and threads != procs:
-        raise ValueError(
-            f"procs={procs} conflicts with threads={threads}; pass one "
-            "worker count, not two"
-        )
-    return "processes", procs
-
-
 class DirectEngine:
     """Thin client of the task-graph runtime (:mod:`repro.core.runtime`).
 
@@ -169,16 +167,10 @@ class DirectEngine:
     chunk_target:
         Intermediate-size target (elements) for slicing a batch into
         cache-resident chunks on the task-graph path.
-    backend:
-        Leaf-kernel backend name from the :mod:`repro.kernels` registry
-        (``"reference"`` default; ``"specialized"`` / ``"numba"`` compile
-        per-plan whole-core kernels and transparently delegate to the
-        interpreted pipeline for call shapes they do not serve — check
-        ``last_report.backend_path``).
-    workers:
-        Runtime worker mode: ``"threads"`` (default) runs the task DAG on
-        the shared thread pool; ``"processes"`` on the shared-memory
-        process pool (GIL-free; see :mod:`repro.core.procpool`).
+
+    A ``C`` that cannot absorb the plan dtype (e.g. an integer ``C``)
+    runs the runtime's serial per-step loop, which keeps the operand
+    dtype.
     """
 
     def __init__(
@@ -186,14 +178,10 @@ class DirectEngine:
         threads: int = 1,
         vector_cap: int = runtime.DEFAULT_VECTOR_CAP,
         chunk_target: int = runtime.DEFAULT_CHUNK_TARGET,
-        backend: str | None = None,
-        workers: str | None = None,
     ) -> None:
         self.threads = normalize_threads(threads) or 1
         self.vector_cap = int(vector_cap)
         self.chunk_target = int(chunk_target)
-        self.backend = normalize_backend(backend)
-        self.workers = normalize_workers(workers)
         self.last_peel = None
         self.last_plan: CompiledPlan | None = None
         self.last_report: runtime.ExecutionReport | None = None
@@ -239,8 +227,6 @@ class DirectEngine:
                 threads=self.threads,
                 vector_cap=self.vector_cap,
                 chunk_target=self.chunk_target,
-                backend=self.backend,
-                workers=self.workers,
             )
         self.last_report = runtime.last_report()
         return out
@@ -335,26 +321,10 @@ class BlockedEngine:
         return C
 
 
-def _dispatch(
-    engine: str, cplan: CompiledPlan, A, B, C, params, threads, mode,
-    backend: str = "reference", workers: str | None = None,
-):
+def _dispatch(engine: str, cplan: CompiledPlan, A, B, C, params, threads, mode):
     if engine == "direct":
-        DirectEngine(threads=threads, backend=backend,
-                     workers=workers).execute(cplan, A, B, C)
+        DirectEngine(threads=threads).execute(cplan, A, B, C)
     elif engine == "blocked":
-        if backend != "reference":
-            raise ValueError(
-                "engine='blocked' executes through its packed BLIS leaf "
-                f"kernel; backend={backend!r} is only valid with the "
-                "direct engine"
-            )
-        if workers == "processes":
-            raise ValueError(
-                "engine='blocked' is an in-process instrumented substrate "
-                "(its counters live in this process); workers='processes' "
-                "is only valid with the direct engine"
-            )
         BlockedEngine(
             params=params, variant=cplan.variant, threads=threads, mode=mode
         ).execute(cplan, A, B, C)
@@ -410,7 +380,6 @@ def multiply(
     fusion: str = "auto",
     backend: str | None = None,
     workers: str | None = None,
-    procs: int | None = None,
 ) -> np.ndarray:
     """Fast matrix multiplication ``C + A @ B`` — the one-call public API.
 
@@ -422,7 +391,8 @@ def multiply(
         Right operand.
     C : (m, n) ndarray, optional
         Accumulation target; allocated (zeros) when omitted.  The product
-        is *added* into it, BLAS-style.
+        is *added* into it, BLAS-style, so it must absorb the compute
+        dtype under ``same_kind`` casting (a float ``C``).
     algorithm : str, tuple, list, Schedule, FMMAlgorithm or MultiLevelFMM, optional
         Which family member to run.  Accepts a catalog name
         (``"strassen"``, ``"smirnov333"``), a shape (``"<3,2,3>"`` or
@@ -439,29 +409,27 @@ def multiply(
     engine : {"direct", "blocked", "auto"}, optional
         ``"direct"`` runs the task-graph runtime (fast NumPy path);
         ``"blocked"`` the instrumented simulated-BLIS substrate;
-        ``"auto"`` picks schedule, variant, engine *and thread count*
-        from wisdom + the §4.4 performance model, falling back to
-        classical GEMM when FMM will not pay off.  A classical pick (or
-        ``algorithm="classical"`` on the direct engine) runs as one BLAS
-        call — no plan compile, task graph, arena or pool; ``threads``,
-        ``backend``, ``workers`` and ``fusion`` are still validated, and
-        ``last_report()`` shows ``core_path="blas"``.  A ``C`` that cannot
-        absorb the compute dtype (e.g. integer) keeps the runtime path,
-        and so does an out-of-core lowering: ``fusion="tiled"``, or a
+        ``"auto"`` picks schedule, variant and engine from wisdom + the
+        §4.4 performance model, falling back to classical GEMM when FMM
+        will not pay off; it runs serial unless ``threads`` is given.  A
+        classical pick (or ``algorithm="classical"`` on the direct
+        engine) runs as one BLAS call — no plan compile, task graph,
+        arena or pool; ``threads`` and ``fusion`` are still validated,
+        and ``last_report()`` shows ``core_path="blas"``.  An out-of-core
+        lowering keeps the runtime path: ``fusion="tiled"``, or a
         caller's ``C`` under ``"auto"`` past the memory budget.
     params : BlockingParams, optional
         Cache/register blocking for the blocked engine.
     threads : int, optional
-        Worker count for the runtime (``1`` = same schedule, serial).
-        Defaults to 1 for explicit engines and to the model's (or
-        wisdom's) pick under ``engine="auto"``.  ``threads=0`` or a
-        negative count raises ``ValueError`` up front.
+        Worker count for the runtime's thread pool (``1`` = same
+        schedule, serial).  Defaults to 1.  ``threads=0`` or a negative
+        count raises ``ValueError`` up front.
     mode : {"slab", "micro"}, optional
         Blocked-engine macro-kernel granularity.
     dtype : dtype-like, optional
         Force float32 or float64 execution; by default float32/float64
-        operands are preserved end-to-end and anything else promotes to
-        float64.
+        operands are preserved end-to-end and other real types promote
+        to float64.
     tune : {"readonly", "on", "off"}, optional
         Autotuning-wisdom use under ``engine="auto"`` (:mod:`repro.tune`):
         ``"readonly"`` (default) dispatches on the measured-best config
@@ -491,32 +459,12 @@ def multiply(
         interpretation, so under ``engine="blocked"`` every plan —
         including an explicit ``"staged"`` request — executes on the
         fused pipeline (check ``last_report().fusion``).
-    backend : {"reference", "specialized", "numba"}, optional
-        Leaf-kernel backend (:mod:`repro.kernels`): ``"reference"`` is
-        the numpy task-graph interpreter; ``"specialized"`` compiles one
-        dependency-free whole-core kernel per plan (coefficient loops
-        unrolled, gather/scatter indices precomputed) and caches it
-        alongside the plan; ``"numba"`` JITs the same emitted kernels
-        when numba is importable.  Compiling backends transparently
-        delegate to the interpreted pipeline for call shapes they do not
-        serve (batched, threaded, non-contiguous) — check
-        ``last_report().backend_path``.  Default picks the backend under
-        ``engine="auto"`` (wisdom / model priced) and ``"reference"``
-        otherwise.  Only valid with the direct engine.
-    workers : {"threads", "processes"}, optional
-        Runtime worker mode.  ``"threads"`` runs the task DAG on the
-        shared thread pool; ``"processes"`` runs the core on a persistent
-        pool of worker *processes* over shared-memory operand segments
-        (:mod:`repro.core.procpool`) — GIL-free, bitwise-identical to the
-        thread path at the same worker count.  Default resolves under
-        ``engine="auto"`` (wisdom / model priced, observable via
-        ``last_report().worker_mode``) and ``"threads"`` otherwise.
-        At ``threads=1`` either mode executes inline (serial).  Only
-        valid with the direct engine.
-    procs : int, optional
-        Shorthand for ``workers="processes", threads=procs``.  Conflicts
-        with ``workers="threads"`` and with a *different* explicit
-        ``threads`` count.
+    backend : {"reference"}, optional
+        Accepted for the perf ledger, which passes it; there is one leaf
+        backend.  Any other value raises ``ValueError``.
+    workers : {"threads"}, optional
+        Accepted for the perf ledger, which passes it; there is one
+        worker mode.  Any other value raises ``ValueError``.
 
     Returns
     -------
@@ -530,7 +478,9 @@ def multiply(
         (with the list of known catalog names), malformed ``atom@count``
         token, bad ``levels``/``threads``/``tune``/``dtype``.
     TypeError
-        A spec form the grammar does not recognize at all.
+        A spec form the grammar does not recognize at all, complex
+        operands, or a ``C`` that cannot hold the compute dtype — the
+        last two before any work starts.
 
     See Also
     --------
@@ -557,14 +507,13 @@ def multiply(
     threads = normalize_threads(threads)
     tune = normalize_tune(tune)
     fusion = normalize_fusion(fusion)
-    workers, threads = _resolve_workers(workers, procs, threads)
-    if backend is not None:
-        backend = normalize_backend(backend)
+    check_backend_workers(backend, workers)
     A = np.asarray(A)
     B = np.asarray(B)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise ValueError(f"incompatible operand shapes {A.shape} x {B.shape}")
     dt = _compute_dtype(A, B, dtype=dtype)
+    _check_c_dtype(dt, C)
     A = _contig_operand(A, dt, "A")
     B = _contig_operand(B, dt, "B")
     m, k = A.shape
@@ -572,20 +521,10 @@ def multiply(
     if engine == "auto":
         from repro.core.selection import auto_config
 
-        (algorithm, levels, variant, engine, auto_threads, auto_backend,
-         auto_workers) = (
-            auto_config(m, k, n, dtype=dt.name, threads=threads, tune=tune)
-        )
-        if threads is None:
-            threads = auto_threads
-        if backend is None:
-            backend = auto_backend
-        if workers is None:
-            workers = auto_workers
-    if threads is None:
-        threads = 1
-    if backend is None:
-        backend = "reference"
+        algorithm, levels, variant, engine = auto_config(
+            m, k, n, dtype=dt.name, threads=threads, tune=tune
+        )[:4]
+    threads = threads or 1
     depth = _blas_depth(engine, algorithm, levels, variant, fusion, dt, C,
                         (m, k, n))
     if depth:
@@ -598,7 +537,7 @@ def multiply(
     cplan = plancache.compile(
         (m, k, n), algorithm, levels, variant, dtype=dt, fusion=fusion
     )
-    _dispatch(engine, cplan, A, B, C, params, threads, mode, backend, workers)
+    _dispatch(engine, cplan, A, B, C, params, threads, mode)
     return C
 
 
@@ -618,7 +557,6 @@ def multiply_batched(
     fusion: str = "auto",
     backend: str | None = None,
     workers: str | None = None,
-    procs: int | None = None,
 ) -> np.ndarray:
     """Batched fast multiply: ``C[i] + A[i] @ B[i]`` for a same-shape stack.
 
@@ -639,18 +577,13 @@ def multiply_batched(
     C : (batch, m, n) ndarray, optional
         Accumulation target; allocated (zeros) when omitted.
     algorithm, levels, variant, engine, params, threads, mode, dtype, tune, \
-fusion, backend, workers, procs
+fusion, backend, workers
         As in :func:`multiply` (``algorithm`` accepts the same schedule
         grammar, including ``"atom@count"`` strings, and ``tune`` the
         same modes: the first model-path call per wisdom store measures
-        the host and records it, ``"off"`` never touches the store); under
-        ``engine="auto"`` the thread pick weighs the *whole batch's*
-        flops, not one element's — except for a classical pick, which
-        runs the stack as one batched BLAS call (``np.matmul``) with no
-        re-pick, plan or arena.  Compiling backends serve 2-D calls
-        only, so a batched request with ``backend="specialized"`` is
-        valid but executes on the interpreted pipeline
-        (``last_report().backend_path == "interpreted"``).
+        the host and records it, ``"off"`` never touches the store).  A
+        classical pick runs the stack as one batched BLAS call
+        (``np.matmul``) with no plan or arena.
 
     Returns
     -------
@@ -662,6 +595,9 @@ fusion, backend, workers, procs
     ValueError
         Mismatched batch counts or trailing dims, both operands 2-D, or
         any spec error :func:`multiply` raises.
+    TypeError
+        As in :func:`multiply`: complex operands, or a ``C`` that cannot
+        hold the compute dtype.
 
     Examples
     --------
@@ -675,9 +611,7 @@ fusion, backend, workers, procs
     threads = normalize_threads(threads)
     tune = normalize_tune(tune)
     fusion = normalize_fusion(fusion)
-    workers, threads = _resolve_workers(workers, procs, threads)
-    if backend is not None:
-        backend = normalize_backend(backend)
+    check_backend_workers(backend, workers)
     A = np.asarray(A)
     B = np.asarray(B)
     if A.ndim == 2 and B.ndim == 2:
@@ -698,48 +632,21 @@ fusion, backend, workers, procs
             f"batch counts disagree: A has {A.shape[0]}, B has {B.shape[0]}"
         )
     dt = _compute_dtype(A, B, dtype=dtype)
+    _check_c_dtype(dt, C)
     m, k, n = A.shape[1], A.shape[2], B.shape[2]
-    A = np.ascontiguousarray(np.broadcast_to(A, (batch, m, k)), dtype=dt)
-    B = np.ascontiguousarray(np.broadcast_to(B, (batch, k, n)), dtype=dt)
     if C is not None and C.shape != (batch, m, n):
         raise ValueError(f"C has shape {C.shape}, expected {(batch, m, n)}")
-    auto = engine == "auto"
-    if auto:
+    A = np.ascontiguousarray(np.broadcast_to(A, (batch, m, k)), dtype=dt)
+    B = np.ascontiguousarray(np.broadcast_to(B, (batch, k, n)), dtype=dt)
+    if engine == "auto":
         from repro.core.selection import auto_config
 
-        algorithm, levels, variant, engine, _, auto_backend, auto_workers = (
-            auto_config(m, k, n, dtype=dt.name, threads=threads, tune=tune)
-        )
-        if backend is None:
-            backend = auto_backend
+        algorithm, levels, variant, engine = auto_config(
+            m, k, n, dtype=dt.name, threads=threads, tune=tune
+        )[:4]
+    threads = threads or 1
     depth = _blas_depth(engine, algorithm, levels, variant, fusion, dt, C,
                         (m, k, n))
-    if auto:
-        if threads is None and not depth:
-            from repro.core.parallel import pick_threads, pick_workers
-
-            # Re-pick with the whole batch in view: the runtime folds the
-            # batch into its task slabs, so the parallelism threshold is
-            # the batch total's flops, not one element's.  (One BLAS call
-            # has nothing to shard, so the BLAS route skips this.)
-            ml = None if classical_depth(algorithm, levels) else (
-                resolve_levels(algorithm, levels)
-            )
-            threads = pick_threads(
-                m, k, n, ml, variant,
-                min_flops=2.0 * 256**3 / max(batch, 1),
-            )
-            # The worker-mode price depends on the thread count, so the
-            # batch-aware re-pick invalidates the auto_config verdict.
-            auto_workers = pick_workers(
-                m, k, n, ml, variant, threads=threads, dtype=dt
-            )
-        if workers is None:
-            workers = auto_workers
-    if threads is None:
-        threads = 1
-    if backend is None:
-        backend = "reference"
     if depth:
         return runtime.execute_blas(
             A, B, C, dtype=dt, variant=normalize_variant(variant),
@@ -750,7 +657,7 @@ fusion, backend, workers, procs
     cplan = plancache.compile(
         (m, k, n), algorithm, levels, variant, dtype=dt, fusion=fusion
     )
-    _dispatch(engine, cplan, A, B, C, params, threads, mode, backend, workers)
+    _dispatch(engine, cplan, A, B, C, params, threads, mode)
     return C
 
 

@@ -12,14 +12,10 @@ Two sides of the same figures:
   can finally be plotted side by side
   (``benchmarks/bench_parallel_runtime.py`` /
   ``benchmarks/bench_fig10_multicore.py``).
-
-:func:`pick_threads` turns the modeled curve into the thread count that
-``multiply(engine="auto")`` uses.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -35,8 +31,6 @@ __all__ = [
     "scaling_curve",
     "measured_scaling_curve",
     "parallel_efficiency",
-    "pick_threads",
-    "pick_workers",
     "bandwidth_bound_fraction",
 ]
 
@@ -93,7 +87,6 @@ def measured_scaling_curve(
     repeats: int = 3,
     dtype=np.float64,
     seed: int = 0,
-    workers: str | None = None,
 ) -> list[ScalingPoint]:
     """Measured strong-scaling of the task-graph runtime on this machine.
 
@@ -102,9 +95,7 @@ def measured_scaling_curve(
     is the speedup baseline).  Unlike :func:`scaling_curve` nothing here is
     modeled: this is the real runtime on real cores, including one warm-up
     call per thread count so plan compilation and arena allocation stay
-    out of the timings.  ``workers`` selects the runtime's worker mode
-    (``"threads"``/``"processes"``), so the thread and process curves of
-    one problem can be measured side by side.
+    out of the timings.
     """
     from repro.core.executor import multiply
 
@@ -116,14 +107,12 @@ def measured_scaling_curve(
     base = None
     for t in threads_list:
         multiply(A, B, C, algorithm=algorithm, levels=levels,
-                 variant=variant, engine=engine, threads=t,
-                 workers=workers)  # warm-up
+                 variant=variant, engine=engine, threads=t)  # warm-up
         best = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
             multiply(A, B, C, algorithm=algorithm, levels=levels,
-                     variant=variant, engine=engine, threads=t,
-                     workers=workers)
+                     variant=variant, engine=engine, threads=t)
             best = min(best, time.perf_counter() - t0)
         if base is None:
             base = best
@@ -137,74 +126,6 @@ def measured_scaling_curve(
             )
         )
     return out
-
-
-def pick_threads(
-    m: int,
-    k: int,
-    n: int,
-    ml: MultiLevelFMM | None,
-    variant: str = "abc",
-    max_threads: int | None = None,
-    machine_factory=ivy_bridge_e5_2680_v2,
-    min_efficiency: float = 0.6,
-    min_flops: float = 2.0 * 256**3,
-) -> int:
-    """Model-guided thread count for one problem (used by auto-dispatch).
-
-    Walks the modeled scaling curve up to ``min(os.cpu_count(),
-    max_threads)`` cores and returns the largest count whose modeled
-    parallel efficiency stays above ``min_efficiency`` — adding cores past
-    the bandwidth knee buys nothing.  Problems under ``min_flops`` total
-    flops stay serial: at that scale Python-side task overhead would eat
-    any modeled gain.
-    """
-    avail = os.cpu_count() or 1
-    cap = min(avail, max_threads) if max_threads else avail
-    if cap <= 1 or 2.0 * m * k * n < min_flops:
-        return 1
-    best = 1
-    for p in scaling_curve(m, k, n, ml, variant, cap, machine_factory):
-        if p.efficiency >= min_efficiency:
-            best = p.cores
-    return best
-
-
-def pick_workers(
-    m: int,
-    k: int,
-    n: int,
-    ml: MultiLevelFMM | None,
-    variant: str = "abc",
-    threads: int | None = None,
-    machine_factory=ivy_bridge_e5_2680_v2,
-    dtype=np.float64,
-) -> str:
-    """Model-guided worker mode for one problem (the :func:`pick_threads` twin).
-
-    Prices the thread runtime's GIL-capped scaling against the process
-    runtime's GIL-free scaling plus its IPC costs
-    (:func:`repro.model.perfmodel.predict_worker_times`) at the thread
-    count auto-dispatch would use (``threads=None`` re-derives it via
-    :func:`pick_threads`).  Serial execution is either mode at one
-    worker, so a serial pick returns ``"threads"`` — the mode with no
-    spawn cost.
-    """
-    p = (
-        int(threads)
-        if threads is not None
-        else pick_threads(m, k, n, ml, variant, machine_factory=machine_factory)
-    )
-    if p <= 1:
-        return "threads"
-    from repro.model.perfmodel import predict_worker_times
-
-    t_serial = simulate_time(m, k, n, ml, variant, machine_factory(1))
-    tasks = 3 * ml.rank_total if ml is not None else 8
-    t_thread, t_proc = predict_worker_times(
-        m, k, n, t_serial, p, tasks=tasks, dtype=dtype
-    )
-    return "processes" if t_proc < t_thread else "threads"
 
 
 def parallel_efficiency(

@@ -1,500 +1,11 @@
-"""Persistent worker-process pools for the GIL-free sharded runtime.
+"""Compatibility shim: the worker-process runtime has been removed.
 
-The task-graph runtime's thread pools (:func:`repro.core.runtime.get_pool`)
-serialize every non-BLAS task body on the GIL.  This module provides the
-process twin: a :class:`ProcessPool` keeps ``workers`` long-lived Python
-processes alive across calls, each one attached to the shared-memory
-segments of :class:`repro.core.workspace.SharedMemoryArena` and holding a
-cache of broadcast :class:`~repro.core.compile.CompiledPlan` objects, so a
-steady-state multiply ships only **(task-id, slot-range) descriptors** per
-phase — no operand pickling, no per-call process spin-up.
-
-The pool protocol mirrors the thread-pool trio exactly
-(:func:`get_process_pool` / :func:`process_pool_info` /
-:func:`shutdown_process_pools`), and both pool kinds register atexit
-teardown on first use.  Fork safety: ``os.register_at_fork`` clears the
-child's inherited registries (a forked child must never message worker
-processes it does not own — the pre-PR-7 leak), and the start method is
-selectable (``fork`` where available, else ``spawn``; override with the
-``REPRO_START_METHOD`` environment variable or the ``start_method``
-argument), so the same pool code runs under both CI smoke modes.
-
-Worker loop contract (one duplex pipe per worker, strictly ordered):
-
-``("plan", cplan)``
-    Cache a broadcast compiled plan by its key (bounded LRU; no reply).
-``("bind", desc)``
-    Attach the descriptor's shared segment, rebuild the operand/workspace
-    views, construct the same runtime binding the thread path uses, and
-    reply ``("ok",)`` — the parent's bind barrier guarantees every worker
-    (including the ones that zero a shared ``Cacc``) is bound before any
-    task runs.
-``("run", tasks)``
-    Execute a list of ``(kind, lo, hi, slot)`` descriptors through the
-    bound binding; reply ``("ok",)`` or ``("err", traceback)``.  When the
-    bind descriptor carried ``trace=True`` the worker wraps each task in
-    a :mod:`repro.obs.trace` span and replies ``("ok", spans)`` — the
-    parent merges the drained records into its own timeline, so a Chrome
-    trace shows worker tasks under their real pid.
-``("unbind",)`` / ``("ping",)`` / ``("exit",)``
-    Drop the binding / health-check (replies worker pid) / leave the loop.
-
-Because workers run the *same* binding classes over bit-identical operand
-copies, a process execution is bitwise-equal to the thread execution at
-the same worker count (and staged lowerings to serial as well).
+The perf ledger (``benchmarks/ledger/workloads.py``) still imports
+:func:`shutdown_process_pools` when a workload child exits.
 """
 
-from __future__ import annotations
-
-import atexit
-import os
-import threading
-import traceback
-from collections import OrderedDict
-
-from repro.obs.logcfg import get_logger
-
-_log = get_logger(__name__)
-
-__all__ = [
-    "DEFAULT_START_METHOD",
-    "ProcessPool",
-    "default_start_method",
-    "get_process_pool",
-    "process_pool_info",
-    "shutdown_process_pools",
-]
-
-#: Plans each worker keeps attached (compiled plans are ~tens of KB).
-_WORKER_PLAN_CACHE = 32
-
-
-def default_start_method() -> str:
-    """The start method pools use when none is requested.
-
-    ``REPRO_START_METHOD`` overrides; otherwise ``fork`` where the
-    platform offers it (cheap, inherits the imported interpreter) and
-    ``spawn`` elsewhere.
-    """
-    import multiprocessing as mp
-
-    env = os.environ.get("REPRO_START_METHOD", "").strip().lower()
-    methods = mp.get_all_start_methods()
-    if env:
-        if env not in methods:
-            raise ValueError(
-                f"REPRO_START_METHOD={env!r} is not available here; "
-                f"expected one of {methods}"
-            )
-        return env
-    return "fork" if "fork" in methods else "spawn"
-
-
-#: Documented alias of the no-override resolution (telemetry, docs).
-DEFAULT_START_METHOD = "fork"
-
-
-# ---------------------------------------------------------------------- #
-# Worker side
-# ---------------------------------------------------------------------- #
-def _attach_segment(cache: dict, name: str):
-    """Attach (and cache) one shared-memory segment by name.
-
-    Workers are ``multiprocessing`` children, so their attach registers
-    with the *parent's* resource-tracker process (the fd is inherited /
-    shipped by spawn) — a set, so the re-registration is a no-op and the
-    parent's unlink unregisters cleanly exactly once.  No worker-side
-    unregister: that would strip the parent's registration and break the
-    tracker's crash-leak safety net.
-    """
-    shm = cache.get(name)
-    if shm is not None:
-        return shm
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=name)
-    cache[name] = shm
-    return shm
-
-
-def _build_binding(cplan, desc, shm):
-    """Reconstruct the thread path's binding from a bind descriptor."""
-    import numpy as np
-
-    from repro.core import runtime as rt
-    from repro.core.workspace import Workspace
-
-    arrays = {
-        name: np.ndarray(shape, dtype=np.dtype(dt), buffer=shm.buf,
-                         offset=off)
-        for name, (off, shape, dt) in desc["layout"].items()
-    }
-    Ac = arrays.pop("Ac")
-    Bc = arrays.pop("Bc")
-    Cc = arrays.pop("Cc")
-    ws = Workspace(key=("shm", desc["segment"]), buffers=arrays)
-    bm, bk, bn = desc["bm"], desc["bk"], desc["bn"]
-    if desc["mode"] == "staged":
-        return rt._StagedBinding(cplan, Ac, Bc, Cc, bm, bk, bn, ws)
-    if desc["mode"] == "tiled":
-        # The tiled binding over shm-resident buffers: the strip schedule
-        # (and therefore the bits) matches the thread path exactly; only
-        # the spill backing differs (workers can only share RAM pages).
-        return rt._TiledBinding(
-            cplan, Ac, Bc, Cc, bm, bk, bn, ws,
-            desc["n_slots"], desc["group"], desc["tile_rows"],
-        )
-    return rt._GroupedFusedBinding(
-        cplan, Ac, Bc, Cc, bm, bk, bn, ws,
-        desc["n_slots"], desc["group"],
-    )
-
-
-def _worker_main(conn) -> None:  # pragma: no cover - runs in child processes
-    """Blocking worker loop: strictly ordered ops over one duplex pipe."""
-    from repro.core.runtime import Task
-    from repro.obs import trace as obs_trace
-
-    plans: OrderedDict = OrderedDict()
-    segments: dict = {}
-    binding = None
-    tracing = False
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        op = msg[0]
-        try:
-            if op == "plan":
-                token, cplan = msg[1], msg[2]
-                if token not in plans:
-                    # Insertion-order FIFO, mirrored exactly by the
-                    # parent's broadcast tracker: both sides insert the
-                    # same tokens in the same order, so neither can
-                    # think a plan is cached that the other evicted.
-                    plans[token] = cplan
-                    while len(plans) > _WORKER_PLAN_CACHE:
-                        plans.popitem(last=False)
-            elif op == "bind":
-                desc = msg[1]
-                tracing = bool(desc.get("trace"))
-                if tracing and not obs_trace.is_enabled():
-                    obs_trace.enable()
-                shm = _attach_segment(segments, desc["segment"])
-                binding = _build_binding(plans[desc["plan_key"]], desc, shm)
-                conn.send(("ok",))
-            elif op == "run":
-                if tracing:
-                    for t in msg[1]:
-                        with obs_trace.span("task:" + t[0], "worker",
-                                            lo=t[1], hi=t[2], slot=t[3]):
-                            binding.run(Task(*t))
-                    # Ship this run's spans back on the ack; the parent
-                    # ingests them into the merged timeline.
-                    conn.send(("ok", obs_trace.drain()))
-                else:
-                    for t in msg[1]:
-                        binding.run(Task(*t))
-                    conn.send(("ok",))
-            elif op == "unbind":
-                binding = None
-            elif op == "ping":
-                conn.send(("ok", os.getpid()))
-            elif op == "exit":
-                break
-            else:
-                conn.send(("err", f"unknown op {op!r}"))
-        except Exception:
-            try:
-                conn.send(("err", traceback.format_exc()))
-            except (OSError, BrokenPipeError):
-                break
-    for shm in segments.values():
-        try:
-            shm.close()
-        except Exception:
-            pass
-    try:
-        conn.close()
-    except Exception:
-        pass
-
-
-# ---------------------------------------------------------------------- #
-# Parent side
-# ---------------------------------------------------------------------- #
-class ProcessPool:
-    """``workers`` persistent worker processes behind one message protocol.
-
-    One execution at a time drives the pool (the :meth:`session` lock —
-    concurrent process-mode executions of different *worker counts* use
-    different pools and proceed in parallel).  Transport failures mark
-    the pool :attr:`broken`; :func:`get_process_pool` replaces broken
-    pools transparently.
-    """
-
-    def __init__(self, workers: int, start_method: str | None = None):
-        import multiprocessing as mp
-
-        workers = int(workers)
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.start_method = (
-            default_start_method() if start_method is None else start_method
-        )
-        ctx = mp.get_context(self.start_method)
-        # Start the resource tracker *before* the workers exist.  The
-        # tracker launches lazily on first shm registration; if workers
-        # fork earlier, each child would boot a private tracker whose
-        # shutdown unlinks still-live parent segments.  Starting it here
-        # guarantees every worker (fork inherits the fd, spawn ships it)
-        # shares the parent's tracker, so attach-side registrations are
-        # set no-ops and the parent's unlink unregisters exactly once.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-        self.max_workers = workers
-        self.broken = False
-        self._lock = threading.RLock()
-        self._conns = []
-        self._procs = []
-        self._plan_fifo: OrderedDict = OrderedDict()
-        for i in range(workers):
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main, args=(child,),
-                name=f"repro-pw{workers}-{i}", daemon=True,
-            )
-            proc.start()
-            child.close()
-            self._conns.append(parent)
-            self._procs.append(proc)
-        _log.debug(
-            "started process pool: %d workers (%s)",
-            workers, self.start_method,
-        )
-
-    # ------------------------------------------------------------------ #
-    def session(self):
-        """Lock serializing one bind→run*→unbind window on this pool."""
-        return self._lock
-
-    def _fail(self, exc: BaseException):
-        self.broken = True
-        _log.warning(
-            "process pool (%d workers, %s) lost a worker: %r",
-            self.max_workers, self.start_method, exc,
-        )
-        raise RuntimeError(
-            f"process pool ({self.max_workers} workers, "
-            f"{self.start_method}) lost a worker: {exc!r}"
-        ) from exc
-
-    def _recv_acks(self, conns) -> list:
-        """Barrier on one ack per connection; returns the ack payloads.
-
-        An ack is ``("ok",)`` or ``("ok", extra)`` — the ``extra`` slot
-        carries shipped-back trace spans on traced runs.  The returned
-        list holds one payload (or ``None``) per acked connection.
-        """
-        errors = []
-        extras = []
-        for conn in conns:
-            try:
-                reply = conn.recv()
-            except (EOFError, OSError) as exc:
-                self._fail(exc)
-            if reply[0] == "err":
-                errors.append(reply[1])
-            else:
-                extras.append(reply[1] if len(reply) > 1 else None)
-        if errors:
-            raise RuntimeError(
-                "worker task failed:\n" + "\n".join(errors)
-            )
-        return extras
-
-    def broadcast_plan(self, cplan) -> tuple:
-        """Ship a compiled plan to every worker once; returns its token.
-
-        The token pairs the plan-cache key with the object identity, so
-        a re-compiled plan (same key, new object after a plan-cache
-        eviction) re-broadcasts instead of aliasing a stale worker copy.
-        The broadcast tracker applies the workers' exact FIFO-eviction
-        discipline, so parent and workers always agree on what is cached.
-        """
-        token = (cplan.key, id(cplan))
-        if token in self._plan_fifo:
-            return token
-        try:
-            for conn in self._conns:
-                conn.send(("plan", token, cplan))
-        except (OSError, ValueError) as exc:
-            self._fail(exc)
-        self._plan_fifo[token] = None
-        while len(self._plan_fifo) > _WORKER_PLAN_CACHE:
-            self._plan_fifo.popitem(last=False)
-        return token
-
-    def bind(self, desc: dict) -> None:
-        """Broadcast a bind descriptor; barrier on every worker's ack."""
-        try:
-            for conn in self._conns:
-                conn.send(("bind", desc))
-        except (OSError, ValueError) as exc:
-            self._fail(exc)
-        self._recv_acks(self._conns)
-
-    def run_phase(self, assignments) -> list:
-        """Run one phase: ``assignments[i]`` is worker ``i``'s task list.
-
-        Sends every non-empty list, then barriers on the acks — exactly
-        the thread path's drained ``pool.map``.  Returns the ack
-        payloads (per-worker trace-span batches on traced runs).
-        """
-        active = []
-        try:
-            for conn, tasks in zip(self._conns, assignments):
-                if tasks:
-                    conn.send(("run", tasks))
-                    active.append(conn)
-        except (OSError, ValueError) as exc:
-            self._fail(exc)
-        return self._recv_acks(active)
-
-    def unbind(self) -> None:
-        try:
-            for conn in self._conns:
-                conn.send(("unbind",))
-        except (OSError, ValueError) as exc:
-            self._fail(exc)
-
-    def ping(self) -> list[int]:
-        """Round-trip every worker; returns their pids (health check)."""
-        with self._lock:
-            try:
-                for conn in self._conns:
-                    conn.send(("ping",))
-            except (OSError, ValueError) as exc:
-                self._fail(exc)
-            pids = []
-            for conn in self._conns:
-                try:
-                    pids.append(conn.recv()[1])
-                except (EOFError, OSError) as exc:
-                    self._fail(exc)
-            return pids
-
-    def alive(self) -> int:
-        return sum(1 for p in self._procs if p.is_alive())
-
-    def shutdown(self, timeout: float = 5.0) -> None:
-        """Ask every worker to exit; terminate stragglers."""
-        self.broken = True
-        for conn in self._conns:
-            try:
-                conn.send(("exit",))
-            except (OSError, ValueError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join(1.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-
-# ---------------------------------------------------------------------- #
-# Process-wide registry (the thread-pool trio's twin)
-# ---------------------------------------------------------------------- #
-_proc_lock = threading.Lock()
-_proc_pools: dict[tuple[int, str], ProcessPool] = {}
-_atexit_registered = False
-
-
-def _register_atexit_locked() -> None:
-    global _atexit_registered
-    if not _atexit_registered:
-        atexit.register(shutdown_process_pools)
-        _atexit_registered = True
-
-
-def get_process_pool(workers: int, start_method: str | None = None) -> ProcessPool:
-    """The process-wide pool of ``workers`` worker processes.
-
-    Pools persist for the life of the process, keyed by ``(workers,
-    start_method)``; a pool that lost a worker is replaced on the next
-    request.  Teardown is registered with ``atexit`` on first use.
-    """
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    method = default_start_method() if start_method is None else start_method
-    key = (workers, method)
-    with _proc_lock:
-        _register_atexit_locked()
-        pool = _proc_pools.get(key)
-        if pool is not None and not pool.broken:
-            return pool
-        stale = _proc_pools.pop(key, None)
-    if stale is not None:
-        stale.shutdown()
-    pool = ProcessPool(workers, method)
-    with _proc_lock:
-        winner = _proc_pools.setdefault(key, pool)
-    if winner is not pool:  # a concurrent create won the race
-        pool.shutdown()
-    return winner
-
-
-def process_pool_info() -> dict[tuple[int, str], dict]:
-    """``{(workers, start_method): {...}}`` for every live process pool.
-
-    The per-pool dict carries ``workers`` (requested), ``alive`` (worker
-    processes currently running) and ``start_method`` — the process twin
-    of :func:`repro.core.runtime.pool_info`.
-    """
-    with _proc_lock:
-        pools = dict(_proc_pools)
-    return {
-        key: {
-            "workers": pool.max_workers,
-            "alive": pool.alive(),
-            "start_method": pool.start_method,
-        }
-        for key, pool in pools.items()
-    }
+__all__ = ["shutdown_process_pools"]
 
 
 def shutdown_process_pools() -> None:
-    """Shut down and drop every pooled worker process."""
-    with _proc_lock:
-        pools = list(_proc_pools.values())
-        _proc_pools.clear()
-    for pool in pools:
-        pool.shutdown()
-
-
-def _reset_after_fork_in_child() -> None:  # pragma: no cover - fork hook
-    """Forked children inherit the registry but not the workers.
-
-    Clearing (without messaging) keeps a child from driving — or
-    shutting down, via its own atexit — pools owned by the parent, which
-    previously leaked process-pool state on interpreter exit in forked
-    children.
-    """
-    global _atexit_registered
-    _proc_pools.clear()
-    _atexit_registered = False
-    try:
-        _proc_lock.release()
-    except RuntimeError:
-        pass
-
-
-os.register_at_fork(after_in_child=_reset_after_fork_in_child)
+    """No-op; kept because the perf ledger calls it."""

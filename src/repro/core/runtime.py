@@ -66,14 +66,6 @@ temporary lives in the recycling workspace arena
 ``peak_workspace_bytes`` on the :class:`ExecutionReport` every execution
 publishes (:func:`last_report`).
 
-The leaf implementations live behind the pluggable backend substrate
-(:mod:`repro.kernels`): every execution resolves a registered ``backend``
-by name, and a *compiling* backend (``"specialized"``, ``"numba"``) may
-serve the whole core with one per-plan exec-compiled kernel
-(``core_path="kernel"``) — falling back to this interpreted pipeline for
-any call it cannot specialize, so behavior never depends on the backend
-choice, only speed does.
-
 The classical ``<1,1,1>`` schedule — the §4.4 poly-algorithm's GEMM
 fallback — has no operand sums to fuse and no workspace to avoid, so it
 never enters the task graph: :func:`execute_blas` runs it as one
@@ -100,24 +92,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import kernels as kernel_backends
-from repro.core import procpool
 from repro.core.compile import CompiledPlan
 from repro.obs import metrics as obs_metrics, reports as obs_reports, trace as obs_trace
 from repro.obs.logcfg import get_logger
 from repro.core.spec import (
     DEFAULT_FUSED_GROUP,
+    check_backend_workers,
     effective_fused_group,
-    normalize_backend,
-    normalize_workers,
     validate_resolved_fusion,
 )
 from repro.core.tiles import resolve_tile_rows, strip_bounds
-from repro.core.workspace import pack_layout, shared_arena, workspace_arena
+from repro.core.workspace import workspace_arena
 from repro.kernels.reference import (
     NUMPY_LEAF,
     NumpyProductLeaf,
-    gather as _gather,
     scatter_accumulate as _scatter_product,
 )
 
@@ -171,8 +159,7 @@ def get_pool(workers: int) -> ThreadPoolExecutor:
 
     Pools persist for the life of the process and are shared by every
     execution requesting the same worker count — no per-call pool spin-up
-    or teardown.  Teardown is registered with ``atexit`` on first use
-    (the process-pool twin in :mod:`repro.core.procpool` does the same).
+    or teardown.  Teardown is registered with ``atexit`` on first use.
     """
     global _pools_atexit
     workers = int(workers)
@@ -370,17 +357,6 @@ def lower_plan(
         while len(_graphs) > _GRAPH_CACHE_MAX:
             _graphs.pop(next(iter(_graphs)))
     return graph
-
-
-# ---------------------------------------------------------------------- #
-# Leaf kernels — the implementations live in :mod:`repro.kernels`
-# (``reference.py`` hosts the former in-module ``_gather`` /
-# ``_scatter_product`` / ``NumpyProductLeaf``); the names above re-export
-# them for compatibility, and the bindings below call through them so the
-# interpreted pipeline and the reference backend cannot diverge.
-# ---------------------------------------------------------------------- #
-def _run_fringe(f, A, B, C) -> None:
-    NUMPY_LEAF.fringe(f, A, B, C)
 
 
 # ---------------------------------------------------------------------- #
@@ -864,8 +840,7 @@ def _tiled_io_stats(cplan, lead_elems, bm, bk, bn, n_slots, group,
     spilled ``Cacc``'s zero-fill, scatter read-modify-writes and reduce
     read.  ``n_tiles`` is the number of streamed strips (one per group x
     strip).  Both are deterministic functions of the task graph and the
-    shapes — computed identically for the thread and process drivers, so
-    the report's figures never depend on the worker mode.
+    shapes.
     """
     item = cplan.dtype.itemsize
     L = lead_elems
@@ -921,10 +896,9 @@ class ExecutionReport:
         Worker count requested (the BLAS route validates but cannot
         shard one call; ``worker_mode``/``n_workers`` say what ran).
     core_path:
-        ``"kernel"`` (a backend's compiled whole-core kernel), ``"graph"``
-        (task-graph pipeline), ``"steps"`` (serial per-step fallback),
-        ``"blas"`` (the classical schedule as one ``np.matmul``) or
-        ``"none"`` (pure-fringe problem).
+        ``"graph"`` (task-graph pipeline), ``"steps"`` (serial per-step
+        fallback), ``"blas"`` (the classical schedule as one
+        ``np.matmul``) or ``"none"`` (pure-fringe problem).
     n_tasks:
         Tasks in the lowered graph (0 off the graph path).
     peak_workspace_bytes:
@@ -932,46 +906,24 @@ class ExecutionReport:
         memory footprint of its temporaries.  The serial per-step
         fallback (``core_path="steps"``) allocates outside the arena;
         its figure is the analytic live footprint of one product's
-        S/T/M buffers instead, never a misleading zero.  A compiled
-        kernel's buffers likewise live outside the arena; its figure is
-        the kernel's preallocated-buffer total.  The BLAS route follows
-        the same analytic convention: 0 when ``np.matmul`` writes the
-        fresh result itself, ``m * n * itemsize * batch`` (the product
-        temporary) when it accumulates into a caller's ``C``.
+        S/T/M buffers instead, never a misleading zero.  The BLAS route
+        follows the same analytic convention: 0 when ``np.matmul``
+        writes the fresh result itself, ``m * n * itemsize * batch``
+        (the product temporary) when it accumulates into a caller's
+        ``C``.
     backend:
-        The leaf-kernel backend this call resolved
-        (:mod:`repro.kernels`); ``"reference"`` is the interpreter.  The
-        BLAS route always reports ``"reference"``, a registered name, so
-        the report's configuration replays through :func:`execute_plan`.
-    backend_path:
-        How the backend served the core: ``"compiled"`` (exec-compiled
-        specialized kernel), ``"jit"`` (numba-wrapped kernel),
-        ``"compiled-parallel"`` / ``"jit-parallel"`` (the phase-parallel
-        emission driven through the thread pool at ``threads > 1``),
-        ``"blas"`` (no leaf ran: one ``np.matmul``) or
-        ``"interpreted"`` (delegated to the task-graph pipeline —
-        always the case for the reference backend and for the process
-        runtime, whose workers cannot share a kernel's process-local
-        buffers).
-    kernel_cached:
-        On the kernel path: ``False`` when this call compiled the
-        kernel, ``True`` when it reused a cached one.  ``None`` off the
-        kernel path.
+        Always ``"reference"``; kept because the perf ledger replays a
+        report's configuration through :func:`execute_plan`.
     worker_mode:
         How the core's tasks actually executed: ``"serial"`` (inline, no
         pool — including every ``threads=1`` call, the per-step
-        fallback and the BLAS route), ``"threads"`` (shared thread
-        pool) or ``"processes"`` (GIL-free worker-process pool over
-        shared memory).  May differ from the *requested* mode when the
-        core could not shard (e.g. a pure-fringe problem or one BLAS
-        call).
+        fallback and the BLAS route) or ``"threads"`` (shared thread
+        pool).  ``"serial"`` at ``threads > 1`` when the core could not
+        shard (e.g. a pure-fringe problem or one BLAS call).
     n_workers:
         Workers the executing pool used (1 when ``worker_mode="serial"``).
     ipc_bytes:
-        Bytes staged into / copied out of shared-memory segments by this
-        call (operand slabs in, C accumulator in + out).  0 off the
-        process path — thread workers share the caller's address space.
-        A batched execution reports the **sum** over its chunks.
+        Always 0; kept because the perf ledger reads it.
     schedule:
         The plan's schedule signature (e.g. ``"<2,2,2>@2"``; the
         classical schedule signs ``"classical@1"`` whether it ran on the
@@ -987,9 +939,9 @@ class ExecutionReport:
     n_chunks:
         ``_run_core`` invocations this call made: 1 for a 2-D multiply,
         the chunk count for a batched stack.  One report always covers
-        the *whole* call — ``ipc_bytes`` summed and
-        ``peak_workspace_bytes`` high-watered across chunks — so batched
-        callers never see a single chunk's numbers.
+        the *whole* call — ``peak_workspace_bytes`` is high-watered
+        across chunks — so batched callers never see a single chunk's
+        numbers.
     io_bytes:
         Logical bytes the tiled lowering moved between the RAM strip
         window and the mmap-spilled buffers (analytic — see
@@ -1014,8 +966,6 @@ class ExecutionReport:
     n_tasks: int
     peak_workspace_bytes: int
     backend: str = "reference"
-    backend_path: str = "interpreted"
-    kernel_cached: bool | None = None
     worker_mode: str = "serial"
     n_workers: int = 1
     ipc_bytes: int = 0
@@ -1094,9 +1044,10 @@ def execute_blas(
     must absorb ``dtype`` under ``same_kind`` casting (an integer ``C``
     belongs on :func:`execute_plan`'s dtype-preserving per-step path).
     Operands (2-D or same-batch stacks) are cast to C-contiguous
-    ``dtype`` exactly like the runtime's gather, so the result is bitwise-equal to interpreting the
-    classical plan through :func:`execute_plan`; there is simply no
-    plan, task graph, arena or pool to pay for.  ``levels`` is the
+    ``dtype`` exactly like the runtime's gather, so the result is
+    bitwise-equal to interpreting the classical plan through
+    :func:`execute_plan`; there is simply no plan, task graph, arena or
+    pool to pay for.  ``levels`` is the
     schedule's depth (``<1,1,1>`` at any depth is one product).  Emits
     one ``blas`` span and publishes an :class:`ExecutionReport` with
     ``core_path="blas"`` (see its docstring for the per-field contract).
@@ -1130,8 +1081,6 @@ def execute_blas(
         core_path="blas",
         n_tasks=0,
         peak_workspace_bytes=peak,
-        backend="reference",
-        backend_path="blas",
         schedule=f"classical@{levels}",
         dtype=dtype.name,
         duration_s=time.perf_counter() - t_start,
@@ -1157,52 +1106,32 @@ def execute_plan(
 
     Operands may be 2-D or batched ``(batch, rows, cols)`` stacks whose
     trailing dims match the plan.  ``threads=1`` runs the same task
-    schedule inline; ``threads>1`` fans phases out over the shared worker
-    pool.  ``workers`` selects the pool kind: ``"threads"`` (default)
-    shares the caller's address space (and its GIL); ``"processes"``
-    fans the same phases out over the persistent worker-process pool
-    (:mod:`repro.core.procpool`), staging operands and the C accumulator
-    through shared-memory segments — workers rebuild the identical
-    bindings over bit-identical operand copies, so a process execution
-    is bitwise-equal to the thread execution at the same worker count.
-    ``backend`` selects the leaf-kernel backend by registry name
-    (:mod:`repro.kernels`; default ``"reference"``): a compiling backend
-    serves the core with a per-plan specialized kernel when it can and
-    delegates to the interpreted pipeline when it cannot — behavior is
-    identical either way and the report records what ran.  ``leaf`` swaps
-    the per-product kernel (the blocked engine passes
-    :class:`repro.core.variants.BlisProductLeaf`); every custom leaf
-    executes on the fused per-product pipeline — the staged slab phases
-    are pure-NumPy math that would bypass its kernel — and is mutually
-    exclusive with a non-reference ``backend`` and with
-    ``workers="processes"`` (its kernel state lives in this process).
+    schedule inline; ``threads>1`` fans phases out over the shared thread
+    pool.  ``leaf`` swaps the per-product kernel (the blocked engine
+    passes :class:`repro.core.variants.BlisProductLeaf`); every custom
+    leaf executes on the fused per-product pipeline — the staged slab
+    phases are pure-NumPy math that would bypass its kernel.
     ``fusion`` overrides the plan's resolved lowering mode (benchmarks
     compare ``"staged"`` vs ``"fused"`` on the same plan this way).
-    ``arena`` overrides the global workspace arena (tests).
+    ``arena`` overrides the global workspace arena (tests).  ``backend``
+    accepts only ``"reference"`` and ``workers`` only ``"threads"`` (the
+    perf ledger passes both); any other value raises ``ValueError``.
+
+    A ``C`` that cannot absorb the plan dtype under ``same_kind`` casting
+    (e.g. an integer ``C``) runs the serial per-step loop, which keeps
+    the operand dtype.
 
     Every call publishes an :class:`ExecutionReport` — including the
-    measured peak workspace bytes, the executing worker mode and the
-    shared-memory traffic — retrievable via :func:`last_report`.
+    measured peak workspace bytes and the executing worker mode —
+    retrievable via :func:`last_report`.
     """
     threads = int(threads)
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    worker_mode = normalize_workers(workers) or "threads"
+    check_backend_workers(backend, workers)
     check_exec_shapes(cplan, A, B, C)
     arena = arena if arena is not None else workspace_arena
-    backend_name = normalize_backend(backend)
-    if leaf is not None and backend_name != "reference":
-        raise ValueError(
-            "a custom leaf kernel executes on the reference pipeline; "
-            f"it cannot be combined with backend={backend_name!r}"
-        )
-    if leaf is not None and leaf is not NUMPY_LEAF and worker_mode == "processes":
-        raise ValueError(
-            "a custom leaf kernel executes in this process; it cannot be "
-            'combined with workers="processes"'
-        )
-    backend_obj = kernel_backends.get_backend(backend_name)
-    leaf = backend_obj.leaf() if leaf is None else leaf
+    leaf = NUMPY_LEAF if leaf is None else leaf
     pp = cplan.peel_plan
     fusion_eff = validate_resolved_fusion(
         cplan.fusion if fusion is None else fusion
@@ -1214,52 +1143,27 @@ def execute_plan(
         # its product() is always honored.
         fusion_eff = "fused"
 
-    use_procs = worker_mode == "processes" and threads > 1
     batch = int(math.prod(A.shape[:-2])) if A.ndim > 2 else 1
     core_path = "none"
-    backend_path = "interpreted"
-    kernel_cached = None
     n_tasks = 0
     steps_bytes = 0
-    ipc_bytes = 0
     io_bytes = 0
     n_tiles = 0
     tile_window = 0
     n_chunks = 0
     core_pooled = False
     t_start = time.perf_counter()
-    # Entered/exited by hand so the 120-line body below keeps its
-    # indentation; the span brackets exactly the metered region.
+    # Entered/exited by hand so the body below keeps its indentation;
+    # the span brackets exactly the metered region.
     exec_span = obs_trace.span(
         "execute_plan", "runtime",
         shape=f"{cplan.shape[0]}x{cplan.shape[1]}x{cplan.shape[2]}",
-        batch=batch, fusion=fusion_eff, backend=backend_name,
-        threads=threads, workers=worker_mode,
+        batch=batch, fusion=fusion_eff, threads=threads,
     )
     exec_span.__enter__()
     meter = arena.start_meter()
     try:
-        kernel_entry = None
-        if (pp.has_core and backend_name != "reference" and not use_procs
-                and fusion_eff != "tiled"):
-            # Compiled kernels execute in this process (their buffers are
-            # process-local), so the process mode always interprets — and
-            # so does the tiled lowering, whose spilled slabs and strip
-            # window only the interpreted pipeline knows how to drive.
-            kernel_entry = backend_obj.kernel_for(
-                cplan, A, B, C, fusion_eff, threads, vector_cap
-            )
-        if kernel_entry is not None:
-            # The backend compiled (or cached) a whole-core kernel for
-            # this exact call; fringes stay with the serial peel loop
-            # below, exactly like the steps fallback.
-            core_path = "kernel"
-            backend_path = kernel_entry.path
-            kernel_cached = kernel_entry.hits > 0
-            steps_bytes = kernel_entry.workspace_bytes
-            core_pooled = threads > 1
-            kernel_entry.run(A, B, C)
-        elif pp.has_core:
+        if pp.has_core:
             mp, kp, np_ = pp.core
             Mt, Kt, Nt = cplan.dims_total
             bm, bk, bn = mp // Mt, kp // Kt, np_ // Nt
@@ -1286,61 +1190,43 @@ def execute_plan(
                 gathered = fusion_eff == "staged" or leaf is NUMPY_LEAF
                 graph = lower_plan(cplan, threads, fusion_eff, gathered)
                 n_tasks = graph.n_tasks
-                proc_pool = procpool.get_process_pool(threads) if use_procs else None
-                pool = get_pool(threads) if threads > 1 and not use_procs else None
+                pool = get_pool(threads) if threads > 1 else None
                 core_pooled = threads > 1
                 core_phases = [p for p in graph.phases if p[0].kind != "fringe"]
                 n_slots = max(graph.n_slots, 1)
                 group = min(effective_fused_group(), cplan.rank_total)
+                if Ac.ndim == 3 and not leaf.supports_batch:
+                    chunks = [(Ac[b], Bc[b], Cc[b]) for b in range(Ac.shape[0])]
+                elif Ac.ndim == 3:
+                    # Chunk so the live intermediates stay near
+                    # chunk_target elements: staged slabs scale with
+                    # R, fused/tiled group buffers with the group —
+                    # the fused pipeline's memory bound holds for
+                    # batched stacks too.
+                    if fusion_eff == "staged":
+                        work = per_product * cplan.rank_total
+                    else:
+                        work = per_product * group
+                    chunk = max(
+                        1, min(Ac.shape[0], chunk_target // max(work, 1))
+                    )
+                    chunks = [(Ac[i : i + chunk], Bc[i : i + chunk],
+                               Cc[i : i + chunk])
+                              for i in range(0, Ac.shape[0], chunk)]
+                else:
+                    chunks = [(Ac, Bc, Cc)]
                 leaf.begin(n_slots)
                 try:
-                    if Ac.ndim == 3 and not leaf.supports_batch:
-                        for b in range(Ac.shape[0]):
-                            ipc, shm, io, nt, win = _run_core(
-                                cplan, Ac[b], Bc[b], Cc[b], bm, bk, bn,
-                                core_phases, pool, arena, fusion_eff,
-                                gathered, n_slots, group, leaf, proc_pool,
-                            )
-                            ipc_bytes += ipc
-                            steps_bytes = max(steps_bytes, shm)
-                            io_bytes += io
-                            n_tiles += nt
-                            tile_window = max(tile_window, win)
-                            n_chunks += 1
-                    elif Ac.ndim == 3:
-                        # Chunk so the live intermediates stay near
-                        # chunk_target elements: staged slabs scale with
-                        # R, fused/tiled group buffers with the group —
-                        # the fused pipeline's memory bound holds for
-                        # batched stacks too.
-                        if fusion_eff == "staged":
-                            work = per_product * cplan.rank_total
-                        else:
-                            work = per_product * group
-                        chunk = max(
-                            1, min(Ac.shape[0], chunk_target // max(work, 1))
-                        )
-                        for i in range(0, Ac.shape[0], chunk):
-                            ipc, shm, io, nt, win = _run_core(
-                                cplan, Ac[i : i + chunk], Bc[i : i + chunk],
-                                Cc[i : i + chunk], bm, bk, bn,
-                                core_phases, pool, arena, fusion_eff,
-                                gathered, n_slots, group, leaf, proc_pool,
-                            )
-                            ipc_bytes += ipc
-                            steps_bytes = max(steps_bytes, shm)
-                            io_bytes += io
-                            n_tiles += nt
-                            tile_window = max(tile_window, win)
-                            n_chunks += 1
-                    else:
-                        n_chunks = 1
-                        (ipc_bytes, steps_bytes, io_bytes, n_tiles,
-                         tile_window) = _run_core(
-                            cplan, Ac, Bc, Cc, bm, bk, bn,
+                    for Ai, Bi, Ci in chunks:
+                        io, nt, win = _run_core(
+                            cplan, Ai, Bi, Ci, bm, bk, bn,
                             core_phases, pool, arena, fusion_eff,
-                            gathered, n_slots, group, leaf, proc_pool,
+                            gathered, n_slots, group, leaf,
                         )
+                        io_bytes += io
+                        n_tiles += nt
+                        tile_window = max(tile_window, win)
+                        n_chunks += 1
                 finally:
                     leaf.finish()
                 # Fringe C regions are mutually disjoint (see peeling), so
@@ -1377,12 +1263,6 @@ def execute_plan(
         peak = max(arena.finish_meter(meter), steps_bytes)
         exec_span.set(core_path=core_path, peak_bytes=peak)
         exec_span.__exit__(None, None, None)
-    if not core_pooled:
-        worker_mode_eff = "serial"
-    elif use_procs:
-        worker_mode_eff = "processes"
-    else:
-        worker_mode_eff = "threads"
     _publish_report(ExecutionReport(
         shape=cplan.shape,
         batch=batch,
@@ -1392,12 +1272,8 @@ def execute_plan(
         core_path=core_path,
         n_tasks=n_tasks,
         peak_workspace_bytes=peak,
-        backend=backend_name,
-        backend_path=backend_path,
-        kernel_cached=kernel_cached,
-        worker_mode=worker_mode_eff,
+        worker_mode="threads" if core_pooled else "serial",
         n_workers=threads if core_pooled else 1,
-        ipc_bytes=ipc_bytes,
         schedule=cplan.schedule_signature,
         dtype=cplan.dtype.name,
         duration_s=time.perf_counter() - t_start,
@@ -1411,18 +1287,13 @@ def execute_plan(
 
 def _run_core(
     cplan, Ac, Bc, Cc, bm, bk, bn, phases, pool, arena, fusion,
-    gathered, n_slots, group, leaf, proc_pool=None,
+    gathered, n_slots, group, leaf,
 ):
     """Run one core (one batch chunk).
 
-    Returns ``(ipc_bytes, shm_bytes, io_bytes, n_tiles,
-    tile_window_bytes)`` — the last three are 0 off the tiled path.
+    Returns ``(io_bytes, n_tiles, tile_window_bytes)``, all 0 off the
+    tiled path.
     """
-    if proc_pool is not None:
-        return _run_core_processes(
-            cplan, Ac, Bc, Cc, bm, bk, bn, phases, proc_pool, fusion,
-            n_slots, group,
-        )
     lead = Ac.shape[:-2]
     io = n_tiles = window = 0
     if fusion == "staged":
@@ -1479,114 +1350,7 @@ def _run_core(
             _run_phase(binding, phase, pool)
     finally:
         arena.release(ws)
-    return 0, 0, io, n_tiles, window
-
-
-def _run_core_processes(
-    cplan, Ac, Bc, Cc, bm, bk, bn, phases, proc_pool, fusion,
-    n_slots, group,
-):
-    """Run one core on the worker-process pool over shared memory.
-
-    The parent copies the (possibly strided) core operand regions and the
-    C accumulator into one packed shared segment, broadcasts the plan and
-    a bind descriptor, then drives each phase as one task-list message
-    per worker with a barrier on the acks.  Workers rebuild the *same*
-    bindings over the shm views, so arithmetic — including the fused
-    pipeline's slot-order ``Cacc`` reduce — matches the thread path task
-    for task; the copy-in/copy-out round trip is exact, so the result is
-    bitwise-equal to the thread execution at the same worker count.
-    Returns ``(ipc_bytes, segment_bytes, io_bytes, n_tiles,
-    tile_window_bytes)`` for the execution report.
-
-    Tiled cores run here too — same strip schedule, same bits — but
-    every workspace buffer (including the ``"mmap"``-flagged slabs) is
-    staged in the shared segment, because workers can only share RAM
-    pages: process-mode tiling bounds the *strip window* like the thread
-    path while the slabs stay memory-resident, so it is not an
-    out-of-core escape hatch (a documented limitation; use
-    ``workers="threads"`` for larger-than-RAM operands).
-    """
-    lead = Ac.shape[:-2]
-    tile_rows = 0
-    if fusion == "staged":
-        spec = _staged_workspace_spec(cplan, lead, bm, bk, bn)
-        mode = "staged"
-    elif fusion == "tiled":
-        L = math.prod(lead) if lead else 1
-        tile_rows = resolve_tile_rows(
-            bm, bk, bn, n_slots, group, lead_elems=L,
-            itemsize=cplan.dtype.itemsize,
-            has_scratch=cplan.has_nonunit_c_coeffs,
-        )
-        spec = _tiled_workspace_spec(
-            cplan, lead, bm, bk, bn, n_slots, group, tile_rows
-        )
-        mode = "tiled"
-    else:
-        spec = _grouped_workspace_spec(cplan, lead, bm, bk, bn, n_slots, group)
-        mode = "grouped"
-    entries = [
-        ("Ac", Ac.shape, Ac.dtype),
-        ("Bc", Bc.shape, Bc.dtype),
-        ("Cc", Cc.shape, Cc.dtype),
-    ] + [(name, entry[0], entry[1]) for name, entry in spec.items()]
-    layout, total = pack_layout(entries)
-    seg_key = (cplan.key, lead, mode, n_slots, group, tile_rows,
-               Ac.dtype.str, Bc.dtype.str, Cc.dtype.str)
-    n_workers = proc_pool.max_workers
-    tracing = obs_trace.is_enabled()
-    with proc_pool.session():
-        seg = shared_arena.acquire(seg_key, total)
-        try:
-            views = seg.views(layout)
-            with obs_trace.span("ipc.stage_in", "ipc",
-                                bytes=Ac.nbytes + Bc.nbytes + Cc.nbytes):
-                views["Ac"][...] = Ac
-                views["Bc"][...] = Bc
-                views["Cc"][...] = Cc
-            plan_token = proc_pool.broadcast_plan(cplan)
-            proc_pool.bind({
-                "plan_key": plan_token,
-                "segment": seg.name,
-                "layout": layout,
-                "mode": mode,
-                "bm": bm, "bk": bk, "bn": bn,
-                "n_slots": n_slots, "group": group,
-                "tile_rows": tile_rows,
-                "trace": tracing,
-            })
-            for phase in phases:
-                assignments: list[list] = [[] for _ in range(n_workers)]
-                for i, t in enumerate(phase):
-                    assignments[i % n_workers].append(
-                        (t.kind, t.lo, t.hi, t.slot)
-                    )
-                kind = phase[0].kind
-                with obs_trace.span("phase:" + kind, "phase",
-                                    tasks=len(phase), mode="processes"):
-                    worker_spans = proc_pool.run_phase(assignments)
-                # Workers drain their local rings onto the run acks;
-                # merging here keeps one coherent multi-process timeline.
-                if tracing and worker_spans:
-                    for batch_recs in worker_spans:
-                        if batch_recs:
-                            obs_trace.ingest(batch_recs)
-            proc_pool.unbind()
-            with obs_trace.span("ipc.copy_out", "ipc", bytes=Cc.nbytes):
-                Cc[...] = views["Cc"]
-        finally:
-            shared_arena.release(seg)
-    io = n_tiles = window = 0
-    if fusion == "tiled":
-        L = math.prod(lead) if lead else 1
-        ranges = [(t.lo, t.hi) for p in phases for t in p
-                  if t.kind == "tile"]
-        io, n_tiles = _tiled_io_stats(
-            cplan, L, bm, bk, bn, n_slots, group, tile_rows, ranges
-        )
-        window = _tile_window_bytes(cplan, L, bn, n_slots, group, tile_rows)
-    return Ac.nbytes + Bc.nbytes + 2 * Cc.nbytes, total, io, n_tiles, window
+    return io, n_tiles, window
 
 
 # ---------------------------------------------------------------------- #

@@ -231,26 +231,8 @@ def select(
     return winner, ranked
 
 
-def _model_backend(threads: int, workers: str = "threads") -> str:
-    """The model's pick of the ``backend`` dimension for one worker setup.
-
-    Ranks the *available* registered backends by their priced per-call
-    dispatch overhead (:func:`repro.model.perfmodel.
-    predict_backend_overhead`), registration order breaking ties — so
-    serial and thread-pooled calls price the specialized compiled kernels
-    as the win, and a process-runtime call (which a compiling backend
-    would delegate anyway — worker processes cannot share its buffers)
-    resolves to the reference interpreter.
-    """
-    from repro import kernels
-    from repro.model.perfmodel import predict_backend_overhead
-
-    names = [b.name for b in kernels.available_backends()]
-    return min(
-        names,
-        key=lambda nm: (
-            predict_backend_overhead(nm, threads, workers), names.index(nm)),
-    )
+#: The classical ``<1,1,1>`` schedule on the direct engine.
+_CLASSICAL = ("classical", 1, "abc", "direct")
 
 
 @lru_cache(maxsize=1024)
@@ -261,48 +243,28 @@ def _model_config(
     machine: MachineParams | None = None,
     max_levels: int = 2,
 ) -> tuple:
-    """Pure model-guided configuration (the cold path of :func:`auto_config`).
+    """Pure model-guided schedule (the cold path of :func:`auto_config`).
 
     Ranks the generated family with the §4.4 performance model and returns
-    ``(algorithm, levels, variant, engine, threads, backend, workers)``
-    ready for the plan compiler and runtime: the winning per-level shape
-    stack and variant when the model predicts FMM beats the GEMM baseline,
-    else the classical ``<1,1,1>`` plan.  The execution engine is the
-    direct task-graph runtime — the wall-clock-fast path of this
-    substrate; callers wanting the instrumented blocked substrate ask for
-    it explicitly.
-
-    A classical pick is the serial config ``threads=1``,
-    ``backend="reference"``, ``workers="threads"``: it runs as one BLAS
-    call, which threads itself, so there is no pool, leaf backend or
-    worker mode to price (and a classical plan that stays on the runtime
-    has a single product to run).  For an FMM pick ``threads`` comes from
-    the canonical multicore scaling model
-    (:func:`repro.core.parallel.pick_threads`, which walks the
-    paper-testbed ``machine_factory`` since ``machine`` here is a single
-    configuration point, not a cores->bandwidth family), capped by the
-    cores this host actually has.  ``backend`` is the priced leaf-backend
-    pick (:func:`_model_backend`); ``workers`` the priced thread-vs-
-    process runtime pick at that thread count
-    (:func:`repro.core.parallel.pick_workers`).
+    ``(algorithm, levels, variant, engine)`` ready for the plan compiler:
+    the winning per-level shape stack and variant when the model predicts
+    FMM beats the GEMM baseline, else the classical ``<1,1,1>`` plan.  The
+    execution engine is the direct task-graph runtime — the
+    wall-clock-fast path of this substrate; callers wanting the
+    instrumented blocked substrate ask for it explicitly.
 
     Decisions are memoized per ``(m, k, n, machine, max_levels)``, so the
     enumeration cost is paid once per problem shape *per process* — the
     wisdom store is what survives restarts.
     """
-    from repro.core.parallel import pick_threads, pick_workers
     from repro.model.machines import generic_laptop
 
     machine = machine or generic_laptop()
     candidates = enumerate_candidates(m, k, n, machine, max_levels=max_levels)
     best = rank_candidates(candidates)[0] if candidates else None
     if best is None or best.prediction.time >= predict_gemm(m, k, n, machine).time:
-        return ("classical", 1, "abc", "direct", 1, "reference", "threads")
-    ml = best.multilevel()
-    threads = pick_threads(m, k, n, ml, best.variant)
-    workers = pick_workers(m, k, n, ml, best.variant, threads=threads)
-    return (best.shapes, len(best.shapes), best.variant, "direct", threads,
-            _model_backend(threads, workers), workers)
+        return _CLASSICAL
+    return (best.shapes, len(best.shapes), best.variant, "direct")
 
 
 def auto_config(
@@ -320,68 +282,59 @@ def auto_config(
 
     With ``tune="readonly"`` (the default) the persistent wisdom store
     (:mod:`repro.tune.wisdom`) is consulted for this problem class —
-    a hit returns the *measured-best* configuration in a dict probe,
-    without enumerating or pricing a single candidate.  On a miss the
-    model path runs (:func:`_model_config`) priced with this host's
-    machine model unless an explicit ``machine`` was given: the one the
-    store recorded, or — on the first miss against a store without one —
-    a calibration taken then (about 40 ms, once per store) and recorded
+    a hit returns the *measured-best* schedule in a dict probe, without
+    enumerating or pricing a single candidate.  On a miss the model path
+    runs (:func:`_model_config`) priced with this host's machine model
+    unless an explicit ``machine`` was given: the one the store recorded,
+    or — on the first miss against a store without one — a calibration
+    taken then (about 40 ms, once per store) and recorded
     (:func:`repro.tune.tuner.resolve_machine`).  ``repro tune
     --calibrate`` re-measures.  ``tune="on"`` additionally runs a short
     budgeted tuning pass on a miss and returns (and records) its winner;
     ``tune="off"`` never touches the store: it is the pure cold-model
     path on :func:`~repro.model.machines.generic_laptop` (or ``machine``).
+    An empty problem (any dimension 0) is the classical config and never
+    touches the store either.
 
     ``dtype`` and ``threads`` scope the wisdom bucket (``threads=None``
-    is the ``auto`` thread class); they do not affect the model path,
-    whose thread pick is derived from the scaling model either way.
+    is the ``auto`` thread class).
 
     Returns the 7-tuple ``(algorithm, levels, variant, engine, threads,
-    backend, workers)``.  A wisdom hit whose recorded backend is not
-    available in this process (e.g. a ``"numba"`` win replayed where
-    numba is not installed) degrades the backend — and only the backend —
-    to ``"reference"``.  ``workers`` is the thread-vs-process runtime
-    mode (wisdom files recorded before the dimension existed read as
-    ``"threads"``, the mode they actually measured).
+    backend, workers)``.  Auto picks no thread count, leaf backend or
+    worker mode: ``threads`` is the explicit request or 1, ``backend`` is
+    ``"reference"`` and ``workers`` is ``"threads"``.  Those three keep
+    the tuple's shape for the perf ledger, which indexes it.
     """
     from repro.core.spec import normalize_tune
 
     tune = normalize_tune(tune)
-    if tune != "off":
+    if min(m, k, n) < 1:
+        schedule = _CLASSICAL
+    elif tune == "off":
+        schedule = _model_config(m, k, n, machine, max_levels)
+    else:
         from repro.tune.wisdom import default_store
 
         store = default_store()
         hit = store.lookup_tuple(m, k, n, dtype=dtype, threads=threads)
         if hit is not None:
-            return (*hit[:5], _usable_backend(hit[5]), hit[6])
-        if tune == "on":
+            schedule = hit[:4]
+        elif tune == "on":
             from repro.tune.tuner import tune_problem
 
-            report = tune_problem(
+            schedule = tune_problem(
                 m, k, n, dtype=dtype, threads=threads,
                 max_levels=max_levels, machine=machine, store=store,
-            )
-            cfg = report.config
-            return (*cfg[:5], _usable_backend(cfg[5]), cfg[6])
-        if machine is None:
-            machine = store.machine_params()
-            if machine is None:  # first model-path miss on this store
-                from repro.tune.tuner import resolve_machine
+            ).config[:4]
+        else:
+            if machine is None:
+                machine = store.machine_params()
+                if machine is None:  # first model-path miss on this store
+                    from repro.tune.tuner import resolve_machine
 
-                machine = resolve_machine(store)
-    return _model_config(m, k, n, machine, max_levels)
-
-
-def _usable_backend(name: str) -> str:
-    """``name`` when that backend is registered *and* available, else
-    ``"reference"`` (the backend every configuration can execute on)."""
-    from repro import kernels
-
-    try:
-        backend = kernels.get_backend(name)
-    except ValueError:
-        return "reference"
-    return name if backend.available() else "reference"
+                    machine = resolve_machine(store)
+            schedule = _model_config(m, k, n, machine, max_levels)
+    return (*schedule, threads or 1, "reference", "threads")
 
 
 def best_gflops_series(

@@ -59,8 +59,8 @@ __all__ = [
     "SERVE_MAX_BATCH",
     "TUNE_MODES",
     "VARIANTS",
-    "WORKER_MODES",
     "Schedule",
+    "check_backend_workers",
     "classical_depth",
     "effective_fused_auto_threshold",
     "effective_fused_group",
@@ -68,7 +68,6 @@ __all__ = [
     "effective_serve_batch_window_us",
     "effective_serve_max_batch",
     "effective_tile_rows",
-    "normalize_backend",
     "normalize_fusion",
     "normalize_overload_policy",
     "normalize_schedule",
@@ -76,7 +75,6 @@ __all__ = [
     "normalize_threads",
     "normalize_tune",
     "normalize_variant",
-    "normalize_workers",
     "operand_slab_bytes",
     "resolve_fusion",
     "resolve_levels",
@@ -96,11 +94,6 @@ VARIANTS = ("naive", "ab", "abc")
 
 #: Accepted values of the ``fusion`` lowering knob.
 FUSION_MODES = ("auto", "staged", "fused", "tiled")
-
-#: Accepted values of the ``workers`` execution-mode knob: thread pools
-#: (GIL-shared, zero-copy) vs worker-process pools (GIL-free, operands
-#: staged through shared memory).
-WORKER_MODES = ("threads", "processes")
 
 #: Accepted values of the serving layer's over-budget admission policy
 #: (:class:`repro.serve.MultiplyService`): ``"queue"`` blocks the
@@ -428,9 +421,9 @@ def classical_depth(algorithm, levels: int = 1) -> int:
 def normalize_threads(threads) -> int | None:
     """Validate the ``threads`` knob of the execution API.
 
-    Returns ``None`` unchanged (meaning "unspecified — resolve later", e.g.
-    from the auto-dispatch machine model) and a positive int for explicit
-    requests.  ``threads=0`` or a negative/non-integer count raises here,
+    Returns ``None`` unchanged (meaning "unspecified": serial, and the
+    ``auto`` thread class of a wisdom bucket) and a positive int for
+    explicit requests.  ``threads=0`` or a negative/non-integer count raises here,
     at spec-normalization time, with a message naming the knob — never
     deep inside the executor.
     """
@@ -443,24 +436,22 @@ def normalize_threads(threads) -> int | None:
     return int(threads)
 
 
-def normalize_workers(workers) -> str | None:
-    """Validate the ``workers`` execution-mode knob.
+def check_backend_workers(backend, workers) -> None:
+    """Validate the ``backend`` and ``workers`` keywords.
 
-    ``None`` passes through (meaning "unspecified — resolve later", e.g.
-    from the auto-dispatch worker-mode model); ``"threads"`` runs the
-    task graph on the shared thread pool, ``"processes"`` on the
-    GIL-free worker-process pool with operands staged through shared
-    memory.  Anything else raises here, at spec-normalization time.
-    Serial execution is not a mode: it is either mode at ``threads=1``.
+    There is one leaf backend (``"reference"``) and one worker mode
+    (``"threads"``).  The keywords stay on the execution API only because
+    the perf ledger (``benchmarks/ledger/``) still passes those values;
+    ``None`` or those names pass, anything else raises ``ValueError``.
     """
-    if workers is None:
-        return None
-    if not isinstance(workers, str) or workers.lower() not in WORKER_MODES:
+    if backend is not None and backend != "reference":
         raise ValueError(
-            f"unknown workers mode {workers!r}; expected one of "
-            f"{list(WORKER_MODES)}"
+            f"unknown backend {backend!r}; the only backend is 'reference'"
         )
-    return workers.lower()
+    if workers is not None and workers != "threads":
+        raise ValueError(
+            f"unknown workers mode {workers!r}; the only mode is 'threads'"
+        )
 
 
 def normalize_overload_policy(policy) -> str:
@@ -588,35 +579,6 @@ def resolve_fusion(
     if budget and slab_bytes > budget:
         return "tiled"
     return "fused" if staged_elements > effective_fused_auto_threshold() else "staged"
-
-
-def normalize_backend(backend) -> str:
-    """Validate the ``backend`` leaf-kernel knob against the live registry.
-
-    ``None`` means the reference interpreter (the numpy task-graph leaf).
-    Unknown names raise listing every registered backend; explicitly
-    requesting a registered backend whose optional dependency is missing
-    raises naming the dependency — a silent fallback would misreport what
-    executed.  Like catalog lookups, the registry import is deferred so
-    spec stays import-light.
-    """
-    if backend is None:
-        return "reference"
-    from repro import kernels
-
-    names = kernels.backend_names()
-    if not isinstance(backend, str) or backend.lower() not in names:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {list(names)}"
-        )
-    name = backend.lower()
-    missing = kernels.get_backend(name).missing()
-    if missing:
-        raise ValueError(
-            f"backend {name!r} requires the optional dependency "
-            f"{missing!r}, which is not installed"
-        )
-    return name
 
 
 def normalize_tune(tune) -> str:

@@ -23,22 +23,10 @@ windows (:meth:`WorkspaceArena.start_meter` /
 :meth:`WorkspaceArena.finish_meter`) — this is how the execution report's
 ``peak_workspace_bytes`` is measured, and how the fused pipeline's memory
 win over the staged one is asserted in tests and benchmarks.
-
-The process runtime (``workers="processes"``) adds a second backend:
-:class:`SharedMemoryArena` pools ``multiprocessing.shared_memory``
-segments the same keyed way, so the operand slabs, gathered panels and
-C-accumulator slots of one execution live in a single named segment every
-worker process attaches once and recycles across calls.  The parent owns
-segment lifetime exclusively (create + unlink); cleanup is triple-secured
-via explicit :meth:`SharedMemoryArena.clear`, a ``weakref.finalize`` per
-segment, and an atexit hook — the shared-memory leak test asserts no
-``/dev/shm`` entry with the :data:`SHM_PREFIX` survives the suite.
 """
 
 from __future__ import annotations
 
-import atexit
-import os
 import tempfile
 import threading
 import weakref
@@ -51,30 +39,17 @@ from repro.obs import trace as _trace
 
 __all__ = [
     "PeakMeter",
-    "SHM_ALIGN",
-    "SHM_PREFIX",
-    "SharedMemoryArena",
-    "SharedSegment",
     "Workspace",
     "WorkspaceArena",
-    "pack_layout",
     "workspace_arena",
-    "shared_arena",
     "arena_stats",
     "arena_clear",
-    "shared_arena_stats",
-    "shared_arena_clear",
 ]
 
 ArenaStats = namedtuple(
     "ArenaStats",
     "allocations reuses bytes_allocated bytes_pooled bytes_in_use "
     "peak_bytes free in_use mmap_bytes_in_use mmap_peak_bytes mmap_open",
-)
-
-SharedArenaStats = namedtuple(
-    "SharedArenaStats",
-    "segments reuses bytes_total live_names unlinked",
 )
 
 
@@ -348,215 +323,8 @@ class WorkspaceArena:
             self._mmap_peak_bytes = 0
 
 
-# ---------------------------------------------------------------------- #
-# Shared-memory arena (the process runtime's workspace backend)
-# ---------------------------------------------------------------------- #
-
-#: Name prefix of every segment this process creates — the leak test (and
-#: a human inspecting ``/dev/shm``) can attribute segments to this runtime.
-SHM_PREFIX = "reproshm"
-
-#: Byte alignment of every buffer packed into a segment (cache line ×1).
-SHM_ALIGN = 64
-
-
-def pack_layout(entries) -> tuple[dict, int]:
-    """Pack named arrays into one segment: ``{name: (offset, shape, dtype)}``.
-
-    ``entries`` is an iterable of ``(name, shape, dtype)``; offsets are
-    :data:`SHM_ALIGN`-aligned.  Returns ``(layout, total_bytes)``.  The
-    layout dict is what a bind descriptor ships to the worker processes —
-    both sides rebuild identical ``np.ndarray`` views from it, so the
-    parent and every worker see the same buffers at the same offsets.
-    """
-    layout: dict = {}
-    offset = 0
-    for name, shape, dtype in entries:
-        dt = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
-        layout[name] = (offset, tuple(int(s) for s in shape), dt.str)
-        offset += (nbytes + SHM_ALIGN - 1) // SHM_ALIGN * SHM_ALIGN
-    return layout, max(offset, 1)
-
-
-def _destroy_shm(shm) -> None:
-    """Close + unlink one segment (idempotent; finalizer-safe)."""
-    try:
-        shm.close()
-    except Exception:
-        pass
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
-    except Exception:
-        pass
-
-
-@dataclass(eq=False)
-class SharedSegment:
-    """One owned shared-memory segment, recycled by arena key.
-
-    ``views(layout)`` materializes the named ndarray views of a packed
-    layout (see :func:`pack_layout`) over the segment's buffer.  The
-    attached ``weakref.finalize`` destroys the segment when the wrapper
-    is garbage-collected without an explicit :meth:`destroy` — segments
-    can never outlive the arena that created them.
-    """
-
-    shm: object
-    nbytes: int
-    key: tuple
-    _finalizer: object = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self._finalizer is None:
-            self._finalizer = weakref.finalize(self, _destroy_shm, self.shm)
-
-    @property
-    def name(self) -> str:
-        return self.shm.name
-
-    def views(self, layout: dict) -> dict:
-        return {
-            name: np.ndarray(shape, dtype=np.dtype(dt),
-                             buffer=self.shm.buf, offset=off)
-            for name, (off, shape, dt) in layout.items()
-        }
-
-    def destroy(self) -> None:
-        self._finalizer()
-
-
-class SharedMemoryArena:
-    """Keyed pools of reusable shared-memory segments (parent side).
-
-    The process twin of :class:`WorkspaceArena`: ``acquire(key, nbytes)``
-    returns a pooled segment of at least ``nbytes`` for ``key`` or
-    creates one; ``release`` re-pools it for the next same-key call, so a
-    steady-state process-mode multiply creates **zero** new segments (and
-    its workers re-use their cached attachments — the segment *name* is
-    the recycling contract).  Idle bytes are bounded by ``max_bytes``;
-    over-bound releases destroy the segment instead.  :meth:`clear`
-    destroys everything pooled; an atexit hook clears the global arena,
-    and every segment additionally carries its own finalizer.
-    """
-
-    DEFAULT_MAX_BYTES = 1 << 30
-
-    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
-        self._lock = threading.Lock()
-        self._free: dict[tuple, list[SharedSegment]] = {}
-        self._live: dict[str, SharedSegment] = {}
-        self.max_bytes = int(max_bytes)
-        self._seq = 0
-        self._created = 0
-        self._reuses = 0
-        self._unlinked = 0
-
-    def acquire(self, key: tuple, nbytes: int) -> SharedSegment:
-        """Check out a segment of at least ``nbytes`` for ``key``."""
-        nbytes = int(nbytes)
-        with self._lock:
-            pool = self._free.get(key)
-            if pool:
-                seg = pool.pop()
-                if seg.nbytes >= nbytes:
-                    self._reuses += 1
-                    return seg
-                # Key layouts grew (e.g. a tunable changed): replace.
-                del self._live[seg.name]
-                self._unlinked += 1
-                stale = seg
-            else:
-                stale = None
-            self._seq += 1
-            name = f"{SHM_PREFIX}_{os.getpid()}_{self._seq}"
-        if stale is not None:
-            stale.destroy()
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=name, create=True, size=nbytes)
-        seg = SharedSegment(shm=shm, nbytes=nbytes, key=key)
-        with self._lock:
-            self._created += 1
-            self._live[seg.name] = seg
-        return seg
-
-    def release(self, seg: SharedSegment) -> None:
-        with self._lock:
-            pooled = sum(
-                s.nbytes for ss in self._free.values() for s in ss
-            )
-            if pooled + seg.nbytes <= self.max_bytes:
-                self._free.setdefault(seg.key, []).append(seg)
-                return
-            del self._live[seg.name]
-            self._unlinked += 1
-        seg.destroy()
-
-    def segment_names(self) -> list[str]:
-        """Names of every live segment this arena owns (leak checks)."""
-        with self._lock:
-            return sorted(self._live)
-
-    def stats(self) -> SharedArenaStats:
-        with self._lock:
-            return SharedArenaStats(
-                segments=self._created,
-                reuses=self._reuses,
-                bytes_total=sum(s.nbytes for s in self._live.values()),
-                live_names=len(self._live),
-                unlinked=self._unlinked,
-            )
-
-    def clear(self) -> None:
-        """Destroy every pooled segment and reset the counters.
-
-        Only idle (released) segments can be pooled, so clearing never
-        races an in-flight execution's views.
-        """
-        with self._lock:
-            segs = [s for ss in self._free.values() for s in ss]
-            self._free.clear()
-            for seg in segs:
-                self._live.pop(seg.name, None)
-            self._unlinked += len(segs)
-            self._created = 0
-            self._reuses = 0
-        for seg in segs:
-            seg.destroy()
-
-
 #: The process-wide arena the runtime allocates from.
 workspace_arena = WorkspaceArena()
-
-#: The process-wide shared-memory arena of the process runtime.
-shared_arena = SharedMemoryArena()
-atexit.register(shared_arena.clear)
-
-
-def _disown_shared_after_fork() -> None:  # pragma: no cover - fork hook
-    """Forked children inherit the arena dicts but not segment ownership.
-
-    Drop the inherited wrappers — and detach their finalizers — without
-    unlinking, so a child's exit (atexit hook or GC) can never destroy
-    the parent's live segments.  No lock: the child is single-threaded
-    here, and the inherited lock may be in a locked state.
-    """
-    shared_arena._lock = threading.Lock()
-    segs = [s for ss in shared_arena._free.values()
-            for s in ss] + list(shared_arena._live.values())
-    shared_arena._free = {}
-    shared_arena._live = {}
-    shared_arena._created = 0
-    shared_arena._reuses = 0
-    shared_arena._unlinked = 0
-    for seg in segs:
-        seg._finalizer.detach()
-
-
-os.register_at_fork(after_in_child=_disown_shared_after_fork)
 
 
 def arena_stats() -> ArenaStats:
@@ -567,13 +335,3 @@ def arena_stats() -> ArenaStats:
 def arena_clear() -> None:
     """Empty the global arena (drops pooled buffers, resets counters)."""
     workspace_arena.clear()
-
-
-def shared_arena_stats() -> SharedArenaStats:
-    """Counters of the global shared-memory arena (process runtime)."""
-    return shared_arena.stats()
-
-
-def shared_arena_clear() -> None:
-    """Destroy the global shared-memory arena's pooled segments."""
-    shared_arena.clear()

@@ -1,100 +1,15 @@
-"""Pluggable leaf-kernel backends and their process-wide registry.
+"""The per-product leaf the runtime interprets plans with.
 
-The execution substrate of the runtime: every :func:`repro.core.runtime.
-execute_plan` call resolves a :class:`~repro.kernels.base.LeafBackend`
-from this registry and dispatches through it.  Shipped backends:
-
-* ``reference`` — the numpy task-graph interpreter (the exactness
-  baseline; serves every call shape, batched and threaded included).
-* ``specialized`` — per-plan ``exec``-compiled whole-core kernels with
-  coefficient loops unrolled and gather/scatter indices precomputed,
-  cached alongside the plan (:mod:`repro.kernels.specialized`).
-* ``numba`` — the same emitted kernels behind an optional ``numba.njit``
-  wrapper with silent per-kernel fallback; registered always, *available*
-  only when numba is importable.
-
-Backend choice is one more ``engine="auto"`` dimension: the performance
-model prices per-backend leaf cost, the tuner measures backends like any
-candidate, and wisdom entries record the winner (see ``tune/``).
+:mod:`repro.kernels.reference` holds the numpy leaf: the weighted gather,
+the scatter-accumulate and :class:`NumpyProductLeaf`.  The blocked engine
+swaps in its own leaf (:class:`repro.core.variants.BlisProductLeaf`).
 """
 
-from __future__ import annotations
-
-import threading
-
-from repro.kernels.base import BackendInfo, KernelEntry, LeafBackend, kernel_key
-from repro.kernels.numba_jit import NumbaBackend
 from repro.kernels.reference import (
     NUMPY_LEAF,
     NumpyProductLeaf,
-    ReferenceBackend,
+    gather,
+    scatter_accumulate,
 )
-from repro.kernels.specialized import SpecializedBackend
 
-__all__ = [
-    "BackendInfo",
-    "KernelEntry",
-    "LeafBackend",
-    "NUMPY_LEAF",
-    "NumbaBackend",
-    "NumpyProductLeaf",
-    "ReferenceBackend",
-    "SpecializedBackend",
-    "available_backends",
-    "backend_infos",
-    "backend_names",
-    "get_backend",
-    "kernel_key",
-    "register_backend",
-]
-
-_lock = threading.Lock()
-_registry: dict[str, LeafBackend] = {}
-
-
-def register_backend(backend: LeafBackend, replace: bool = False) -> LeafBackend:
-    """Add a backend instance to the registry (keyed by ``backend.name``)."""
-    name = backend.name
-    with _lock:
-        if not replace and name in _registry:
-            raise ValueError(f"backend {name!r} is already registered")
-        _registry[name] = backend
-    return backend
-
-
-def get_backend(name: str) -> LeafBackend:
-    """The registered backend called ``name`` (``ValueError`` if unknown)."""
-    with _lock:
-        backend = _registry.get(name)
-    if backend is None:
-        raise ValueError(
-            f"unknown backend {name!r}; expected one of {list(_registry)}"
-        )
-    return backend
-
-
-def backend_names() -> tuple[str, ...]:
-    """Registered backend names, registration order (reference first)."""
-    with _lock:
-        return tuple(_registry)
-
-
-def available_backends() -> tuple[LeafBackend, ...]:
-    """The registered backends whose dependencies are importable."""
-    with _lock:
-        backends = tuple(_registry.values())
-    return tuple(b for b in backends if b.available())
-
-
-def backend_infos() -> tuple[BackendInfo, ...]:
-    """Registry snapshot for display (``repro backends``, generated docs)."""
-    with _lock:
-        backends = tuple(_registry.values())
-    return tuple(b.info() for b in backends)
-
-
-#: The shipped backends, registered at import (reference stays first: it
-#: is the default and the fallback every other backend delegates to).
-REFERENCE_BACKEND = register_backend(ReferenceBackend())
-SPECIALIZED_BACKEND = register_backend(SpecializedBackend())
-NUMBA_BACKEND = register_backend(NumbaBackend())
+__all__ = ["NUMPY_LEAF", "NumpyProductLeaf", "gather", "scatter_accumulate"]

@@ -1,26 +1,18 @@
-"""The reference backend: the numpy interpreter's leaf, as a plugin.
+"""The numpy leaf of the task-graph runtime.
 
-This is the former ``core/runtime.py`` leaf machinery — the weighted
-block-view gather, the dtype-matched scatter-accumulate, and the
-:class:`NumpyProductLeaf` that streams one product at a time — refactored
-behind the :class:`~repro.kernels.base.LeafBackend` protocol so the
-runtime dispatches *every* backend the same way.  The reference backend
-compiles nothing: :meth:`ReferenceBackend.kernel_for` always returns
-``None`` and every call runs on the interpreted task-graph pipeline,
-which keeps it the bitwise-exactness baseline the parity suite pins all
-other backends against.
+The weighted block-view gather, the dtype-matched scatter-accumulate,
+and the :class:`NumpyProductLeaf` that streams one product at a time.
+The runtime's bindings call through these, so the staged, fused and
+tiled pipelines share one leaf implementation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.base import LeafBackend
-
 __all__ = [
     "NUMPY_LEAF",
     "NumpyProductLeaf",
-    "ReferenceBackend",
     "gather",
     "scatter_accumulate",
 ]
@@ -109,13 +101,3 @@ class NumpyProductLeaf:
 
 #: The shared stateless default leaf.
 NUMPY_LEAF = NumpyProductLeaf()
-
-
-class ReferenceBackend(LeafBackend):
-    """The numpy interpreter as a backend: compiles nothing, serves all."""
-
-    name = "reference"
-    summary = (
-        "numpy task-graph interpreter (the exactness baseline; "
-        "serves every call shape)"
-    )

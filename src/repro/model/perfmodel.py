@@ -20,116 +20,15 @@ from repro.model.machines import MachineParams
 from repro.model.terms import TermTable, gemm_term_table, term_table
 
 __all__ = [
-    "BACKEND_CALL_OVERHEAD",
-    "PROCESS_ATTACH_OVERHEAD",
-    "PROCESS_TASK_OVERHEAD",
-    "SHM_COPY_BANDWIDTH",
-    "THREAD_GIL_FRACTION",
     "ModelPrediction",
     "effective_gflops",
-    "predict_backend_overhead",
     "predict_fmm",
     "predict_gemm",
-    "predict_ipc_bytes",
     "predict_tile_window_bytes",
-    "predict_worker_times",
     "predict_workspace_bytes",
     "predict_fusion_savings",
     "calibrate_lambda",
 ]
-
-#: Per-call leaf-dispatch overhead (seconds) by backend: the Python task
-#: machinery one serial interpreted execution pays versus a compiled
-#: whole-core kernel (microsecond scale — measured by
-#: ``benchmarks/bench_kernel_backends.py``; it only matters for small
-#: cores, which is exactly where the specialized backend wins).  This is
-#: how the model prices the ``backend`` dimension of ``engine="auto"``.
-BACKEND_CALL_OVERHEAD = {
-    "reference": 1.1e-4,
-    "specialized": 4.5e-5,
-    "numba": 4.5e-5,
-}
-
-
-#: Per-worker session setup the process runtime pays each multiply
-#: (segment attach + plan-token/bind round trips), seconds.  Microsecond
-#: scale, measured by ``benchmarks/bench_process_runtime.py``.
-PROCESS_ATTACH_OVERHEAD = 1.2e-4
-
-#: Per-task descriptor cost on the worker pipes (pickle + transport),
-#: seconds — the process twin of the thread pool's per-task submit.
-PROCESS_TASK_OVERHEAD = 5.0e-5
-
-#: Sustained rate of the parent's copy-in/copy-out between operand arrays
-#: and the shared-memory segment, bytes/second (a memcpy, so DRAM-speed).
-SHM_COPY_BANDWIDTH = 8.0e9
-
-#: Fraction of the interpreted task pipeline that stays serialized on the
-#: GIL under the thread runtime (Python-side gather/scatter bookkeeping
-#: between the BLAS leaves, which do release the GIL).  This is the
-#: Amdahl cap that makes processes worth their IPC at scale.
-THREAD_GIL_FRACTION = 0.25
-
-
-def predict_ipc_bytes(m: int, k: int, n: int, dtype=np.float64) -> int:
-    """Bytes the process runtime moves through shared memory per multiply.
-
-    The parent copies both operand cores in and the accumulator core in
-    *and* out (``|A| + |B| + 2 |C|``) — the exact quantity
-    ``ExecutionReport.ipc_bytes`` observes for a 2-D multiply whose core
-    covers the problem (fringes stay in the parent, and the model ignores
-    fringes everywhere).
-    """
-    return int(m * k + k * n + 2 * m * n) * np.dtype(dtype).itemsize
-
-
-def predict_worker_times(
-    m: int,
-    k: int,
-    n: int,
-    t_serial: float,
-    workers: int,
-    tasks: int = 64,
-    dtype=np.float64,
-) -> tuple[float, float]:
-    """Priced ``(thread_time, process_time)`` for one serial-time estimate.
-
-    Threads scale under the Amdahl cap of :data:`THREAD_GIL_FRACTION`
-    (``t x (f + (1-f)/p)``); processes scale the full work by ``p`` but
-    pay per-worker attach, per-task descriptor transport and the
-    shared-memory copy of :func:`predict_ipc_bytes`.  This is how
-    ``engine="auto"`` prices the ``workers`` dimension — see
-    :func:`repro.core.parallel.pick_workers`.
-    """
-    p = max(int(workers), 1)
-    f = THREAD_GIL_FRACTION
-    t_thread = t_serial * (f + (1.0 - f) / p)
-    t_proc = (
-        t_serial / p
-        + PROCESS_ATTACH_OVERHEAD * p
-        + PROCESS_TASK_OVERHEAD * max(int(tasks), 0)
-        + predict_ipc_bytes(m, k, n, dtype) / SHM_COPY_BANDWIDTH
-    )
-    return t_thread, t_proc
-
-
-def predict_backend_overhead(
-    backend: str, threads: int = 1, workers: str = "threads"
-) -> float:
-    """Priced per-call overhead of one leaf backend's dispatch path.
-
-    Compiling backends serve thread-pooled calls through their parallel
-    phase emission, but the *process* runtime always interprets (worker
-    processes cannot share a kernel's process-local buffers), so with
-    ``workers="processes"`` at ``threads > 1`` the priced overhead equals
-    the reference backend's — the model never predicts a win a backend
-    cannot deliver.  Unknown names price as the reference interpreter
-    (the path they would actually execute on).
-    """
-    if threads > 1 and workers == "processes":
-        backend = "reference"
-    return BACKEND_CALL_OVERHEAD.get(backend, BACKEND_CALL_OVERHEAD["reference"])
-
 
 @dataclass(frozen=True)
 class ModelPrediction:

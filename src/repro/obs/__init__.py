@@ -3,8 +3,8 @@
 Three cooperating layers, each usable alone:
 
 * :mod:`repro.obs.trace` — a near-zero-overhead span tracer over the
-  execution stack (compile, runtime phases, arena, worker-process
-  tasks), exportable as Chrome trace-event JSON.
+  execution stack (compile, runtime phases, arena), exportable as
+  Chrome trace-event JSON.
 * :mod:`repro.obs.metrics` — a process-wide counter/gauge/histogram
   registry absorbing the core's scattered stat surfaces behind one
   ``snapshot()``.

@@ -12,8 +12,8 @@ attaches a stderr handler at the named level::
     REPRO_LOG_LEVEL=debug python -m repro multiply -m 96 -k 96 -n 96
 
 Events worth the noise budget are logged where they happen: wisdom-file
-corruption set-asides (previously silent), numba JIT fallbacks
-(previously silent), plan-cache misses, worker-pool lifecycle.
+corruption set-asides (previously silent), plan-cache misses,
+worker-pool lifecycle.
 """
 
 from __future__ import annotations

@@ -2,10 +2,8 @@
 
 Before this module the stack's health counters were scattered behind
 module-private APIs — ``plan_cache_info()`` in :mod:`repro.core.compile`,
-``arena_stats()``/``shared_arena_stats()`` in :mod:`repro.core.workspace`,
-``pool_info()``/``process_pool_info()`` in the runtime and
-:mod:`repro.core.procpool`, per-backend ``cache_stats()`` in
-:mod:`repro.kernels`, and the wisdom store's hot-cache hit counters.
+``arena_stats()`` in :mod:`repro.core.workspace`, ``pool_info()`` in
+the runtime, and the wisdom store's hot-cache hit counters.
 The registry absorbs all of them behind one :func:`snapshot` call:
 
 * **Counter** — a monotonically increasing integer with thread-safe
@@ -279,26 +277,9 @@ def _arena():
     return arena_stats()
 
 
-def _shared_arena():
-    from repro.core.workspace import shared_arena_stats
-    return shared_arena_stats()
-
-
 def _thread_pools() -> dict:
     from repro.core.runtime import pool_info
     return {str(k): v for k, v in pool_info().items()}
-
-
-def _process_pools() -> dict:
-    from repro.core.procpool import process_pool_info
-    return {f"{w}:{sm}": info
-            for (w, sm), info in process_pool_info().items()}
-
-
-def _kernel_caches() -> dict:
-    from repro.kernels import available_backends
-    return {b.name: b.cache_stats() for b in available_backends()
-            if hasattr(b, "cache_stats")}
 
 
 def _wisdom_hot_cache() -> dict:
@@ -321,17 +302,8 @@ gauge("plan_cache",
 gauge("workspace.arena",
       "Thread-runtime workspace arena: allocations, reuses, byte totals, "
       "peak high-water", _arena)
-gauge("workspace.shared_arena",
-      "Shared-memory arena for the process runtime: segments, reuses, "
-      "byte totals", _shared_arena)
 gauge("pools.threads",
       "Live thread pools keyed by worker count", _thread_pools)
-gauge("pools.processes",
-      "Live worker-process pools keyed by workers:start_method",
-      _process_pools)
-gauge("kernels.cache",
-      "Per-backend compiled-kernel caches: plans, kernels, compiles, hits",
-      _kernel_caches)
 gauge("wisdom.hot_cache",
       "Default wisdom store hot-cache hits/misses (loaded stores only)",
       _wisdom_hot_cache)

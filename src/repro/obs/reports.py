@@ -2,15 +2,15 @@
 
 ``runtime.last_report()`` answers "what did the most recent call do";
 this module answers the serving questions — "what is the p95 for this
-shape", "which backend actually handled the traffic", "how high did the
-workspace peak go" — by keeping every published
+shape", "which worker mode actually handled the traffic", "how high did
+the workspace peak go" — by keeping every published
 :class:`~repro.core.runtime.ExecutionReport` in a bounded ring and
 aggregating per plan key.
 
 The history is also the bridge from serving traffic back into the
 tuner: :func:`observed_measurements` groups reports by their full
-execution configuration (shape, dtype, schedule, variant, threads,
-backend, worker mode) and summarizes latency, which
+execution configuration (shape, dtype, schedule, variant, threads)
+and summarizes latency, which
 ``repro.tune.observe.seed_wisdom_from_observations`` converts into
 wisdom records — measurements for free, from traffic the process was
 serving anyway.
@@ -58,11 +58,9 @@ class PlanStats:
     mean_s: float
     best_s: float
     peak_bytes_hw: int          # high-water across the window
-    total_ipc_bytes: int
     total_batch: int
     total_io_bytes: int = 0     # tiled-lowering spill traffic (logical)
     total_tiles: int = 0
-    backends: dict = field(default_factory=dict)
     worker_modes: dict = field(default_factory=dict)
     core_paths: dict = field(default_factory=dict)
 
@@ -146,11 +144,9 @@ class ReportHistory:
         out: dict[str, PlanStats] = {}
         for key, reps in groups.items():
             lat = sorted(r.duration_s for r in reps)
-            backends: dict[str, int] = {}
             modes: dict[str, int] = {}
             paths: dict[str, int] = {}
             for r in reps:
-                backends[r.backend] = backends.get(r.backend, 0) + 1
                 modes[r.worker_mode] = modes.get(r.worker_mode, 0) + 1
                 paths[r.core_path] = paths.get(r.core_path, 0) + 1
             out[key] = PlanStats(
@@ -161,11 +157,9 @@ class ReportHistory:
                 mean_s=sum(lat) / len(lat),
                 best_s=lat[0],
                 peak_bytes_hw=max(r.peak_workspace_bytes for r in reps),
-                total_ipc_bytes=sum(r.ipc_bytes for r in reps),
                 total_batch=sum(r.batch for r in reps),
                 total_io_bytes=sum(getattr(r, "io_bytes", 0) for r in reps),
                 total_tiles=sum(getattr(r, "n_tiles", 0) for r in reps),
-                backends=backends,
                 worker_modes=modes,
                 core_paths=paths,
             )
@@ -180,32 +174,30 @@ class ReportHistory:
 
         Unlike :meth:`aggregate` (display granularity), groups carry
         every field the tuner needs to reconstruct a wisdom config:
-        shape, dtype, schedule signature, variant, threads, backend,
-        and worker mode.  Reports without a schedule signature (legacy
-        constructors) are skipped; ``min_count`` filters out one-off
-        shapes that would seed wisdom from a single noisy sample.
+        shape, dtype, schedule signature, variant and threads.  Reports
+        without a schedule signature (legacy constructors) are skipped;
+        ``min_count`` filters out one-off shapes that would seed wisdom
+        from a single noisy sample.
         """
         groups: dict[tuple, list] = {}
         for rep in self.recent():
             if not rep.schedule or rep.batch != 1:
                 continue  # batched latency is not a per-multiply measurement
             key = (rep.shape, rep.dtype, rep.schedule, rep.variant,
-                   rep.threads, rep.backend, rep.worker_mode)
+                   rep.threads)
             groups.setdefault(key, []).append(rep)
         out = []
         for key, reps in sorted(groups.items(), key=lambda kv: repr(kv[0])):
             if len(reps) < min_count:
                 continue
             lat = sorted(r.duration_s for r in reps)
-            shape, dtype, schedule, variant, threads, backend, mode = key
+            shape, dtype, schedule, variant, threads = key
             out.append({
                 "shape": tuple(shape),
                 "dtype": dtype,
                 "schedule": schedule,
                 "variant": variant,
                 "threads": threads,
-                "backend": backend,
-                "worker_mode": mode,
                 "count": len(reps),
                 "best_s": lat[0],
                 "p50_s": percentile(lat, 0.50),

@@ -15,11 +15,10 @@ The contract that keeps instrumentation safe to leave in hot paths:
   instrumentation point is a module-flag check plus an argument-dict
   build, benchmarked at well under 2% of the plan-cache hot path
   (``benchmarks/bench_observability.py`` gates this in CI).
-* **Span ids are thread- and process-aware.**  Ids are allocated from a
-  per-thread counter (no cross-thread locking) and recorded together
-  with ``(pid, tid)``, so spans from pooled threads and from the
-  shared-memory worker processes (:mod:`repro.core.procpool` ships its
-  task spans back on the run ack) merge into one coherent timeline.
+* **Span ids are thread-aware.**  Ids are allocated from a per-thread
+  counter (no cross-thread locking) and recorded together with
+  ``(pid, tid)``, so spans from pooled threads merge into one coherent
+  timeline.
 * **Nesting is explicit.**  Each thread keeps a stack of open spans;
   a record's ``parent_id`` is the enclosing span on the same thread.
 
@@ -44,7 +43,6 @@ __all__ = [
     "drain",
     "enable",
     "export_chrome",
-    "ingest",
     "instant",
     "is_enabled",
     "span",
@@ -243,13 +241,7 @@ def spans() -> list[SpanRecord]:
 
 
 def drain() -> list[SpanRecord]:
-    """Return every recorded span and clear the ring (one atomic step).
-
-    The worker-process side of span shipping: after running a task list
-    the worker drains its local ring and sends the records back on the
-    run ack, so the parent's :func:`ingest` merges them into the main
-    timeline.
-    """
+    """Return every recorded span and clear the ring (one atomic step)."""
     global _head, _total
     with _lock:
         if _total <= _capacity:
@@ -261,21 +253,6 @@ def drain() -> list[SpanRecord]:
         _head = 0
         _total = 0
         return [r for r in out if r is not None]
-
-
-def ingest(records) -> int:
-    """Merge externally-recorded spans (worker processes) into the ring.
-
-    Records keep their own ``pid``/``tid``/ids, so a merged timeline
-    shows worker tasks under their real process.  Returns the number of
-    records ingested.
-    """
-    n = 0
-    for rec in records:
-        if isinstance(rec, SpanRecord):
-            _record(rec)
-            n += 1
-    return n
 
 
 # ---------------------------------------------------------------------- #
@@ -315,12 +292,8 @@ def export_chrome(path=None) -> dict:
 
 
 def _reset_after_fork() -> None:  # pragma: no cover - fork hook
-    """A forked child inherits the parent's ring; start it clean.
-
-    Without this, a worker process draining its "own" spans would re-ship
-    every span the parent had recorded before the fork (duplicating them
-    on ingest), and the inherited lock could be held by a dead thread.
-    """
+    """A forked child inherits the parent's ring; start it clean (the
+    inherited lock could be held by a thread that no longer exists)."""
     global _lock, _ring, _head, _total, _tls
     _lock = threading.Lock()
     _ring = [None] * _capacity

@@ -10,16 +10,16 @@ status moves ``pending -> running -> complete | error | cancelled``.
 
 A single scheduler thread drains the queue and **coalesces same-plan
 requests**: the compiled-plan cache key (:mod:`repro.core.compile`) plus
-the execution knobs (threads, backend, worker mode) form the coalescing
-key, and matching jobs that arrive within the batch window are stacked
-into one batched execution through :func:`repro.core.runtime.execute_plan`
-— the same amortization :func:`repro.multiply_batched` gives a caller who
-already holds a stack, earned here across callers who do not know about
-each other.  Batched execution is bitwise-equal to per-request 2-D
-execution under the same plan (the batch folds into the task slabs; the
-per-element accumulation order is unchanged), so coalescing is invisible
-to results.  The window and batch cap default from the wisdom-tunable
-constants (:func:`repro.core.spec.effective_serve_batch_window_us` /
+the thread count form the coalescing key, and matching jobs that arrive
+within the batch window are stacked into one batched execution through
+:func:`repro.core.runtime.execute_plan` — the same amortization
+:func:`repro.multiply_batched` gives a caller who already holds a stack,
+earned here across callers who do not know about each other.  Batched
+execution is bitwise-equal to per-request 2-D execution under the same
+plan (the batch folds into the task slabs; the per-element accumulation
+order is unchanged), so coalescing is invisible to results.  The window
+and batch cap default from the wisdom-tunable constants
+(:func:`repro.core.spec.effective_serve_batch_window_us` /
 :func:`effective_serve_max_batch`), like ``DEFAULT_FUSED_GROUP`` before
 them.
 
@@ -64,11 +64,9 @@ from repro.core.executor import _compute_dtype
 from repro.core.spec import (
     effective_serve_batch_window_us,
     effective_serve_max_batch,
-    normalize_backend,
     normalize_fusion,
     normalize_overload_policy,
     normalize_threads,
-    normalize_workers,
 )
 from repro.model.perfmodel import predict_workspace_bytes
 from repro.obs import metrics as obs_metrics
@@ -198,13 +196,13 @@ class JobHandle:
 
     __slots__ = (
         "id", "_service", "_key", "_cplan", "_A", "_B", "_threads",
-        "_backend", "_workers", "_cost_bytes", "_submitted_at",
+        "_cost_bytes", "_submitted_at",
         "_status", "_result", "_exc", "_batch_size", "_done",
         "__weakref__",
     )
 
-    def __init__(self, service, key, cplan, A, B, threads, backend,
-                 workers, cost_bytes, submitted_at) -> None:
+    def __init__(self, service, key, cplan, A, B, threads, cost_bytes,
+                 submitted_at) -> None:
         self.id = f"job-{next(_job_ids)}"
         self._service = service
         self._key = key
@@ -212,8 +210,6 @@ class JobHandle:
         self._A = A
         self._B = B
         self._threads = threads
-        self._backend = backend
-        self._workers = workers
         self._cost_bytes = cost_bytes
         self._submitted_at = submitted_at
         self._status = "pending"
@@ -308,17 +304,15 @@ def execute_batch(jobs: list[JobHandle]):
     lead = jobs[0]
     cplan = lead._cplan
     m, k, n = cplan.shape
-    kwargs = dict(threads=lead._threads, backend=lead._backend,
-                  workers=lead._workers)
     if len(jobs) == 1:
         C = np.zeros((m, n), dtype=cplan.dtype)
-        runtime.execute_plan(cplan, lead._A, lead._B, C, **kwargs)
+        runtime.execute_plan(cplan, lead._A, lead._B, C, threads=lead._threads)
         results = [C]
     else:
         A3 = np.stack([j._A for j in jobs])
         B3 = np.stack([j._B for j in jobs])
         C3 = np.zeros((len(jobs), m, n), dtype=cplan.dtype)
-        runtime.execute_plan(cplan, A3, B3, C3, **kwargs)
+        runtime.execute_plan(cplan, A3, B3, C3, threads=lead._threads)
         results = list(C3)
     return results, runtime.last_report()
 
@@ -344,8 +338,8 @@ class MultiplyService:
         Over-budget behavior: ``"queue"`` | ``"reject"`` | ``"serial"``
         (see :data:`repro.core.spec.OVERLOAD_POLICIES`).  Default
         ``"reject"``.
-    threads, backend, workers:
-        Execution defaults for jobs that do not specify their own.
+    threads:
+        Worker count for jobs that do not specify their own.
     clock, executor:
         Test seams (see module docstring).  ``executor(jobs)`` must
         return ``(results, report_or_None)`` aligned with ``jobs``.
@@ -365,8 +359,6 @@ class MultiplyService:
         byte_budget: int | None = None,
         policy: str | None = None,
         threads: int | None = None,
-        backend: str | None = None,
-        workers: str | None = None,
         clock=None,
         executor=None,
     ) -> None:
@@ -382,8 +374,6 @@ class MultiplyService:
             raise ValueError("byte_budget must be >= 0")
         self._policy = normalize_overload_policy(policy)
         self._threads = normalize_threads(threads) or 1
-        self._backend = normalize_backend(backend)
-        self._workers = normalize_workers(workers) or "threads"
         self._clock = clock if clock is not None else MonotonicClock()
         self._executor = executor if executor is not None else execute_batch
 
@@ -485,16 +475,15 @@ class MultiplyService:
         dtype=None,
         fusion: str = "auto",
         threads: int | None = None,
-        backend: str | None = None,
-        workers: str | None = None,
     ) -> JobHandle:
         """Queue ``C = A @ B`` and return its :class:`JobHandle`.
 
         Validation is synchronous: shape/spec errors raise here in the
         caller, never inside the scheduler.  The accepted spec is the
         direct-engine multiply surface (schedule strings and hybrid
-        stacks included); ``threads``/``backend``/``workers`` default to
-        the service-wide settings.
+        stacks included); ``threads`` defaults to the service-wide count.
+        Complex operands raise ``TypeError`` here, like in
+        :func:`repro.multiply`.
         """
         A = np.asarray(A)
         B = np.asarray(B)
@@ -508,9 +497,6 @@ class MultiplyService:
             raise ValueError(f"incompatible operand shapes {A.shape} x {B.shape}")
         dt = _compute_dtype(A, B, dtype=dtype)
         threads = normalize_threads(threads) or self._threads
-        backend = (normalize_backend(backend) if backend is not None
-                   else self._backend)
-        workers = normalize_workers(workers) or self._workers
         fusion = normalize_fusion(fusion)
         m, k, n = A.shape[0], A.shape[1], B.shape[1]
         cplan = plancache.compile(
@@ -520,11 +506,11 @@ class MultiplyService:
         B = np.ascontiguousarray(B, dtype=dt)
         # The coalescing key: the compiled plan's cache key (shape,
         # schedule, variant, dtype, resolved fusion) extended with the
-        # execution knobs a batch must share.
-        key = (cplan.key, threads, backend, workers)
+        # thread count a batch must share.
+        key = (cplan.key, threads)
         cost = self._price(cplan, threads, dt, m, k, n)
-        job = JobHandle(self, key, cplan, A, B, threads, backend, workers,
-                        cost, self._clock.now())
+        job = JobHandle(self, key, cplan, A, B, threads, cost,
+                        self._clock.now())
 
         degraded = False
         with self._cond:

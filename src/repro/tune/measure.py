@@ -68,8 +68,6 @@ class Measurement:
     time_s: float            #: median of per-group minima — the verdict
     best_s: float            #: global minimum sample
     samples: int             #: timed calls actually taken
-    backend: str = "reference"   #: leaf backend the samples executed on
-    workers: str = "threads"     #: worker mode the samples executed under
     group_minima: tuple[float, ...] = field(repr=False, default=())
 
     @property
@@ -79,22 +77,13 @@ class Measurement:
         return effective_gflops(m, k, n, self.time_s)
 
 
-def _runner(cplan: CompiledPlan, engine: str, threads: int, params, mode,
-            backend: str = "reference", workers: str | None = None):
+def _runner(cplan: CompiledPlan, engine: str, threads: int, params, mode):
     """Build the ``fn(A, B, C)`` the harness times, matching ``multiply``."""
     from repro.core.executor import BlockedEngine, DirectEngine
 
     if engine == "direct":
-        eng = DirectEngine(threads=threads, backend=backend, workers=workers)
+        eng = DirectEngine(threads=threads)
     elif engine == "blocked":
-        if backend != "reference":
-            raise ValueError(
-                f"backend={backend!r} is only measurable on the direct engine"
-            )
-        if workers == "processes":
-            raise ValueError(
-                "workers='processes' is only measurable on the direct engine"
-            )
         eng = BlockedEngine(params=params, variant=cplan.variant,
                             threads=threads, mode=mode)
     else:
@@ -111,34 +100,24 @@ def measure_plan(
     params=None,
     mode: str = "slab",
     seed: int = 0,
-    backend: str | None = None,
-    workers: str | None = None,
 ) -> Measurement:
     """Time one compiled plan on this machine.
 
     Operands are seeded-random and allocated once outside the timed
     region; the destination accumulates across calls (``C += A @ B`` is
     the engines' contract), which is harmless for timing and avoids
-    paying a re-zero inside the samples.  ``backend`` selects the leaf
-    backend (direct engine only); compiling backends pay their one-time
-    kernel compile inside the warmup calls, so the timed samples see the
-    cached-kernel steady state ``multiply`` reaches.  ``workers``
-    selects the runtime's worker mode — ``"processes"`` measures the
-    shared-memory process runtime, with pool spin-up and segment
-    allocation likewise absorbed by the warmup calls.
+    paying a re-zero inside the samples.
     """
-    from repro.core.spec import normalize_backend, normalize_threads, normalize_workers
+    from repro.core.spec import normalize_threads
 
     cfg = config or MeasureConfig()
     threads = normalize_threads(threads) or 1  # fail before any warmup
-    backend = normalize_backend(backend)
-    workers = normalize_workers(workers)
     m, k, n = cplan.shape
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, k)).astype(cplan.dtype, copy=False)
     B = rng.standard_normal((k, n)).astype(cplan.dtype, copy=False)
     C = np.zeros((m, n), dtype=cplan.dtype)
-    fn = _runner(cplan, engine, threads, params, mode, backend, workers)
+    fn = _runner(cplan, engine, threads, params, mode)
 
     deadline = None if cfg.budget_s is None else time.perf_counter() + cfg.budget_s
     for _ in range(cfg.warmup):
@@ -179,8 +158,6 @@ def measure_plan(
         time_s=statistics.median(group_minima),
         best_s=min(group_minima),
         samples=samples,
-        backend=backend,
-        workers=workers or "threads",
         group_minima=tuple(group_minima),
     )
 
@@ -199,8 +176,6 @@ def measure_candidate(
     config: MeasureConfig | None = None,
     seed: int = 0,
     fusion: str = "auto",
-    backend: str | None = None,
-    workers: str | None = None,
 ) -> Measurement:
     """Compile (or fetch from the plan cache) and time one configuration.
 
@@ -210,11 +185,9 @@ def measure_candidate(
     resolves from the variant exactly like dispatch will, so tuned
     verdicts measure what ``multiply`` will actually run (the §4.1
     variants are the staged/fused lowering families — tuning across
-    variants is how the wisdom store picks fused vs staged).  ``backend``
-    measures one leaf backend the same way the tuner treats any other
-    candidate dimension.
+    variants is how the wisdom store picks fused vs staged).
     """
     cplan = plancache.compile((int(m), int(k), int(n)), algorithm, levels,
                               variant, dtype=dtype, fusion=fusion)
     return measure_plan(cplan, engine=engine, threads=threads, config=config,
-                        seed=seed, backend=backend, workers=workers)
+                        seed=seed)

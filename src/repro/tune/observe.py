@@ -45,7 +45,7 @@ def observed_measurements(min_count: int = 1) -> list[dict]:
     """Per-configuration latency summaries from the live report history.
 
     Groups the retained ExecutionReports by ``(shape, dtype, schedule,
-    variant, threads, backend, worker_mode)`` and summarizes each
+    variant, threads)`` and summarizes each
     group's durations (``count``, ``best_s``, ``p50_s``, ``mean_s``).
     ``min_count`` drops groups with fewer samples — a single noisy call
     should not become wisdom.
@@ -76,9 +76,6 @@ def _config_from_observation(obs: dict) -> dict | None:
         "variant": obs["variant"],
         "engine": "direct",
         "threads": int(obs["threads"]),
-        "backend": obs["backend"],
-        "workers": obs["worker_mode"] if obs["worker_mode"] == "processes"
-        else "threads",
     }
 
 

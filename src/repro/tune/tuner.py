@@ -50,7 +50,7 @@ class TuneReport:
 
     problem: tuple[int, int, int]
     dtype: str
-    config: tuple          #: winner as an ``auto_config`` result tuple
+    config: tuple          #: winner as a wisdom ``config_tuple``
     winner: Measurement
     measurements: tuple[Measurement, ...]
     model_rank1: str       #: the cold model's favorite label, for the record
@@ -61,14 +61,6 @@ class TuneReport:
     def beat_model(self) -> bool:
         """Did measurement overturn the model's rank-1 pick?"""
         return self.winner.label != self.model_rank1
-
-
-def _candidate_threads(threads, m, k, n, ml, variant) -> int:
-    from repro.core.parallel import pick_threads
-
-    if threads is not None:
-        return int(threads)
-    return pick_threads(m, k, n, ml, variant)
 
 
 def tune_problem(
@@ -95,17 +87,11 @@ def tune_problem(
     dtype : dtype-like, optional
         Execution dtype of the measured multiplies.  Default float64.
     threads : int or None, optional
-        Tune for an explicit worker count; ``None`` (default) lets the
-        machine model pick per candidate and buckets the verdict under
-        the ``auto`` thread class.
+        Tune for an explicit worker count; ``None`` (default) measures
+        serial and buckets the verdict under the ``auto`` thread class.
     top : int, optional
         Model finalists to measure (the classical GEMM baseline is always
-        measured in addition, and the rank-1 finalist is re-measured
-        through every available non-reference leaf backend when its
-        thread pick is serial — the backend dimension of the tuned
-        config; the measured winner is re-measured through the
-        shared-memory process runtime when its thread pick is parallel —
-        the workers dimension).  Default 3.
+        measured in addition).  Default 3.
     max_levels : int, optional
         Deepest schedule the model enumerates (mixed per-level stacks
         included).  Default 2.
@@ -131,7 +117,7 @@ def tune_problem(
     Returns
     -------
     TuneReport
-        The winner (as an ``auto_config`` tuple and a
+        The winner (as a wisdom ``config_tuple`` and a
         :class:`~repro.tune.measure.Measurement`), every finalist's
         measurement, the cold model's rank-1 label, and the wisdom
         bucket written (``None`` when ``record=False``).
@@ -150,39 +136,22 @@ def tune_problem(
     ranked = rank_candidates(
         enumerate_candidates(m, k, n, machine, max_levels=max_levels)
     )
-    # (algorithm_spec, levels, variant, ml_or_None, label, backend)
-    finalists: list[tuple] = []
-    for c in ranked[: max(1, top)]:
-        finalists.append((c.shapes, len(c.shapes), c.variant, c.multilevel(),
-                          c.label, "reference"))
-    finalists.append(("classical", 1, "abc", None, "classical/abc",
-                      "reference"))
+    # (algorithm_spec, levels, variant)
+    finalists = [(c.shapes, len(c.shapes), c.variant)
+                 for c in ranked[: max(1, top)]]
+    finalists.append(("classical", 1, "abc"))
     model_rank1 = ranked[0].label if ranked else "classical/abc"
 
-    # The backend dimension: re-enter the model's favorite through each
-    # non-reference backend that is available *and* serves the candidate's
-    # thread pick (compiling backends are serial-2-D specialists — a
-    # threaded duplicate would just re-measure the interpreter).
-    from repro import kernels
-
-    if ranked:
-        spec0, lv0, var0, ml0, lab0, _ = finalists[0]
-        t0 = _candidate_threads(threads, m, k, n, ml0, var0)
-        if t0 == 1:
-            for b in kernels.available_backends():
-                if b.name != "reference":
-                    finalists.append((spec0, lv0, var0, ml0, lab0, b.name))
-
+    t = threads or 1
     base_cfg = measure_config or MeasureConfig()
     deadline = t_start + budget_s
-    measured: list[tuple[Measurement, tuple]] = []
-    for i, (spec, levels, variant, ml, _label, backend) in enumerate(finalists):
+    measured: list[tuple[Measurement, dict]] = []
+    for i, (spec, levels, variant) in enumerate(finalists):
         remaining = max(deadline - time.perf_counter(), 1e-3)
         slice_s = remaining / (len(finalists) - i)
-        t = _candidate_threads(threads, m, k, n, ml, variant)
         meas = measure_candidate(
             m, k, n, spec, levels=levels, variant=variant, dtype=dt,
-            engine="direct", threads=t, backend=backend,
+            engine="direct", threads=t,
             config=MeasureConfig(
                 warmup=base_cfg.warmup, repeats=base_cfg.repeats,
                 inner=base_cfg.inner, budget_s=slice_s, pin_gc=base_cfg.pin_gc,
@@ -196,34 +165,10 @@ def tune_problem(
             "variant": variant,
             "engine": "direct",
             "threads": int(t),
-            "backend": backend,
-            "workers": "threads",
         }
         measured.append((meas, cfg_doc))
 
-    best_i = min(range(len(measured)), key=lambda i: measured[i][0].time_s)
-    winner, winner_cfg = measured[best_i]
-
-    # The workers dimension: re-measure the winner through the
-    # shared-memory process runtime when its thread pick is parallel
-    # (serial execution is either mode at one worker, so there is
-    # nothing to compare) — the measured mode is what wisdom replays.
-    if int(winner_cfg["threads"]) > 1 and winner_cfg["backend"] == "reference":
-        spec_w, lv_w, var_w, _ml_w, _lab_w, _b_w = finalists[best_i]
-        remaining = max(deadline - time.perf_counter(), 1e-3)
-        meas_p = measure_candidate(
-            m, k, n, spec_w, levels=lv_w, variant=var_w, dtype=dt,
-            engine="direct", threads=int(winner_cfg["threads"]),
-            backend="reference", workers="processes",
-            config=MeasureConfig(
-                warmup=base_cfg.warmup, repeats=base_cfg.repeats,
-                inner=base_cfg.inner, budget_s=remaining,
-                pin_gc=base_cfg.pin_gc,
-            ),
-        )
-        measured.append((meas_p, {**winner_cfg, "workers": "processes"}))
-        if meas_p.time_s < winner.time_s:
-            winner, winner_cfg = measured[-1]
+    winner, winner_cfg = min(measured, key=lambda mc: mc[0].time_s)
 
     _log.info(
         "tuned %dx%dx%d (%s): winner %s at %.2f GFLOP/s",

@@ -63,7 +63,8 @@ __all__ = [
 ]
 
 #: Bump when the on-disk layout changes; older files degrade to empty.
-SCHEMA_VERSION = 1
+#: Version 2 dropped the ``backend`` and ``workers`` config fields.
+SCHEMA_VERSION = 2
 
 #: Environment override for the default wisdom location.
 WISDOM_ENV = "REPRO_WISDOM"
@@ -188,17 +189,6 @@ def _validate_config(cfg) -> dict:
         raise ValueError(f"malformed wisdom engine {cfg['engine']!r}")
     if int(cfg["levels"]) < 1 or int(cfg["threads"]) < 1:
         raise ValueError("wisdom levels/threads must be >= 1")
-    backend = cfg.get("backend", "reference")
-    if not isinstance(backend, str) or not backend:
-        # Any *name* is storable (a file may record a backend this
-        # process lacks); selection degrades unknown/unavailable names
-        # to "reference" at dispatch time.
-        raise ValueError(f"malformed wisdom backend {backend!r}")
-    from repro.core.spec import WORKER_MODES
-
-    workers = cfg.get("workers", "threads")
-    if workers not in WORKER_MODES:
-        raise ValueError(f"malformed wisdom workers {workers!r}")
     return cfg
 
 
@@ -240,17 +230,14 @@ def config_signature(cfg: dict) -> str:
 
 
 def config_tuple(cfg: dict) -> tuple:
-    """Stored config -> the ``(algorithm, levels, variant, engine, threads,
-    backend, workers)`` tuple :func:`repro.core.selection.auto_config`
-    returns.  Configs recorded before the backend / workers dimensions
-    existed read as ``"reference"`` / ``"threads"`` (what they actually
-    measured)."""
+    """Stored config -> ``(algorithm, levels, variant, engine, threads)``;
+    the first four are what :func:`repro.core.selection.auto_config`
+    replays."""
     algo = cfg["algorithm"]
     if algo != "classical":
         algo = tuple(tuple(int(x) for x in s) for s in algo)
     return (algo, int(cfg["levels"]), cfg["variant"], cfg["engine"],
-            int(cfg["threads"]), cfg.get("backend", "reference"),
-            cfg.get("workers", "threads"))
+            int(cfg["threads"]))
 
 
 # ---------------------------------------------------------------------- #
@@ -478,7 +465,7 @@ class WisdomStore:
 
     def lookup_tuple(self, m: int, k: int, n: int, *, dtype="float64",
                      threads=None) -> tuple | None:
-        """Like :meth:`lookup` but as an ``auto_config`` result tuple."""
+        """Like :meth:`lookup` but as a :func:`config_tuple`."""
         cfg = self.lookup(m, k, n, dtype=dtype, threads=threads)
         return None if cfg is None else config_tuple(cfg)
 

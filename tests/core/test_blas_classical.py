@@ -55,7 +55,6 @@ def _assert_same(got, want):
 def _assert_blas_report(shape, batch=1, dtype="float64"):
     rep = last_report()
     assert rep.core_path == "blas"
-    assert rep.backend_path == "blas"
     assert rep.backend == "reference"
     assert rep.worker_mode == "serial" and rep.n_workers == 1
     assert rep.schedule == "classical@1"
@@ -114,7 +113,7 @@ class TestAutoPick:
         finally:
             set_default_store(None)
         rep = _assert_blas_report((256, 256, 256))
-        assert rep.threads == 2  # requested; one BLAS call ran serially
+        assert rep.threads == 1  # auto replays the schedule, not threads
         _assert_same(C, _forced(A, B))
 
 
@@ -199,8 +198,8 @@ class TestCallerC:
         # history and wisdom seeding see one configuration, not two.
         assert last_report().schedule == "classical@1"
         assert C.dtype == np.int64 and np.array_equal(C, A @ B)
-        # Through multiply the operands promote to float64, and the
-        # runtime path rejects the cast exactly as it always has.
+        # Through multiply the operands promote to float64, and multiply
+        # rejects the int64 C before any work.
         with pytest.raises(TypeError):
             multiply(A, B, np.zeros((12, 8), dtype=np.int64),
                      algorithm="classical")
@@ -366,7 +365,7 @@ class TestBypass:
     def test_engine_execute_of_a_classical_plan(self, rng):
         A, B = _operands(rng, 40, 30, 20)
         cplan = plancache.compile((40, 30, 20), "classical")
-        eng = DirectEngine(threads=2, workers="processes")
+        eng = DirectEngine(threads=2)
         C = eng.execute(cplan, A, B, np.zeros((40, 20)))
         assert eng.last_report is last_report()
         _assert_blas_report((40, 30, 20))

@@ -7,8 +7,6 @@ from repro.core.parallel import (
     bandwidth_bound_fraction,
     measured_scaling_curve,
     parallel_efficiency,
-    pick_threads,
-    pick_workers,
     scaling_curve,
 )
 from repro.model.machines import ivy_bridge_e5_2680_v2
@@ -47,22 +45,6 @@ class TestMeasuredScaling:
         assert all(p.time > 0 and p.gflops > 0 for p in pts)
 
 
-class TestPickThreads:
-    def test_small_problems_stay_serial(self):
-        assert pick_threads(32, 32, 32, None) == 1
-
-    def test_capped_by_max_threads(self):
-        ml = resolve_levels("strassen", 1)
-        assert pick_threads(4096, 4096, 4096, ml, max_threads=1) == 1
-
-    def test_never_exceeds_host_cores(self):
-        import os
-
-        ml = resolve_levels("strassen", 1)
-        t = pick_threads(4096, 4096, 4096, ml)
-        assert 1 <= t <= (os.cpu_count() or 1)
-
-
 class TestEfficiencyAndBoundness:
     def test_parallel_efficiency_in_range(self):
         ml = resolve_levels("strassen", 1)
@@ -91,26 +73,3 @@ class TestEfficiencyAndBoundness:
         mach = ivy_bridge_e5_2680_v2(1)
         f = bandwidth_bound_fraction(1024, 1024, 1024, None, "abc", mach)
         assert 0.0 <= f <= 1.0
-
-
-class TestPickWorkers:
-    def test_serial_stays_threads(self):
-        # A 1-worker run has no GIL contention to escape and nothing to
-        # amortize IPC against.
-        assert pick_workers(64, 64, 64, None, threads=1) == "threads"
-
-    def test_large_problem_prefers_processes(self):
-        ml = resolve_levels("strassen", 1)
-        assert pick_workers(2048, 2048, 2048, ml, "abc", threads=4) == "processes"
-
-    def test_small_problem_prefers_threads(self):
-        # At tiny sizes the per-call attach/copy overhead dominates any
-        # GIL-freed arithmetic win.
-        ml = resolve_levels("strassen", 1)
-        assert pick_workers(256, 256, 256, ml, "abc", threads=4) == "threads"
-
-    def test_returns_valid_mode(self):
-        from repro.core.spec import WORKER_MODES
-
-        for shape in [(128,) * 3, (1024,) * 3, (4096, 256, 4096)]:
-            assert pick_workers(*shape, None, threads=2) in WORKER_MODES

@@ -80,9 +80,7 @@ class TestSkewedSelection:
         # when the problem's aspect ratio calls for it.
         from repro.core.selection import _model_config
 
-        algo, levels, variant, engine, threads, backend, workers = _model_config(
-            1152, 384, 1152
-        )
+        algo, levels, variant, engine = _model_config(1152, 384, 1152)
         assert algo != "classical"
         assert any(tuple(s) != (2, 2, 2) for s in algo), algo
 

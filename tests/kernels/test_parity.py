@@ -1,9 +1,11 @@
-"""Backend parity: every registered backend against the interpreter.
+"""Leaf parity: the reference backend against the interpreter and the oracle.
 
-The reference backend *is* the interpreter, so its parity check is
-bitwise.  Compiling backends legally reassociate sums (operand combos
-run as dense GEMMs instead of per-term gathers), so they get a
-dtype-appropriate tolerance instead.
+The reference backend *is* the interpreter, so an explicit
+``backend="reference"`` run is bitwise equal to the default run, and both
+agree with the float64 classical product to a dtype-appropriate
+tolerance.  The schedule matrix covers square, rectangular and mixed
+per-level schedules, a fringe-peeling shape and a non-unit-C-coefficient
+algorithm, under both lowerings, every variant and both dtypes.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.core import compile as plancache
 from repro.core.runtime import execute_plan, last_report
 
@@ -42,11 +43,13 @@ def _operands(shape, dtype, batch=None, seed=7):
     return A, B, C
 
 
-def _run(backend, shape, spec, levels, variant, fusion, dtype, threads=1):
+def _run(backend, shape, spec, levels, variant, fusion, dtype, threads=1,
+         batch=None):
     cplan = plancache.compile(shape, spec, levels, variant,
                               dtype=dtype, fusion=fusion)
-    A, B, C = _operands(shape, dtype)
-    execute_plan(cplan, A, B, C, threads=threads, backend=backend)
+    A, B, C = _operands(shape, dtype, batch=batch)
+    kw = {} if backend is None else {"backend": backend}
+    execute_plan(cplan, A, B, C, threads=threads, **kw)
     return C, last_report()
 
 
@@ -54,6 +57,11 @@ def _tolerance(dtype, shape):
     # Scaled for the k-sized dot products both pipelines accumulate.
     eps = np.finfo(dtype).eps
     return 50.0 * eps * shape[1]
+
+
+def _oracle(shape, dtype):
+    A, B, _ = _operands(shape, dtype)
+    return A.astype(np.float64) @ B.astype(np.float64)
 
 
 class TestParityMatrix:
@@ -64,81 +72,92 @@ class TestParityMatrix:
                              SCHEDULES, ids=[s[0] for s in SCHEDULES])
     def test_backends_match_interpreter(self, label, shape, spec, levels,
                                         variant, fusion, dtype):
-        base, base_rep = _run("reference", shape, spec, levels,
+        base, base_rep = _run(None, shape, spec, levels,
                               variant, fusion, dtype)
-        assert base_rep.backend_path == "interpreted"
-        for b in kernels.available_backends():
-            got, rep = _run(b.name, shape, spec, levels, variant,
-                            fusion, dtype)
-            assert rep.backend == b.name
-            if b.name == "reference":
-                np.testing.assert_array_equal(got, base)
-            else:
-                scale = max(1.0, float(np.abs(base).max()))
-                err = float(np.abs(got - base).max()) / scale
-                assert err <= _tolerance(dtype, shape), (
-                    f"{b.name} diverged on {label}/{variant}/{fusion}: {err}"
-                )
+        assert base_rep.backend == "reference"
+        got, rep = _run("reference", shape, spec, levels, variant,
+                        fusion, dtype)
+        assert rep.backend == "reference"
+        assert rep.fusion == fusion
+        np.testing.assert_array_equal(got, base)
+        assert got.dtype == dtype
+        exact = _oracle(shape, dtype)
+        scale = max(1.0, float(np.abs(exact).max()))
+        err = float(np.abs(got - exact).max()) / scale
+        assert err <= _tolerance(dtype, shape), (
+            f"reference diverged on {label}/{variant}/{fusion}: {err}"
+        )
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+    @pytest.mark.parametrize("fusion", FUSIONS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("label,shape,spec,levels",
+                             SCHEDULES, ids=[s[0] for s in SCHEDULES])
+    def test_batched_matches_per_slice(self, label, shape, spec, levels,
+                                       variant, fusion, dtype):
+        # A batched stack runs every slice on the same task schedule, so
+        # it equals the slice-by-slice run to rounding.
+        got, rep = _run("reference", shape, spec, levels, variant, fusion,
+                        dtype, batch=3)
+        assert rep.backend == "reference"
+        assert got.shape == (3, shape[0], shape[2])
+        A, B, _ = _operands(shape, dtype, batch=3)
+        cplan = plancache.compile(shape, spec, levels, variant,
+                                  dtype=dtype, fusion=fusion)
+        scale = max(1.0, float(np.abs(got).max()))
+        for i in range(3):
+            Ci = np.zeros((shape[0], shape[2]), dtype=dtype)
+            execute_plan(cplan, A[i], B[i], Ci)
+            err = float(np.abs(got[i] - Ci).max()) / scale
+            assert err <= _tolerance(dtype, shape), (
+                f"slice {i} diverged on {label}/{variant}/{fusion}: {err}"
+            )
 
     def test_exactness_vs_matmul(self):
-        # The compiled kernel is not just self-consistent — it is right.
-        for b in kernels.available_backends():
-            C, _ = _run(b.name, (96, 96, 96), "strassen", 2,
-                        "abc", "fused", np.float64)
-            A, B, _ = _operands((96, 96, 96), np.float64)
-            np.testing.assert_allclose(C, A @ B, atol=1e-10)
+        # The interpreter is not just self-consistent — it is right.
+        C, _ = _run("reference", (96, 96, 96), "strassen", 2,
+                    "abc", "fused", np.float64)
+        A, B, _ = _operands((96, 96, 96), np.float64)
+        np.testing.assert_allclose(C, A @ B, atol=1e-10)
 
 
-class TestDelegation:
-    """Call shapes compiling backends hand back to the interpreter."""
+class TestOperandLayouts:
+    """Call shapes the interpreter serves directly."""
 
-    def test_threads_served_and_stay_reproducible(self):
-        # Thread-pooled calls no longer delegate: the backend emits a
-        # phase-parallel kernel for them (deterministic slot order, so
-        # threaded reruns stay bitwise equal).
+    def test_threads_stay_reproducible(self):
+        # The thread pool partitions phases statically, so threaded
+        # reruns stay bitwise equal.
         shape = (96, 96, 96)
         runs = []
         for _ in range(2):
-            C, rep = _run("specialized", shape, "strassen", 2,
+            C, rep = _run("reference", shape, "strassen", 2,
                           "abc", "fused", np.float64, threads=2)
-            assert rep.backend == "specialized"
-            assert rep.backend_path == "compiled-parallel"
+            assert rep.backend == "reference"
+            assert rep.worker_mode == "threads"
             runs.append(C)
         np.testing.assert_array_equal(runs[0], runs[1])
 
-    def test_process_runtime_delegates(self):
-        from repro.core.procpool import shutdown_process_pools
-
-        cplan = plancache.compile((96, 96, 96), "strassen", 1, "abc",
-                                  dtype=np.float64)
-        A, B, C = _operands((96, 96, 96), np.float64)
-        try:
-            execute_plan(cplan, A, B, C, backend="specialized",
-                         threads=2, workers="processes")
-        finally:
-            shutdown_process_pools()
-        rep = last_report()
-        assert rep.backend_path == "interpreted"
-        np.testing.assert_allclose(C, A @ B, atol=1e-10)
-
-    def test_noncontiguous_operand_delegates(self):
+    def test_noncontiguous_operand(self):
         cplan = plancache.compile((64, 64, 64), "strassen", 1, "abc",
                                   dtype=np.float64)
         A_big, B, C = _operands((64, 128, 64), np.float64)
         A = A_big[:, ::2]  # non-contiguous view
-        execute_plan(cplan, A, B[:64], C, backend="specialized")
-        rep = last_report()
-        assert rep.backend_path == "interpreted"
+        execute_plan(cplan, A, B[:64], C, backend="reference")
         np.testing.assert_allclose(C, A @ B[:64], atol=1e-10)
 
-    def test_dtype_mismatch_delegates(self):
-        # float32 plan executed with float64 operands: the compiled
-        # kernel's preallocated buffers cannot serve it.
-        cplan = plancache.compile((64, 64, 64), "strassen", 1, "abc",
+    def test_dtype_mismatch_computes_in_plan_dtype(self):
+        # A float32 plan executed with float64 operands computes in the
+        # plan dtype and accumulates into the float64 C.
+        shape = (64, 64, 64)
+        cplan = plancache.compile(shape, "strassen", 1, "abc",
                                   dtype=np.float32)
-        A, B, C = _operands((64, 64, 64), np.float64)
-        execute_plan(cplan, A, B, C, backend="specialized")
-        assert last_report().backend_path == "interpreted"
+        A, B, C = _operands(shape, np.float64)
+        execute_plan(cplan, A, B, C, backend="reference")
+        assert last_report().backend == "reference"
+        assert C.dtype == np.float64
+        exact = A @ B
+        err = float(np.abs(C - exact).max()) / float(np.abs(exact).max())
+        assert err <= _tolerance(np.float32, shape)
 
 
 class TestFloat32Scratch:

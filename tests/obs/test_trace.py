@@ -78,18 +78,6 @@ def test_clear_and_drain():
     assert trace.spans() == []  # drain is atomic take-and-clear
 
 
-def test_ingest_merges_foreign_records():
-    trace.enable()
-    trace.instant("local", "t")
-    foreign = trace.SpanRecord(
-        name="remote", cat="worker", start_ns=0, dur_ns=5,
-        pid=99999, tid=1, span_id=1, parent_id=0, args={},
-    )
-    assert trace.ingest([foreign]) == 1
-    names = {r.name for r in trace.spans()}
-    assert names == {"local", "remote"}
-
-
 def test_span_ids_unique_across_threads():
     trace.enable(capacity=512)
     # Span ids are per-thread counters; (tid, span_id) is unique only
@@ -149,26 +137,3 @@ def test_runtime_phases_traced_end_to_end():
     exec_rec = next(r for r in trace.spans() if r.name == "execute_plan")
     assert exec_rec.args["shape"] == "64x64x64"
     assert exec_rec.args["peak_bytes"] > 0
-
-
-def test_process_worker_spans_merged():
-    """Worker task spans ship back and land in the parent timeline."""
-    from repro.core.executor import multiply
-
-    rng = np.random.default_rng(1)
-    n = 128
-    A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
-    trace.enable()
-    C = multiply(A, B, algorithm="strassen", levels=1,
-                 workers="processes", procs=2)
-    assert np.allclose(C, A @ B)
-    recs = trace.spans()
-    pids = {r.pid for r in recs}
-    assert len(pids) >= 2, "expected spans from parent and worker pids"
-    worker_recs = [r for r in recs if r.pid != os.getpid()]
-    assert worker_recs
-    assert all(r.name.startswith("task:") for r in worker_recs)
-    assert {r.cat for r in worker_recs} == {"worker"}
-    # The parent still recorded the coordinating phase + ipc spans.
-    names = {r.name for r in recs if r.pid == os.getpid()}
-    assert "ipc.stage_in" in names and "ipc.copy_out" in names

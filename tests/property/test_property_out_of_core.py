@@ -5,8 +5,7 @@ The tiled lowering's reproducibility contract:
 * ``fusion="tiled"`` with ``np.memmap``-backed operands is **bitwise**
   identical to the in-core in-RAM result of the same lowering *and* to
   the fused pipeline at the same worker count — across schedules,
-  variants, strip heights, and both worker modes (threads and
-  processes).
+  variants, strip heights, and serial and threaded execution.
 * The measured peak RAM workspace never exceeds the priced tile window
   (``predict_tile_window_bytes``), and the report carries the spill
   accounting (``io_bytes``/``n_tiles``/``tile_window_bytes``).
@@ -31,7 +30,6 @@ import pytest
 
 from repro.core import spec, tiles
 from repro.core.executor import multiply
-from repro.core.procpool import shutdown_process_pools
 from repro.core.runtime import last_report
 from repro.core.workspace import arena_clear, arena_stats
 
@@ -46,13 +44,7 @@ SCHEDULES = [
     ("<3,3,3>", 1, (81, 81, 81)),
 ]
 VARIANTS = ["ab", "abc"]
-WORKERS = [("threads", 1), ("threads", 2), ("processes", 2)]
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _clean_pools():
-    yield
-    shutdown_process_pools()
+WORKERS = [("threads", 1), ("threads", 2)]
 
 
 @pytest.fixture(autouse=True)
@@ -78,7 +70,7 @@ class TestMemmapBitwise:
     def test_memmap_equals_incore_fused(self, tmp_path, rng, algorithm,
                                         levels, mkn, variant, workers,
                                         nworkers):
-        """Tiled x memmap == in-RAM tiled == fused, at every worker mode."""
+        """Tiled x memmap == in-RAM tiled == fused, at every worker count."""
         m, k, n = mkn
         Am, Bm = _memmap_operands(tmp_path, rng, m, k, n)
         A, B = np.array(Am), np.array(Bm)
@@ -94,14 +86,7 @@ class TestMemmapBitwise:
         assert rep.fusion == "tiled"
         assert rep.n_tiles > 0
         assert rep.io_bytes > 0
-        if workers == "threads":
-            assert 0 < rep.peak_workspace_bytes <= rep.tile_window_bytes
-        else:
-            # The process runtime stages the spilled slabs in shared
-            # memory (documented limitation: the strip window is
-            # bounded, the slabs stay shm-resident), so its peak
-            # reflects the segment, not the RAM window.
-            assert rep.tile_window_bytes > 0
+        assert 0 < rep.peak_workspace_bytes <= rep.tile_window_bytes
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_auto_budget_goes_tiled(self, tmp_path, rng, dtype):

@@ -53,7 +53,7 @@ class TestFirstMiss:
         assert recorded is not None and recorded.name.startswith("tuned-")
         multiply(A, B, engine="auto")
         # Later misses price with the recorded machine, not a new probe.
-        assert selection.auto_config(300, 200, 100) == (
+        assert selection.auto_config(300, 200, 100)[:4] == (
             selection._model_config(300, 200, 100, recorded, 2))
         assert len(probes) == 1
         # A fresh store on the same path reads the record from disk.

@@ -51,31 +51,6 @@ class TestReadonlyHotPath:
             "enumerate_candidates": 0, "predict_fmm": 0, "predict_gemm": 0,
         }
 
-    def test_wisdom_hit_dispatches_process_runtime(self, default_wisdom,
-                                                   model_counters):
-        # A stored worker mode round-trips through auto-dispatch: the hit
-        # runs on the process runtime with zero model calls.
-        from repro.core.procpool import shutdown_process_pools
-        from repro.core.runtime import last_report
-
-        default_wisdom.record(
-            80, 80, 80,
-            config={"algorithm": [[2, 2, 2]], "levels": 1, "variant": "abc",
-                    "engine": "direct", "threads": 2, "workers": "processes"},
-            gflops=10.0, time_s=1e-3, samples=3,
-        )
-        rng = np.random.default_rng(0)
-        A, B = rng.standard_normal((80, 80)), rng.standard_normal((80, 80))
-        try:
-            C = multiply(A, B, engine="auto", tune="readonly")
-        finally:
-            shutdown_process_pools()
-        assert np.allclose(C, A @ B)
-        assert last_report().worker_mode == "processes"
-        assert model_counters == {
-            "enumerate_candidates": 0, "predict_fmm": 0, "predict_gemm": 0,
-        }
-
     def test_wisdom_miss_falls_back_to_model(self, default_wisdom,
                                              model_counters):
         rng = np.random.default_rng(0)

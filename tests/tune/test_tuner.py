@@ -26,12 +26,8 @@ class TestTuneProblem:
     def test_measures_model_top_plus_classical(self, store):
         rep = tune_problem(64, 64, 64, store=store, top=2, budget_s=1.0,
                            measure_config=FAST)
-        # top-2 + GEMM baseline + one duplicate of the rank-1
-        # finalist per available non-reference backend
-        backends = [ms.backend for ms in rep.measurements]
-        assert backends.count("reference") == 3
-        assert "specialized" in backends
-        assert len(rep.measurements) >= 4
+        # top-2 + GEMM baseline
+        assert len(rep.measurements) == 3
         labels = {m.label for m in rep.measurements}
         assert any("classical" in lab for lab in labels)
 
@@ -72,10 +68,8 @@ class TestTuneProblem:
     def test_config_is_auto_config_shaped(self, store):
         rep = tune_problem(64, 64, 64, store=store, budget_s=1.0,
                            measure_config=FAST)
-        algo, levels, variant, engine, threads, backend, workers = rep.config
-        assert engine == "direct" and threads >= 1
-        assert backend in ("reference", "specialized", "numba")
-        assert workers in ("threads", "processes")
+        algo, levels, variant, engine, threads = rep.config
+        assert engine == "direct" and threads == 1
         assert variant in ("naive", "ab", "abc")
         assert algo == "classical" or isinstance(algo, tuple)
 
@@ -119,4 +113,4 @@ class TestMachineBackfit:
         mp = default_wisdom.machine_params()
         _model_config.cache_clear()
         cfg = auto_config(200, 200, 200, tune="readonly")
-        assert cfg == _model_config(200, 200, 200, mp, 2)
+        assert cfg[:4] == _model_config(200, 200, 200, mp, 2)

@@ -72,8 +72,7 @@ class TestRoundTrip:
         store.record(96, 96, 96, config=sample_config(2), gflops=5.0,
                      time_s=1e-3, samples=9)
         assert store.lookup_tuple(96, 96, 96) == (
-            ((2, 2, 2), (2, 2, 2)), 2, "abc", "direct", 1, "reference",
-            "threads",
+            ((2, 2, 2), (2, 2, 2)), 2, "abc", "direct", 1,
         )
 
     def test_survives_process_restart(self, store, sample_config):
@@ -92,7 +91,7 @@ class TestRoundTrip:
         cfg = dict(sample_config(), algorithm="classical")
         store.record(8, 8, 8, config=cfg, gflops=1.0, time_s=1e-3, samples=3)
         assert store.lookup_tuple(8, 8, 8) == (
-            "classical", 1, "abc", "direct", 1, "reference", "threads"
+            "classical", 1, "abc", "direct", 1
         )
 
     def test_file_is_versioned_json(self, store, sample_config):
@@ -106,30 +105,6 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             store.record(96, 96, 96, config={"algorithm": "nonsense"},
                          gflops=1.0, time_s=1e-3, samples=1)
-
-    def test_worker_mode_round_trips(self, store, sample_config):
-        from repro.tune.wisdom import config_tuple
-
-        cfg = {**sample_config(), "threads": 2, "workers": "processes"}
-        store.record(96, 96, 96, config=cfg, gflops=5.0, time_s=1e-3,
-                     samples=3)
-        hit = WisdomStore(store.path).lookup(96, 96, 96)
-        assert hit["workers"] == "processes"
-        assert config_tuple(hit)[6] == "processes"
-
-    def test_workers_defaults_to_threads(self, store, sample_config):
-        from repro.tune.wisdom import config_tuple
-
-        cfg = sample_config()  # pre-worker-mode configs carry no key
-        store.record(96, 96, 96, config=cfg, gflops=5.0, time_s=1e-3,
-                     samples=3)
-        assert config_tuple(store.lookup(96, 96, 96))[6] == "threads"
-
-    def test_invalid_worker_mode_rejected(self, store, sample_config):
-        cfg = {**sample_config(), "workers": "fibers"}
-        with pytest.raises(ValueError, match="workers"):
-            store.record(96, 96, 96, config=cfg, gflops=5.0, time_s=1e-3,
-                         samples=1)
 
     def test_machine_params_round_trip(self, store):
         from repro.model.machines import generic_laptop
@@ -163,6 +138,25 @@ class TestCorruptionRecovery:
         path.write_text(json.dumps({"version": 999, "entries": {}}))
         s = WisdomStore(path)
         assert s.recovered_corrupt and len(s) == 0
+
+    def test_version_1_file_is_set_aside(self, tmp_path, sample_config):
+        # Version 1 configs carried backend/workers fields; version 2
+        # dropped them and reads old files as unsupported, not upgraded.
+        assert SCHEMA_VERSION == 2
+        path = tmp_path / "wisdom.json"
+        cfg = {**sample_config(), "backend": "specialized",
+               "workers": "processes"}
+        path.write_text(json.dumps({
+            "version": 1,
+            "fingerprint": machine_fingerprint(),
+            "entries": {"b": {"config": cfg, "problem": [96, 96, 96],
+                              "gflops": 5.0, "time_s": 1e-3, "samples": 3,
+                              "dtype": "float64"}},
+        }))
+        s = WisdomStore(path)
+        assert s.recovered_corrupt and len(s) == 0
+        assert path.with_suffix(".json.corrupt").exists()
+        assert s.lookup(96, 96, 96) is None
 
     def test_malformed_entry_config(self, tmp_path):
         path = tmp_path / "wisdom.json"

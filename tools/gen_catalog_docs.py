@@ -42,16 +42,6 @@ ARCH_PATH = REPO / "docs" / "architecture.md"
 FUSION_BEGIN = "<!-- fusion-modes:begin (generated by tools/gen_catalog_docs.py) -->"
 FUSION_END = "<!-- fusion-modes:end -->"
 
-BACKENDS_BEGIN = (
-    "<!-- kernel-backends:begin (generated by tools/gen_catalog_docs.py) -->"
-)
-BACKENDS_END = "<!-- kernel-backends:end -->"
-
-PROCESS_BEGIN = (
-    "<!-- process-runtime:begin (generated by tools/gen_catalog_docs.py) -->"
-)
-PROCESS_END = "<!-- process-runtime:end -->"
-
 OOC_BEGIN = (
     "<!-- out-of-core:begin (generated by tools/gen_catalog_docs.py) -->"
 )
@@ -314,125 +304,14 @@ def render_ooc_section() -> str:
         "",
         "The execution report carries the spill accounting — `n_tiles`,",
         "`io_bytes` (bytes moved between the RAM window and spilled",
-        "storage, identical across worker modes) and",
+        "storage, identical across worker counts) and",
         "`tile_window_bytes`; `repro stats` aggregates them and the",
         "serve admission controller prices tiled jobs at the *window*,",
-        "not the slab.  Under the process runtime the strip window is",
-        "bounded the same way, but the spilled slabs live in the shared",
-        "segment (shm-resident — a documented limitation), so its peak",
-        "reflects the segment.  `benchmarks/bench_out_of_core.py`",
+        "not the slab.  `benchmarks/bench_out_of_core.py`",
         "regression-tracks tiled-vs-staged peak RAM and the wall-clock",
         "bound at in-RAM sizes.",
         "",
         OOC_END,
-    ]
-    return "\n".join(lines)
-
-
-def render_backends_section() -> str:
-    """The generated Kernel backends block of ``docs/architecture.md``.
-
-    Rows come from the live registry (:func:`repro.kernels.backend_infos`)
-    and the model's per-call overhead constants — only host-independent
-    fields (name, dependency, summary), never this machine's
-    availability, so ``--check`` is deterministic across hosts.
-    """
-    from repro.kernels import backend_infos
-    from repro.model.perfmodel import BACKEND_CALL_OVERHEAD
-
-    lines = [
-        BACKENDS_BEGIN,
-        "",
-        "Registered leaf-kernel backends (`repro.kernels`), in the",
-        "registry's reference-first order.  *Modeled overhead* is the",
-        "performance model's per-call dispatch constant",
-        "(`perfmodel.BACKEND_CALL_OVERHEAD`), the number `engine=\"auto\"`",
-        "prices when no wisdom entry settles the choice empirically:",
-        "",
-        "| backend | needs | modeled overhead | what it runs |",
-        "|---------|-------|-----------------:|--------------|",
-    ]
-    for info in backend_infos():
-        needs = f"`{info.requires}`" if info.requires else "—"
-        over = BACKEND_CALL_OVERHEAD[info.name] * 1e6
-        lines.append(
-            f"| `{info.name}` | {needs} | {over:.0f} µs | {info.summary} |"
-        )
-    lines += [
-        "",
-        BACKENDS_END,
-    ]
-    return "\n".join(lines)
-
-
-def render_process_section() -> str:
-    """The generated Process runtime block of ``docs/architecture.md``.
-
-    Content is drawn from the live modules — the validated worker modes
-    (:mod:`repro.core.spec`), the shm naming prefix
-    (:mod:`repro.core.workspace`) and the model's worker-pricing
-    constants (:mod:`repro.model.perfmodel`) — but only host-independent
-    constants, never this machine's core count or start method, so
-    ``--check`` is deterministic across hosts.
-    """
-    from repro.core.spec import WORKER_MODES
-    from repro.core.workspace import SHM_PREFIX
-    from repro.model.perfmodel import (
-        PROCESS_ATTACH_OVERHEAD,
-        PROCESS_TASK_OVERHEAD,
-        SHM_COPY_BANDWIDTH,
-        THREAD_GIL_FRACTION,
-    )
-
-    modes = " / ".join(f'`"{m}"`' for m in sorted(WORKER_MODES))
-    lines = [
-        PROCESS_BEGIN,
-        "",
-        f"`multiply(..., workers=...)` selects the worker mode ({modes});",
-        "`procs=N` is shorthand for `workers=\"processes\", threads=N`.",
-        "The process runtime executes the same task DAG as the thread",
-        "pool, GIL-free, on a persistent pool of worker processes",
-        "(`core/procpool.py`):",
-        "",
-        "- the parent packs the core operand slabs and C accumulator into",
-        f"  one POSIX shared-memory segment (`/dev/shm/{SHM_PREFIX}_*`),",
-        "  recycled across calls by the shared arena in",
-        "  `core/workspace.py` and unlinked at interpreter exit;",
-        "- tasks ship as `(kind, lo, hi, slot)` descriptors over pipes —",
-        "  workers re-derive their views from the broadcast `CompiledPlan`",
-        "  (FIFO-cached per worker) plus the segment layout, so no array",
-        "  bytes ever cross the pipes;",
-        "- the reduce phase folds slot accumulators in ascending slot",
-        "  order — the thread pipeline's exact semantics — so processes",
-        "  are bitwise-identical to threads at the same worker count.",
-        "",
-        "Start method follows `multiprocessing`'s platform default and can",
-        "be pinned with `REPRO_START_METHOD=fork|spawn|forkserver`.",
-        "Compiled leaf kernels are process-local, so the process runtime",
-        "always interprets (`backend_path=\"interpreted\"`); the execution",
-        "report records `worker_mode`, `n_workers` and `ipc_bytes` (bytes",
-        "copied through shared memory).",
-        "",
-        "`engine=\"auto\"` prices the mode choice (`pick_workers`) from",
-        "four model constants:",
-        "",
-        "| constant | value | meaning |",
-        "|----------|------:|---------|",
-        f"| `THREAD_GIL_FRACTION` | {THREAD_GIL_FRACTION} "
-        "| serialized fraction of pooled interpreter work under the GIL "
-        "(Amdahl cap on thread scaling) |",
-        f"| `PROCESS_ATTACH_OVERHEAD` | {PROCESS_ATTACH_OVERHEAD:.0e} s "
-        "| per-worker segment attach + bind barrier |",
-        f"| `PROCESS_TASK_OVERHEAD` | {PROCESS_TASK_OVERHEAD:.0e} s "
-        "| per-task descriptor send/ack |",
-        f"| `SHM_COPY_BANDWIDTH` | {SHM_COPY_BANDWIDTH:.0e} B/s "
-        "| copy-in/copy-out bandwidth for `predict_ipc_bytes` traffic |",
-        "",
-        "`benchmarks/bench_process_runtime.py` regression-tracks the",
-        "measured thread-vs-process ratio against this model and carries",
-        "the >= 1.5x multicore acceptance bar.",
-        "",
-        PROCESS_END,
     ]
     return "\n".join(lines)
 
@@ -459,21 +338,19 @@ def render_obs_section() -> str:
         "",
         "- **Span tracing** (`repro.obs.trace`) — `perf_counter_ns` spans",
         "  over plan compilation, every runtime phase, arena traffic and",
-        "  kernel dispatch, kept in a preallocated ring (default",
-        f"  {TRACE_CAPACITY} records).  Worker processes ship their task",
-        "  spans back with each phase ack, so one timeline covers every",
-        "  pid.  `repro trace run ... -o trace.json` exports Chrome",
-        "  trace-event JSON (chrome://tracing, Perfetto).  Disabled, a",
-        "  span is one flag check + a shared no-op context manager —",
-        "  `benchmarks/bench_observability.py` gates the overhead under",
-        "  2% of a hot cached multiply.",
+        "  the BLAS route, kept in a preallocated ring (default",
+        f"  {TRACE_CAPACITY} records).  `repro trace run ... -o trace.json`",
+        "  exports Chrome trace-event JSON (chrome://tracing, Perfetto).",
+        "  Disabled, a span is one flag check + a shared no-op context",
+        "  manager — `benchmarks/bench_observability.py` gates the",
+        "  overhead under 2% of a hot cached multiply.",
         "- **Metrics registry** (`repro.obs.metrics`) — one process-wide",
         "  namespace of counters, live-callback gauges and histograms;",
         "  `repro stats [--json]` prints a snapshot.",
         "- **Report history** (`repro.obs.reports`) — every",
         "  `ExecutionReport` lands in a bounded ring (default",
         f"  {REPORT_CAPACITY}) aggregated per plan key (p50/p95 latency,",
-        "  workspace high-water, backend/worker-mode breakdowns);",
+        "  workspace high-water, worker-mode breakdowns);",
         "  `seed_wisdom_from_observations` turns it into autotuning",
         "  wisdom.",
         "",
@@ -523,8 +400,8 @@ def render_serve_section() -> str:
         "immediately and a dedicated scheduler thread coalesces",
         "same-plan requests into one batched `execute_plan` call — the",
         "compiled-plan cache key (shape, schedule, variant, dtype,",
-        "resolved fusion) extended with the execution knobs (threads,",
-        "backend, worker mode) is the coalescing key, so only jobs that",
+        "resolved fusion) extended with the thread count is the",
+        "coalescing key, so only jobs that",
         "would compile and run identically ever share a batch, and a",
         "`float32` request can never come back upcast.  The batched",
         "lowering is bitwise-equal to the per-request 2-D path, so",
@@ -577,8 +454,6 @@ def render_architecture(on_disk: str) -> str:
     sections = [
         (FUSION_BEGIN, FUSION_END, render_fusion_section),
         (OOC_BEGIN, OOC_END, render_ooc_section),
-        (BACKENDS_BEGIN, BACKENDS_END, render_backends_section),
-        (PROCESS_BEGIN, PROCESS_END, render_process_section),
         (OBS_BEGIN, OBS_END, render_obs_section),
         (SERVE_BEGIN, SERVE_END, render_serve_section),
     ]

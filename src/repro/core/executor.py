@@ -5,10 +5,12 @@ Every FMM multiply flows through one compiled artifact: the
 :func:`repro.core.compile.compile`.  The classical ``<1,1,1>`` schedule
 on the direct engine is the exception: it has nothing to fuse or stage,
 so :func:`multiply` / :func:`multiply_batched` run it as one BLAS call
-(:func:`repro.core.runtime.execute_blas`) before any plan is compiled,
+(:func:`repro.core.runtime.run_blas`) before any plan is compiled,
 and :class:`DirectEngine` does the same with a classical plan it is
-handed.  Since the task-graph refactor the
-engines are thin *clients of the runtime*
+handed.  Under ``engine="auto"`` both entry points resolve each call
+signature once and memoize the route (:func:`_resolve`), so a repeat
+classical call is one dict probe plus that BLAS call.  Since the
+task-graph refactor the engines are thin *clients of the runtime*
 (:mod:`repro.core.runtime`) — they re-derive nothing per call and own no
 execution loop of their own:
 
@@ -36,6 +38,10 @@ for non-divisible sizes (paper §4.1) and per-level hybrid algorithms
 
 from __future__ import annotations
 
+import os
+import threading
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.blis.counters import OpCounters
@@ -47,8 +53,11 @@ from repro.core.compile import SUPPORTED_DTYPES, CompiledPlan
 from repro.core.kronecker import MultiLevelFMM
 from repro.core.runtime import check_exec_shapes as _check_exec_shapes
 from repro.core.spec import (
+    MEM_BUDGET_ENV,
     check_backend_workers,
     classical_depth,
+    decision_generation,
+    dtype_name,
     normalize_fusion,
     normalize_threads,
     normalize_tune,
@@ -348,7 +357,7 @@ def _blas_ok(dt: np.dtype, C, fusion: str) -> bool:
 
 def _blas_depth(engine, algorithm, levels, variant, fusion, dt, C, shape) -> int:
     """Depth of the classical schedule when a resolved configuration runs
-    as one BLAS call (:func:`repro.core.runtime.execute_blas`) instead of
+    as one BLAS call (:func:`repro.core.runtime.run_blas`) instead of
     compiling a plan, else 0."""
     depth = classical_depth(algorithm, levels) if engine == "direct" else 0
     if not depth or fusion == "tiled":
@@ -362,6 +371,167 @@ def _blas_depth(engine, algorithm, levels, variant, fusion, dt, C, shape) -> int
     # partition, so this resolves exactly as compile() would.
     fusion = resolve_fusion(fusion, variant, 0, (m * k + k * n) * dt.itemsize)
     return depth if _blas_ok(dt, C, fusion) else 0
+
+
+#: Most ``engine="auto"`` call signatures the route memo holds; past it
+#: the oldest entry is dropped first.
+_ROUTE_MEMO_SIZE = 1024
+
+_routes: dict = {}
+_routes_lock = threading.Lock()
+
+
+class _Route(NamedTuple):
+    """How one call runs, as :func:`_resolve` decided it."""
+
+    generation: int      # decision_generation() before the decision
+    dt: np.dtype         # compute dtype
+    shape: tuple         # (m, k, n)
+    batch: int           # stack count, 1 for 2-D
+    config: tuple        # resolved (algorithm, levels, variant, engine)
+    threads: int
+    depth: int           # classical depth on the BLAS route, else 0
+    cast: bool           # whether an operand's dtype differs from dt
+    report: dict | None  # the BLAS route's constant report fields
+
+
+def _route_key(batched, A, B, C, threads, dtype, tune, fusion):
+    """What an ``engine="auto"`` call's route depends on besides the
+    decision generation, or None for a ``C`` that is not an array.
+
+    A caller's ``C`` adds its shape, its dtype and the raw
+    ``REPRO_MEM_BUDGET`` value: past the budget it keeps the tiled
+    lowering, and the variable is read live.
+    """
+    if C is None:
+        c_sig = None
+    elif isinstance(C, np.ndarray):
+        c_sig = (C.shape, C.dtype, os.environ.get(MEM_BUDGET_ENV))
+    else:
+        return None
+    return (batched, A.shape, A.dtype, B.shape, B.dtype, c_sig,
+            threads, dtype, tune, fusion)
+
+
+def _memo_get(key) -> _Route | None:
+    """The memoized route under ``key``, if resolved in this generation."""
+    if key is None:
+        return None
+    try:
+        route = _routes.get(key)
+    except TypeError:  # an unhashable dtype request resolves per call
+        return None
+    if route is None or route.generation != decision_generation():
+        return None
+    return route
+
+
+def _remember(key, route: _Route) -> None:
+    with _routes_lock:
+        _routes[key] = route
+        while len(_routes) > _ROUTE_MEMO_SIZE:
+            del _routes[next(iter(_routes))]
+
+
+def _memo_blas_route(batched, A, B, C, threads, dtype, tune, fusion):
+    """The memoized BLAS route of an ``engine="auto"`` call whose
+    operands run as they are: exact ndarrays, C-contiguous, already in
+    the compute dtype.  None sends the call through :func:`_resolve`."""
+    if type(A) is not np.ndarray or type(B) is not np.ndarray:
+        return None
+    route = _memo_get(_route_key(batched, A, B, C, threads, dtype, tune,
+                                 fusion))
+    if (route is None or not route.depth or route.cast
+            or not (A.flags.c_contiguous and B.flags.c_contiguous)):
+        return None
+    return route
+
+
+def _check_operands(batched, A, B) -> tuple[int, int, int, int]:
+    """``(m, k, n, batch)`` of validated operands (batch 1 for 2-D)."""
+    if not batched:
+        if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+            raise ValueError(
+                f"incompatible operand shapes {A.shape} x {B.shape}")
+        return A.shape[0], A.shape[1], B.shape[1], 1
+    if A.ndim == 2 and B.ndim == 2:
+        raise ValueError("batched multiply needs a 3-D operand; use multiply()")
+    # A 2-D operand is shared across the stack.
+    a = A[None] if A.ndim == 2 else A
+    b = B[None] if B.ndim == 2 else B
+    if a.ndim != 3 or b.ndim != 3:
+        raise ValueError(
+            f"operands must be (batch, rows, cols) stacks, got {a.shape} x {b.shape}"
+        )
+    if a.shape[2] != b.shape[1]:
+        raise ValueError(f"incompatible operand shapes {a.shape} x {b.shape}")
+    batch = max(a.shape[0], b.shape[0])
+    if a.shape[0] not in (1, batch) or b.shape[0] not in (1, batch):
+        raise ValueError(
+            f"batch counts disagree: A has {a.shape[0]}, B has {b.shape[0]}"
+        )
+    return a.shape[1], a.shape[2], b.shape[2], batch
+
+
+def _resolve(batched, A, B, C, algorithm, levels, variant, engine, threads,
+             dtype, tune, fusion):
+    """Validate one call and decide how it runs: the front matter
+    :func:`multiply` and :func:`multiply_batched` share.
+
+    Returns ``(A, B, route)`` with ``A`` and ``B`` as plain arrays, not
+    yet cast.  Under ``engine="auto"`` the route is memoized per call
+    signature (:func:`_route_key`) and served while the decision
+    generation stands (:func:`repro.core.spec.invalidate_decisions`).  A
+    memo entry exists only for a signature whose checks all passed, so
+    a hit skips them.
+    """
+    A = np.asarray(A)
+    B = np.asarray(B)
+    m, k, n, batch = _check_operands(batched, A, B)
+    key = None
+    if engine == "auto":
+        key = _route_key(batched, A, B, C, threads, dtype, tune, fusion)
+        route = _memo_get(key)
+        if route is not None:
+            return A, B, route
+    generation = decision_generation()
+    dt = _compute_dtype(A, B, dtype=dtype)
+    _check_c_dtype(dt, C)
+    expected = (batch, m, n) if batched else (m, n)
+    if C is not None and C.shape != expected:
+        raise ValueError(f"C has shape {C.shape}, expected {expected}")
+    if engine == "auto":
+        from repro.core.selection import auto_config
+
+        algorithm, levels, variant, engine = auto_config(
+            m, k, n, dtype=dtype_name(dt), threads=threads, tune=tune
+        )[:4]
+    threads = threads or 1
+    depth = _blas_depth(engine, algorithm, levels, variant, fusion, dt, C,
+                        (m, k, n))
+    report = None
+    if depth:
+        report = runtime.blas_report_fields(
+            (m, k, n), batch, dt, normalize_variant(variant), threads, depth)
+    route = _Route(generation, dt, (m, k, n), batch,
+                   (algorithm, levels, variant, engine), threads, depth,
+                   A.dtype != dt or B.dtype != dt, report)
+    if key is not None:
+        _remember(key, route)
+    return A, B, route
+
+
+def _run_plan(A, B, C, route: _Route, fusion, params, mode) -> np.ndarray:
+    """Compile the resolved configuration and run it: ``C + A @ B``."""
+    m, k, n = route.shape
+    if C is None:
+        C = np.zeros(A.shape[:-2] + (m, n), dtype=route.dt)
+    algorithm, levels, variant, engine = route.config
+    cplan = plancache.compile(
+        (m, k, n), algorithm, levels, variant, dtype=route.dt, fusion=fusion
+    )
+    _dispatch(engine, cplan, A, B, C, params, route.threads, mode)
+    return C
 
 
 def multiply(
@@ -417,7 +587,12 @@ def multiply(
         arena or pool; ``threads`` and ``fusion`` are still validated,
         and ``last_report()`` shows ``core_path="blas"``.  An out-of-core
         lowering keeps the runtime path: ``fusion="tiled"``, or a
-        caller's ``C`` under ``"auto"`` past the memory budget.
+        caller's ``C`` under ``"auto"`` past the memory budget.  Auto
+        resolves each call signature (operand shapes and dtypes, ``C``'s
+        shape and dtype, the knobs) once per process and memoizes the
+        route until wisdom, the machine record, the tunables or the
+        default store change; a repeat classical call is then one
+        ``np.matmul`` and one report.
     params : BlockingParams, optional
         Cache/register blocking for the blocked engine.
     threads : int, optional
@@ -482,6 +657,18 @@ def multiply(
         operands, or a ``C`` that cannot hold the compute dtype — the
         last two before any work starts.
 
+    Notes
+    -----
+    Non-finite inputs are not checked, and FMM spreads them further
+    than ``A @ B``.  The BLAS route (classical) returns exactly
+    ``A @ B``'s NaN and signed-Inf entries.  An FMM schedule adds
+    blocks of an operand into operand sums, so one NaN in ``A``
+    reaches more outputs (on 64x64: 64 under ``A @ B``, 128 under
+    one Strassen level, 256 under two), and an Inf meets its own
+    negation in those sums and becomes NaN (128 NaN and no Inf under
+    one Strassen level, where ``A @ B`` gives 64 Infs).  Every output
+    ``A @ B`` makes non-finite is non-finite under FMM too.
+
     See Also
     --------
     multiply_batched : one compiled plan amortized over a stack.
@@ -508,37 +695,17 @@ def multiply(
     tune = normalize_tune(tune)
     fusion = normalize_fusion(fusion)
     check_backend_workers(backend, workers)
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise ValueError(f"incompatible operand shapes {A.shape} x {B.shape}")
-    dt = _compute_dtype(A, B, dtype=dtype)
-    _check_c_dtype(dt, C)
-    A = _contig_operand(A, dt, "A")
-    B = _contig_operand(B, dt, "B")
-    m, k = A.shape
-    n = B.shape[1]
     if engine == "auto":
-        from repro.core.selection import auto_config
-
-        algorithm, levels, variant, engine = auto_config(
-            m, k, n, dtype=dt.name, threads=threads, tune=tune
-        )[:4]
-    threads = threads or 1
-    depth = _blas_depth(engine, algorithm, levels, variant, fusion, dt, C,
-                        (m, k, n))
-    if depth:
-        return runtime.execute_blas(
-            A, B, C, dtype=dt, variant=normalize_variant(variant),
-            threads=threads, levels=depth,
-        )
-    if C is None:
-        C = np.zeros((m, n), dtype=dt)
-    cplan = plancache.compile(
-        (m, k, n), algorithm, levels, variant, dtype=dt, fusion=fusion
-    )
-    _dispatch(engine, cplan, A, B, C, params, threads, mode)
-    return C
+        route = _memo_blas_route(False, A, B, C, threads, dtype, tune, fusion)
+        if route is not None:
+            return runtime.run_blas(A, B, C, route.report)
+    A, B, route = _resolve(False, A, B, C, algorithm, levels, variant, engine,
+                           threads, dtype, tune, fusion)
+    A = _contig_operand(A, route.dt, "A")
+    B = _contig_operand(B, route.dt, "B")
+    if route.depth:
+        return runtime.run_blas(A, B, C, route.report)
+    return _run_plan(A, B, C, route, fusion, params, mode)
 
 
 def multiply_batched(
@@ -583,7 +750,8 @@ fusion, backend, workers
         same modes: the first model-path call per wisdom store measures
         the host and records it, ``"off"`` never touches the store).  A
         classical pick runs the stack as one batched BLAS call
-        (``np.matmul``) with no plan or arena.
+        (``np.matmul``) with no plan or arena, and a shared 2-D operand
+        is broadcast there rather than copied per matrix.
 
     Returns
     -------
@@ -612,53 +780,22 @@ fusion, backend, workers
     tune = normalize_tune(tune)
     fusion = normalize_fusion(fusion)
     check_backend_workers(backend, workers)
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.ndim == 2 and B.ndim == 2:
-        raise ValueError("batched multiply needs a 3-D operand; use multiply()")
-    if A.ndim == 2:
-        A = A[None]
-    if B.ndim == 2:
-        B = B[None]
-    if A.ndim != 3 or B.ndim != 3:
-        raise ValueError(
-            f"operands must be (batch, rows, cols) stacks, got {A.shape} x {B.shape}"
-        )
-    if A.shape[2] != B.shape[1]:
-        raise ValueError(f"incompatible operand shapes {A.shape} x {B.shape}")
-    batch = max(A.shape[0], B.shape[0])
-    if A.shape[0] not in (1, batch) or B.shape[0] not in (1, batch):
-        raise ValueError(
-            f"batch counts disagree: A has {A.shape[0]}, B has {B.shape[0]}"
-        )
-    dt = _compute_dtype(A, B, dtype=dtype)
-    _check_c_dtype(dt, C)
-    m, k, n = A.shape[1], A.shape[2], B.shape[2]
-    if C is not None and C.shape != (batch, m, n):
-        raise ValueError(f"C has shape {C.shape}, expected {(batch, m, n)}")
-    A = np.ascontiguousarray(np.broadcast_to(A, (batch, m, k)), dtype=dt)
-    B = np.ascontiguousarray(np.broadcast_to(B, (batch, k, n)), dtype=dt)
     if engine == "auto":
-        from repro.core.selection import auto_config
-
-        algorithm, levels, variant, engine = auto_config(
-            m, k, n, dtype=dt.name, threads=threads, tune=tune
-        )[:4]
-    threads = threads or 1
-    depth = _blas_depth(engine, algorithm, levels, variant, fusion, dt, C,
-                        (m, k, n))
-    if depth:
-        return runtime.execute_blas(
-            A, B, C, dtype=dt, variant=normalize_variant(variant),
-            threads=threads, levels=depth,
-        )
-    if C is None:
-        C = np.zeros((batch, m, n), dtype=dt)
-    cplan = plancache.compile(
-        (m, k, n), algorithm, levels, variant, dtype=dt, fusion=fusion
-    )
-    _dispatch(engine, cplan, A, B, C, params, threads, mode)
-    return C
+        route = _memo_blas_route(True, A, B, C, threads, dtype, tune, fusion)
+        if route is not None:
+            return runtime.run_blas(A, B, C, route.report)
+    A, B, route = _resolve(True, A, B, C, algorithm, levels, variant, engine,
+                           threads, dtype, tune, fusion)
+    dt = route.dt
+    if route.depth:
+        # np.matmul broadcasts a shared operand over the stack itself.
+        return runtime.run_blas(np.ascontiguousarray(A, dtype=dt),
+                                np.ascontiguousarray(B, dtype=dt), C,
+                                route.report)
+    m, k, n = route.shape
+    A = np.ascontiguousarray(np.broadcast_to(A, (route.batch, m, k)), dtype=dt)
+    B = np.ascontiguousarray(np.broadcast_to(B, (route.batch, k, n)), dtype=dt)
+    return _run_plan(A, B, C, route, fusion, params, mode)
 
 
 def _check_mult_shapes(A, B, C):

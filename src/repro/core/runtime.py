@@ -98,6 +98,7 @@ from repro.obs.logcfg import get_logger
 from repro.core.spec import (
     DEFAULT_FUSED_GROUP,
     check_backend_workers,
+    dtype_name,
     effective_fused_group,
     validate_resolved_fusion,
 )
@@ -117,6 +118,8 @@ __all__ = [
     "lower_plan",
     "execute_plan",
     "execute_blas",
+    "blas_report_fields",
+    "run_blas",
     "last_report",
     "get_pool",
     "pool_info",
@@ -873,7 +876,7 @@ def _tiled_io_stats(cplan, lead_elems, bm, bk, bn, n_slots, group,
 # ---------------------------------------------------------------------- #
 # Execution reports
 # ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
+@dataclass
 class ExecutionReport:
     """What one :func:`execute_plan` (or :func:`execute_blas`) call did.
 
@@ -883,6 +886,12 @@ class ExecutionReport:
     below.  It publishes like every other execution (thread-local
     :func:`last_report`, the report history, ``runtime.executions`` and
     the latency histogram).
+
+    Every execution builds one, so the class is a plain dataclass: a
+    frozen one sets each field through ``object.__setattr__``, about
+    5 µs per report against 1 µs.  A published report is shared (the
+    history, the service's job index, every job of a coalesced batch),
+    so treat it as read-only.
 
     Attributes
     ----------
@@ -1002,7 +1011,7 @@ def _publish_report(report: ExecutionReport) -> None:
     _report_tls.report = report
     # The bounded history (repro.obs.reports) is the canonical record;
     # the thread-local above stays as the "my last call" convenience.
-    obs_reports.record(report)
+    obs_reports.history.record(report)
     _m_executions.inc()
     if report.duration_s > 0.0:
         _m_latency.observe(report.duration_s)
@@ -1043,49 +1052,75 @@ def execute_blas(
     None, else accumulates ``C += A @ B`` in place, so a caller's ``C``
     must absorb ``dtype`` under ``same_kind`` casting (an integer ``C``
     belongs on :func:`execute_plan`'s dtype-preserving per-step path).
-    Operands (2-D or same-batch stacks) are cast to C-contiguous
-    ``dtype`` exactly like the runtime's gather, so the result is
-    bitwise-equal to interpreting the classical plan through
+    Operands (2-D, or stacks whose batch dims broadcast) are cast to
+    C-contiguous ``dtype`` exactly like the runtime's gather, so the
+    result is bitwise-equal to interpreting the classical plan through
     :func:`execute_plan`; there is simply no plan, task graph, arena or
     pool to pay for.  ``levels`` is the
     schedule's depth (``<1,1,1>`` at any depth is one product).  Emits
     one ``blas`` span and publishes an :class:`ExecutionReport` with
     ``core_path="blas"`` (see its docstring for the per-field contract).
     """
-    t_start = time.perf_counter()
     dtype = np.dtype(dtype)
     A = np.ascontiguousarray(A, dtype=dtype)
     B = np.ascontiguousarray(B, dtype=dtype)
     m, k = A.shape[-2:]
     n = B.shape[-1]
-    if C is not None and C.shape != A.shape[:-2] + (m, n):
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    if C is not None and C.shape != lead + (m, n):
         # In-place += would silently broadcast a mis-shaped C.
-        raise ValueError(
-            f"C has shape {C.shape}, expected {A.shape[:-2] + (m, n)}"
-        )
-    batch = int(math.prod(A.shape[:-2]))
-    with obs_trace.span("blas", "runtime", shape=f"{m}x{k}x{n}", batch=batch):
-        if C is None:
-            C = np.matmul(A, B)
-            peak = 0
-        else:
-            product = np.matmul(A, B)
-            C += product
-            peak = product.nbytes
+        raise ValueError(f"C has shape {C.shape}, expected {lead + (m, n)}")
+    return run_blas(A, B, C, blas_report_fields(
+        (m, k, n), math.prod(lead), dtype, variant, threads, levels))
+
+
+def blas_report_fields(shape, batch, dtype, variant, threads, levels) -> dict:
+    """The fields every BLAS-route report of one call signature shares:
+    everything but ``peak_workspace_bytes`` and ``duration_s``."""
+    return {
+        "shape": tuple(shape),
+        "batch": int(batch),
+        "variant": variant,
+        "fusion": "none",
+        "threads": threads,
+        "core_path": "blas",
+        "n_tasks": 0,
+        "schedule": f"classical@{levels}",
+        "dtype": dtype_name(dtype),
+    }
+
+
+def run_blas(A, B, C, report_fields: dict) -> np.ndarray:
+    """:func:`execute_blas` for operands already C-contiguous in the
+    compute dtype, with ``C`` (or ``None``) already shape-checked.
+
+    ``report_fields`` comes from :func:`blas_report_fields`; the
+    memoized ``engine="auto"`` route keeps it, so a repeat call costs
+    one ``np.matmul`` plus one report.
+    """
+    t_start = time.perf_counter()
+    if obs_trace.is_enabled():
+        m, k, n = report_fields["shape"]
+        with obs_trace.span("blas", "runtime", shape=f"{m}x{k}x{n}",
+                            batch=report_fields["batch"]):
+            C, peak = _matmul_into(A, B, C)
+    else:
+        C, peak = _matmul_into(A, B, C)
     _publish_report(ExecutionReport(
-        shape=(m, k, n),
-        batch=batch,
-        variant=variant,
-        fusion="none",
-        threads=threads,
-        core_path="blas",
-        n_tasks=0,
-        peak_workspace_bytes=peak,
-        schedule=f"classical@{levels}",
-        dtype=dtype.name,
+        **report_fields, peak_workspace_bytes=peak,
         duration_s=time.perf_counter() - t_start,
     ))
     return C
+
+
+def _matmul_into(A, B, C):
+    """``(C + A @ B, peak bytes)``: the fresh product, or ``C`` updated in
+    place through one product temporary."""
+    if C is None:
+        return np.matmul(A, B), 0
+    product = np.matmul(A, B)
+    C += product
+    return C, product.nbytes
 
 
 def execute_plan(
@@ -1275,7 +1310,7 @@ def execute_plan(
         worker_mode="threads" if core_pooled else "serial",
         n_workers=threads if core_pooled else 1,
         schedule=cplan.schedule_signature,
-        dtype=cplan.dtype.name,
+        dtype=dtype_name(cplan.dtype),
         duration_s=time.perf_counter() - t_start,
         n_chunks=max(n_chunks, 1),
         io_bytes=io_bytes,

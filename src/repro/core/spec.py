@@ -36,13 +36,22 @@ knob, :func:`normalize_variant` the §4.1 write-back variant and
 :func:`normalize_fusion`/:func:`resolve_fusion` the runtime's
 staged-vs-fused lowering mode, so bad values fail here, up front, rather
 than deep inside the runtime.
+
+:func:`invalidate_decisions` / :func:`decision_generation` are the one
+invalidation signal for memoized ``engine="auto"`` routes: every event
+that can change how a call resolves (wisdom, the machine record, the
+runtime tunables, the default store) bumps the generation.
 """
 
 from __future__ import annotations
 
 import numbers
 import os
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from repro.core.fmm import FMMAlgorithm
 from repro.core.kronecker import MultiLevelFMM
@@ -62,12 +71,15 @@ __all__ = [
     "Schedule",
     "check_backend_workers",
     "classical_depth",
+    "decision_generation",
+    "dtype_name",
     "effective_fused_auto_threshold",
     "effective_fused_group",
     "effective_mem_budget_bytes",
     "effective_serve_batch_window_us",
     "effective_serve_max_batch",
     "effective_tile_rows",
+    "invalidate_decisions",
     "normalize_fusion",
     "normalize_overload_policy",
     "normalize_schedule",
@@ -163,6 +175,40 @@ TUNABLE_DEFAULTS = {
 
 _tunables = dict(TUNABLE_DEFAULTS)
 
+_generation = 0
+_generation_lock = threading.Lock()
+
+
+def decision_generation() -> int:
+    """How many decision-changing events this process has seen.
+
+    A memoized ``engine="auto"`` route is served only while this count
+    is the one it was resolved under (``core/executor.py``).
+    """
+    return _generation
+
+
+def invalidate_decisions() -> None:
+    """Retire every memoized ``engine="auto"`` route.
+
+    Called after each event that can change how a call resolves: a
+    wisdom record, load, merge or clear, a machine record, a tunables
+    record or change, and a swap of the default store.  The changed
+    state must be in place before the call, so a route resolved against
+    the old state, even concurrently, is never served afterwards.
+    """
+    global _generation
+    with _generation_lock:
+        _generation += 1
+
+
+@lru_cache(maxsize=64)
+def dtype_name(dtype) -> str:
+    """``np.dtype(dtype).name``, cached: numpy computes the name in
+    Python at every read (several µs), which per-call paths cannot
+    afford."""
+    return np.dtype(dtype).name
+
 
 def set_runtime_tunables(
     fused_group=None,
@@ -220,7 +266,9 @@ def set_runtime_tunables(
                 f"mem_budget_bytes must be >= 0, got {mem_budget_bytes!r}"
             )
         t["mem_budget_bytes"] = budget
-    _tunables = t
+    if t != _tunables:
+        _tunables = t
+        invalidate_decisions()
     return dict(t)
 
 

@@ -2,9 +2,9 @@
 
 Before this module the stack's health counters were scattered behind
 module-private APIs — ``plan_cache_info()`` in :mod:`repro.core.compile`,
-``arena_stats()`` in :mod:`repro.core.workspace`, ``pool_info()`` in
-the runtime, and the wisdom store's hot-cache hit counters.
-The registry absorbs all of them behind one :func:`snapshot` call:
+``arena_stats()`` in :mod:`repro.core.workspace` and ``pool_info()`` in
+the runtime.  The registry absorbs all of them behind one
+:func:`snapshot` call:
 
 * **Counter** — a monotonically increasing integer with thread-safe
   :meth:`~Counter.inc` (e.g. ``runtime.executions``).
@@ -126,14 +126,18 @@ class Histogram:
     def observe(self, value: float) -> None:
         v = float(value)
         with self._lock:
+            first = not self._count
             self._count += 1
             self._sum += v
-            self._min = v if self._min is None else min(self._min, v)
-            self._max = v if self._max is None else max(self._max, v)
-            if len(self._recent) < self._limit:
-                self._recent.append(v)
+            if first or v < self._min:
+                self._min = v
+            if first or v > self._max:
+                self._max = v
+            recent = self._recent
+            if len(recent) < self._limit:
+                recent.append(v)
             else:
-                self._recent[self._pos] = v
+                recent[self._pos] = v
                 self._pos = (self._pos + 1) % self._limit
 
     def value(self) -> dict:
@@ -282,21 +286,6 @@ def _thread_pools() -> dict:
     return {str(k): v for k, v in pool_info().items()}
 
 
-def _wisdom_hot_cache() -> dict:
-    # Reads the already-loaded default store only; a metrics snapshot
-    # must never trigger a wisdom-file load as a side effect.
-    from repro.tune import wisdom as _wisdom
-    store = getattr(_wisdom, "_default", None)
-    if store is None:
-        return {"loaded": False}
-    return {
-        "loaded": True,
-        "hot_hits": store.hot_hits,
-        "hot_misses": store.hot_misses,
-        "entries": len(store),
-    }
-
-
 gauge("plan_cache",
       "Compiled-plan cache: hits, misses, maxsize, currsize", _plan_cache)
 gauge("workspace.arena",
@@ -304,6 +293,3 @@ gauge("workspace.arena",
       "peak high-water", _arena)
 gauge("pools.threads",
       "Live thread pools keyed by worker count", _thread_pools)
-gauge("wisdom.hot_cache",
-      "Default wisdom store hot-cache hits/misses (loaded stores only)",
-      _wisdom_hot_cache)

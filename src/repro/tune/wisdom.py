@@ -17,9 +17,12 @@ path, so it must never take the process down):
   logger) and the store degrades to empty (model-only selection keeps
   working);
 * a fingerprint mismatch ignores the stale entries (logged at info);
-* lookups go through a small in-process LRU keyed on the exact
-  ``(m, k, n, dtype, threads)`` so the hot dispatch path is a dict probe,
-  not a log/bucket computation.
+* every change to what a lookup can answer (a record, load, merge or
+  clear, the machine record, the tunables, a new default store) calls
+  :func:`repro.core.spec.invalidate_decisions`, so the executor's
+  memoized ``engine="auto"`` routes never outlive the wisdom they were
+  resolved from.  That memo is the dispatch hot path; a lookup here runs
+  only when it misses.
 
 The calibrated machine model (back-fit by :mod:`repro.tune.tuner`) rides
 in the same file under ``"machine"``.  The first model-path
@@ -37,12 +40,12 @@ import math
 import os
 import tempfile
 import threading
-from collections import OrderedDict
 from functools import lru_cache as _lru_cache
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.spec import dtype_name, invalidate_decisions
 from repro.model.machines import MachineParams
 from repro.obs.logcfg import get_logger
 
@@ -144,7 +147,7 @@ def problem_bucket(m: int, k: int, n: int, dtype="float64", threads=None) -> str
     r1 = round(math.log2(m / k))
     r2 = round(math.log2(n / k))
     t = "auto" if threads is None else str(int(threads))
-    return f"s{size_bin}|r{r1},{r2}|{np.dtype(dtype).name}|t{t}"
+    return f"s{size_bin}|r{r1},{r2}|{dtype_name(dtype)}|t{t}"
 
 
 def _validate_entry(entry) -> dict:
@@ -244,18 +247,17 @@ def config_tuple(cfg: dict) -> tuple:
 # The store
 # ---------------------------------------------------------------------- #
 class WisdomStore:
-    """JSON-on-disk wisdom database with an in-process LRU lookup layer.
+    """JSON-on-disk wisdom database.
 
     Thread-safe; every mutation persists immediately (records are rare —
-    one per tuned problem class — while lookups are the hot path).
+    one per tuned problem class — while a lookup runs on every miss of
+    the executor's route memo).
 
     Parameters
     ----------
     path : str or Path
         The JSON file backing the store; created on first :meth:`save`.
         Use :func:`default_wisdom_path` for the conventional location.
-    hot_size : int, optional
-        Capacity of the exact-probe LRU in front of the bucket map.
 
     Attributes
     ----------
@@ -266,8 +268,6 @@ class WisdomStore:
     ignored_stale : bool
         True when the file was tuned under a different machine
         fingerprint and its entries were ignored.
-    hot_hits, hot_misses : int
-        LRU telemetry for the dispatch hot path.
 
     See Also
     --------
@@ -282,21 +282,17 @@ class WisdomStore:
     True
     """
 
-    def __init__(self, path: str | Path, *, hot_size: int = 1024) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.RLock()
         self._entries: dict[str, dict] = {}
         self._machine: MachineParams | None = None
         self._tunables: dict = {}
         self._fingerprint = machine_fingerprint()
-        self._hot: OrderedDict[tuple, dict | None] = OrderedDict()
-        self._hot_size = int(hot_size)
         #: Held while the host is measured for this store
         #: (:func:`repro.tune.tuner.resolve_machine`), so concurrent first
         #: misses calibrate once instead of timing each other's probes.
         self.calibration_lock = threading.Lock()
-        self.hot_hits = 0
-        self.hot_misses = 0
         #: Diagnostics from the last load.
         self.recovered_corrupt = False
         self.ignored_stale = False
@@ -314,47 +310,52 @@ class WisdomStore:
         ignored, not deleted — they are dropped at the next save.
         """
         with self._lock:
-            self._entries = {}
-            self._machine = None
-            self._tunables = {}
-            self._hot.clear()
-            self.recovered_corrupt = False
-            self.ignored_stale = False
-            if not self.path.exists():
-                return
             try:
-                doc = json.loads(self.path.read_text())
-                if not isinstance(doc, dict) or doc.get("version") != SCHEMA_VERSION:
-                    raise ValueError(f"unsupported wisdom schema in {self.path}")
-                entries = doc.get("entries", {})
-                if not isinstance(entries, dict):
-                    raise ValueError("wisdom entries must be a mapping")
-                for bucket, entry in entries.items():
-                    _validate_entry(entry)
-                machine = doc.get("machine")
-                if machine is not None:
-                    machine = self._machine_params_from(machine)  # validates
-                tunables = _validate_tunables(doc.get("tunables", {}))
-            except Exception:
-                self.recovered_corrupt = True
-                _log.warning(
-                    "wisdom file %s failed to parse/validate; setting it "
-                    "aside as %s and starting empty",
-                    self.path, self.path.with_suffix(self.path.suffix + ".corrupt"),
-                    exc_info=True,
-                )
-                self._set_aside_corrupt()
-                return
-            if doc.get("fingerprint") != self._fingerprint:
-                self.ignored_stale = True
-                _log.info(
-                    "wisdom file %s was tuned on a different machine "
-                    "fingerprint; ignoring its entries", self.path,
-                )
-                return
-            self._entries = entries
-            self._machine = machine
-            self._tunables = dict(tunables)
+                self._load()
+            finally:
+                invalidate_decisions()
+
+    def _load(self) -> None:
+        self._entries = {}
+        self._machine = None
+        self._tunables = {}
+        self.recovered_corrupt = False
+        self.ignored_stale = False
+        if not self.path.exists():
+            return
+        try:
+            doc = json.loads(self.path.read_text())
+            if not isinstance(doc, dict) or doc.get("version") != SCHEMA_VERSION:
+                raise ValueError(f"unsupported wisdom schema in {self.path}")
+            entries = doc.get("entries", {})
+            if not isinstance(entries, dict):
+                raise ValueError("wisdom entries must be a mapping")
+            for bucket, entry in entries.items():
+                _validate_entry(entry)
+            machine = doc.get("machine")
+            if machine is not None:
+                machine = self._machine_params_from(machine)  # validates
+            tunables = _validate_tunables(doc.get("tunables", {}))
+        except Exception:
+            self.recovered_corrupt = True
+            _log.warning(
+                "wisdom file %s failed to parse/validate; setting it "
+                "aside as %s and starting empty",
+                self.path, self.path.with_suffix(self.path.suffix + ".corrupt"),
+                exc_info=True,
+            )
+            self._set_aside_corrupt()
+            return
+        if doc.get("fingerprint") != self._fingerprint:
+            self.ignored_stale = True
+            _log.info(
+                "wisdom file %s was tuned on a different machine "
+                "fingerprint; ignoring its entries", self.path,
+            )
+            return
+        self._entries = entries
+        self._machine = machine
+        self._tunables = dict(tunables)
 
     def _set_aside_corrupt(self) -> None:
         try:
@@ -372,6 +373,7 @@ class WisdomStore:
         construction); unreadable/stale/corrupt disk state is ignored —
         the atomic write below still wins.
         """
+        merged = False
         try:
             doc = json.loads(self.path.read_text())
             if (not isinstance(doc, dict)
@@ -381,7 +383,6 @@ class WisdomStore:
             entries = doc.get("entries", {})
             if not isinstance(entries, dict):
                 return
-            merged = False
             for bucket, entry in entries.items():
                 if bucket not in self._entries:
                     _validate_entry(entry)
@@ -389,13 +390,15 @@ class WisdomStore:
                     merged = True
             if self._machine is None and doc.get("machine") is not None:
                 self._machine = self._machine_params_from(doc["machine"])
+                merged = True
             # Tunables are deliberately NOT merged from disk: like a
             # record(), the last record_tunables() wins — otherwise a
             # cleared section would resurrect from the previous save.
-            if merged:
-                self._hot.clear()
         except Exception:
             return
+        finally:
+            if merged:
+                invalidate_decisions()
 
     def save(self, *, merge: bool = True) -> Path:
         """Atomically serialize the store (temp file + ``os.replace``),
@@ -442,26 +445,11 @@ class WisdomStore:
     # ------------------------------------------------------------------ #
     def lookup(self, m: int, k: int, n: int, *, dtype="float64",
                threads=None) -> dict | None:
-        """The tuned config for this problem class, or ``None``.
-
-        Exact ``(m, k, n, dtype, threads)`` probes are served from the
-        in-process LRU; misses compute the bucket once and cache the
-        verdict either way.
-        """
-        key = (int(m), int(k), int(n), np.dtype(dtype).name,
-               None if threads is None else int(threads))
+        """The tuned config for this problem class, or ``None``."""
+        bucket = problem_bucket(m, k, n, dtype, threads)
         with self._lock:
-            if key in self._hot:
-                self._hot.move_to_end(key)
-                self.hot_hits += 1
-                return self._hot[key]
-            self.hot_misses += 1
-            entry = self._entries.get(problem_bucket(*key[:3], key[3], key[4]))
-            cfg = dict(entry["config"]) if entry is not None else None
-            self._hot[key] = cfg
-            while len(self._hot) > self._hot_size:
-                self._hot.popitem(last=False)
-            return cfg
+            entry = self._entries.get(bucket)
+            return dict(entry["config"]) if entry is not None else None
 
     def lookup_tuple(self, m: int, k: int, n: int, *, dtype="float64",
                      threads=None) -> tuple | None:
@@ -501,12 +489,12 @@ class WisdomStore:
             "time_s": float(time_s),
             "samples": int(samples),
             "problem": [int(m), int(k), int(n)],
-            "dtype": np.dtype(dtype).name,
+            "dtype": dtype_name(dtype),
             "created_utc": _time.strftime("%Y-%m-%dT%H:%M:%SZ", _time.gmtime()),
         }
         with self._lock:
             self._entries[bucket] = entry
-            self._hot.clear()
+            invalidate_decisions()
             if save:
                 self.save()
         return bucket
@@ -551,6 +539,7 @@ class WisdomStore:
                     tun[key] = int(value)
             _validate_tunables(tun)
             self._tunables = tun
+            invalidate_decisions()
             if save:
                 self.save()
         return dict(tun)
@@ -586,6 +575,7 @@ class WisdomStore:
         """
         with self._lock:
             self._machine = params
+            invalidate_decisions()
             if save:
                 try:
                     self.save()
@@ -621,7 +611,7 @@ class WisdomStore:
             self._entries.clear()
             self._machine = None
             self._tunables = {}
-            self._hot.clear()
+            invalidate_decisions()
             if save:
                 self.save(merge=False)
 
@@ -678,6 +668,7 @@ def set_default_store(store: WisdomStore | str | Path | None) -> None:
             _default = store
         else:
             _default = WisdomStore(store)
+        invalidate_decisions()
         if _default is None:
             set_runtime_tunables()
         else:

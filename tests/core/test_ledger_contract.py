@@ -3,8 +3,10 @@
 The worker-process runtime and the compiled leaf backends are gone, but
 the ledger imports ``shutdown_process_pools``, indexes the 7-tuple
 ``auto_config`` result, passes ``backend="reference"`` /
-``workers="threads"`` and reads four report fields.  These stay until
-the ledger stops using them.
+``workers="threads"`` and reads the report fields in
+:data:`LEDGER_FIELDS`.  These stay until the ledger stops using them: a
+missing or mistyped field kills the ledger's workload subprocess, and
+``run.py`` then prints no result.
 """
 
 from __future__ import annotations
@@ -14,7 +16,34 @@ import pytest
 
 import repro
 from repro.core import compile as plancache
-from repro.core.runtime import execute_plan, last_report
+from repro.core.runtime import ExecutionReport, execute_plan, last_report
+from repro.core.spec import invalidate_decisions
+from repro.serve import MultiplyService
+
+#: The report fields the ledger reads, with the types it uses them as.
+LEDGER_FIELDS = {
+    "peak_workspace_bytes": int,
+    "worker_mode": str,
+    "threads": int,
+    "backend": str,
+    "core_path": str,
+    "batch": int,
+    "io_bytes": int,
+    "n_tiles": int,
+    "tile_window_bytes": int,
+    "ipc_bytes": int,
+    "duration_s": float,
+}
+
+
+def _assert_ledger_fields(rep):
+    assert isinstance(rep, ExecutionReport)
+    for name, kind in LEDGER_FIELDS.items():
+        value = getattr(rep, name)
+        assert type(value) is kind, (name, value)
+    # workloads.py replays a report's configuration through execute_plan.
+    assert rep.threads == 1 and rep.backend == "reference"
+    assert rep.worker_mode == "serial"
 
 
 def test_shutdown_process_pools_is_a_noop():
@@ -63,3 +92,53 @@ def test_other_values_raise(rng, kwargs, match):
     cplan = plancache.compile((8, 8, 8), "strassen")
     with pytest.raises(ValueError, match=match):
         execute_plan(cplan, A, A, np.zeros((8, 8)), **kwargs)
+
+
+class TestReportFields:
+    """After every kind of call the ledger times, the report it reads."""
+
+    @pytest.fixture
+    def operands(self, rng):
+        return rng.standard_normal((48, 40)), rng.standard_normal((40, 56))
+
+    def test_auto_miss_then_memo_hit(self, operands):
+        A, B = operands
+        invalidate_decisions()
+        for _ in range(2):
+            np.testing.assert_allclose(repro.multiply(A, B, engine="auto"),
+                                       A @ B)
+            _assert_ledger_fields(last_report())
+
+    def test_batched_auto_miss_then_memo_hit(self, operands):
+        A, B = operands
+        A3 = np.stack([A] * 4)
+        invalidate_decisions()
+        for _ in range(2):
+            np.testing.assert_allclose(
+                repro.multiply_batched(A3, B, engine="auto"), A3 @ B)
+            rep = last_report()
+            _assert_ledger_fields(rep)
+            assert rep.batch == 4
+
+    def test_pinned_strassen(self, operands):
+        A, B = operands
+        repro.multiply(A, B, algorithm="strassen", levels=1)
+        _assert_ledger_fields(last_report())
+
+    def test_execute_plan_replaying_an_auto_report(self, operands):
+        A, B = operands
+        repro.multiply(A, B, engine="auto")
+        rep = last_report()
+        C = np.zeros((48, 56))
+        execute_plan(plancache.compile((48, 40, 56), "strassen"), A, B, C,
+                     threads=rep.threads, backend=rep.backend,
+                     workers="threads")
+        np.testing.assert_allclose(C, A @ B)
+        _assert_ledger_fields(last_report())
+
+    def test_service_job(self, operands):
+        A, B = operands
+        with MultiplyService() as svc:
+            handle = svc.submit(A, B)
+            np.testing.assert_allclose(handle.result(timeout=60), A @ B)
+            _assert_ledger_fields(handle.report())

@@ -8,6 +8,13 @@
 * A caller's ``C`` that cannot hold the compute dtype raises
   ``TypeError`` naming both dtypes before any selection, plan compile,
   arena checkout or span.
+* Odd operand layouts and types under ``engine="auto"`` give exactly
+  ``np.matmul`` of their C-contiguous compute-dtype copies, on a memo
+  miss and on the hit that follows; the checks above still run when
+  the shape is already memoized.
+* Non-finite inputs: the BLAS route reproduces ``A @ B``'s NaN and
+  signed-Inf entries; FMM makes at least those outputs non-finite, and
+  spreads them further (the ``multiply`` docstring's counts).
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import pytest
 from repro.core import compile as plancache
 from repro.core.executor import multiply, multiply_batched
 from repro.core.runtime import last_report
+from repro.core.spec import invalidate_decisions
 from repro.core.workspace import arena_stats
 from repro.obs import metrics, trace
 from repro.serve import MultiplyService
@@ -141,3 +149,140 @@ class TestIntegerCFailsBeforeWork:
         assert plancache.plan_cache_info().misses == cache0.misses
         assert arena_stats() == arena0
         assert _executions() == runs0
+
+
+SHAPE = (40, 24, 32)
+
+
+def _odd_operands(kind, rng, tmp_path):
+    """One operand pair of ``kind``; float64 values, so every kind
+    computes in float64."""
+    m, k, n = SHAPE
+    A = rng.standard_normal((m, k))
+    B = rng.standard_normal((k, n))
+    if kind == "f_order":
+        return np.asfortranarray(A), np.asfortranarray(B)
+    if kind == "strided":
+        return (rng.standard_normal((2 * m, 3 * k))[::2, 1::3],
+                rng.standard_normal((3 * k, 2 * n))[::3, ::2])
+    if kind == "read_only":
+        A.setflags(write=False)
+        B.setflags(write=False)
+        return A, B
+    if kind == "memmap":
+        out = []
+        for name, X in (("A", A), ("B", B)):
+            mm = np.memmap(tmp_path / name, dtype=X.dtype, mode="w+",
+                           shape=X.shape)
+            mm[...] = X
+            out.append(mm)
+        return tuple(out)
+    if kind == "matrix":
+        return np.matrix(A), np.matrix(B)
+    if kind == "lists":
+        return A.tolist(), B.tolist()
+    if kind == "float16":
+        return A.astype(np.float16), B.astype(np.float16)
+    if kind == "bool":
+        return A > 0, B > 0
+    if kind == "int8":
+        return (A * 9).astype(np.int8), (B * 9).astype(np.int8)
+    if kind == "object":
+        return A.astype(object), B.astype(object)
+    raise AssertionError(kind)
+
+
+ODD_KINDS = ["f_order", "strided", "read_only", "memmap", "matrix", "lists",
+             "float16", "bool", "int8", "object"]
+
+
+@pytest.mark.filterwarnings("ignore:the matrix subclass")
+class TestOddOperandsThroughAMemoHit:
+    @pytest.mark.parametrize("kind", ODD_KINDS)
+    def test_multiply(self, rng, tmp_path, kind):
+        A, B = _odd_operands(kind, rng, tmp_path)
+        want = np.matmul(np.ascontiguousarray(np.asarray(A), dtype=np.float64),
+                         np.ascontiguousarray(np.asarray(B), dtype=np.float64))
+        invalidate_decisions()
+        for _ in range(2):  # a memo miss, then a hit
+            C = multiply(A, B, engine="auto", tune="off")
+            assert last_report().core_path == "blas"
+            assert type(C) is np.ndarray and C.dtype == np.float64
+            assert np.array_equal(C, want)
+
+    @pytest.mark.parametrize("kind", ODD_KINDS)
+    def test_multiply_batched(self, rng, tmp_path, kind):
+        A, B = _odd_operands(kind, rng, tmp_path)
+        A3 = np.stack([np.asarray(A)] * 3)
+        want = np.matmul(np.ascontiguousarray(A3, dtype=np.float64),
+                         np.ascontiguousarray(np.asarray(B), dtype=np.float64))
+        invalidate_decisions()
+        for _ in range(2):
+            C = multiply_batched(A3, B, engine="auto", tune="off")
+            assert last_report().core_path == "blas"
+            assert np.array_equal(C, want)
+
+
+class TestChecksOnAWarmMemo:
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_complex_operand(self, rng, batched):
+        call = multiply_batched if batched else multiply
+        lead = (2,) if batched else ()
+        A = rng.standard_normal(lead + (16, 16))
+        for _ in range(2):
+            call(A, A, engine="auto")
+        before = _executions()
+        with pytest.raises(TypeError, match="complex128"):
+            call(A + 1j * A, A, engine="auto")
+        with pytest.raises(TypeError, match="complex128"):
+            call(A, A.astype(np.complex128), engine="auto")
+        assert _executions() == before
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_integer_c(self, rng, batched):
+        call = multiply_batched if batched else multiply
+        lead = (2,) if batched else ()
+        A = rng.standard_normal(lead + (16, 16))
+        for _ in range(2):
+            call(A, A, np.zeros(lead + (16, 16)), engine="auto")
+        C = np.zeros(lead + (16, 16), dtype=np.int64)
+        before = _executions()
+        with pytest.raises(TypeError, match="int64"):
+            call(A, A, C, engine="auto")
+        assert _executions() == before
+        assert not C.any()
+
+
+def _non_finite_operands(rng, bad):
+    A = rng.standard_normal((64, 64))
+    B = rng.standard_normal((64, 64))
+    A[5, 7] = bad
+    return A, B
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_blas_route_matches_matmul(self, rng, bad):
+        A, B = _non_finite_operands(rng, bad)
+        want = A @ B
+        for _ in range(2):
+            C = multiply(A, B, engine="auto", tune="off")
+            assert last_report().core_path == "blas"
+            assert np.array_equal(np.isnan(C), np.isnan(want))
+            assert np.array_equal(np.isposinf(C), np.isposinf(want))
+            assert np.array_equal(np.isneginf(C), np.isneginf(want))
+            assert np.array_equal(C, want, equal_nan=True)
+
+    @pytest.mark.parametrize("levels,spread", [(1, 128), (2, 256)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fmm_spreads_them(self, rng, bad, levels, spread):
+        A, B = _non_finite_operands(rng, bad)
+        want_bad = ~np.isfinite(A @ B)
+        assert want_bad.sum() == 64
+        C = multiply(A, B, algorithm="strassen", levels=levels)
+        got_bad = ~np.isfinite(C)
+        assert got_bad[want_bad].all()
+        # The counts the multiply docstring states; an Inf comes out NaN.
+        assert got_bad.sum() == spread
+        assert np.isnan(C[got_bad]).all()

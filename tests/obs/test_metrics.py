@@ -90,8 +90,7 @@ def test_builtin_gauges_cover_core_stat_surfaces():
     import repro.core.runtime  # noqa: F401  (registers runtime metrics)
 
     snap = registry.snapshot()
-    for name in ("plan_cache", "workspace.arena", "pools.threads",
-                 "wisdom.hot_cache"):
+    for name in ("plan_cache", "workspace.arena", "pools.threads"):
         assert name in snap["gauges"], name
     assert {"hits", "misses", "maxsize", "currsize"} <= set(
         snap["gauges"]["plan_cache"])

@@ -121,6 +121,14 @@ class TestRoundTrip:
         assert len(store) == 0
         assert WisdomStore(store.path).lookup(96, 96, 96) is None
 
+    def test_record_after_a_negative_lookup(self, store, sample_config):
+        assert store.lookup(96, 96, 96) is None
+        store.record(96, 96, 96, config=sample_config(), gflops=5.0,
+                     time_s=1e-3, samples=9)
+        assert store.lookup(96, 96, 96) == {
+            **sample_config(), "schedule": "<2,2,2>@1"
+        }
+
 
 class TestCorruptionRecovery:
     def test_garbage_degrades_to_empty(self, tmp_path):
@@ -207,37 +215,6 @@ class TestCorruptionRecovery:
         s = WisdomStore(path)
         assert s.ignored_stale and not s.recovered_corrupt
         assert s.lookup(96, 96, 96) is None
-
-
-class TestHotLRU:
-    def test_repeat_lookups_hit_hot_layer(self, store, sample_config):
-        store.record(96, 96, 96, config=sample_config(), gflops=5.0,
-                     time_s=1e-3, samples=9)
-        store.lookup(96, 96, 96)
-        h0 = store.hot_hits
-        for _ in range(5):
-            store.lookup(96, 96, 96)
-        assert store.hot_hits == h0 + 5
-
-    def test_negative_lookups_also_cached(self, store):
-        store.lookup(500, 10, 500)
-        h0 = store.hot_hits
-        store.lookup(500, 10, 500)
-        assert store.hot_hits == h0 + 1
-
-    def test_record_invalidates(self, store, sample_config):
-        assert store.lookup(96, 96, 96) is None
-        store.record(96, 96, 96, config=sample_config(), gflops=5.0,
-                     time_s=1e-3, samples=9)
-        assert store.lookup(96, 96, 96) == {
-            **sample_config(), "schedule": "<2,2,2>@1"
-        }
-
-    def test_bounded(self, tmp_path):
-        s = WisdomStore(tmp_path / "w.json", hot_size=4)
-        for i in range(1, 10):
-            s.lookup(8 * i, 8 * i, 8 * i)
-        assert len(s._hot) <= 4
 
 
 class TestConcurrentProcesses:

@@ -25,12 +25,14 @@ from repro.algorithms.classical import classical
 from repro.algorithms.loader import data_dir, load_json
 from repro.algorithms.strassen import strassen, winograd
 from repro.core.fmm import FMMAlgorithm
+from repro.core.kronecker import StackStats
 from repro.core.transforms import (
-    all_orientations,
     direct_sum_k,
     direct_sum_m,
     direct_sum_n,
     kron_compose,
+    orient,
+    orientation_stats,
 )
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "NAMED_ALGORITHMS",
     "get_algorithm",
     "get_entry",
+    "shape_stats",
     "fig2_family",
     "base_case",
     "catalog_summary",
@@ -115,11 +118,11 @@ def base_case(m: int, k: int, n: int) -> FMMAlgorithm:
     if key == (2, 2, 2):
         return strassen()
     if key == (2, 2, 3):
-        return direct_sum_n(strassen(), classical(2, 2, 1))  # rank 11
+        return direct_sum_n(base_case(2, 2, 2), classical(2, 2, 1))  # rank 11
     if key == (2, 2, 5):
-        return direct_sum_n(strassen(), base_case(2, 2, 3))  # rank 18
+        return direct_sum_n(base_case(2, 2, 2), base_case(2, 2, 3))  # rank 18
     if key == (2, 2, 4):
-        return kron_compose(strassen(), classical(1, 1, 2))  # rank 14
+        return kron_compose(base_case(2, 2, 2), classical(1, 1, 2))  # rank 14
 
     searched_rank = {
         (2, 3, 3): 15,
@@ -196,13 +199,27 @@ _ORIENTATION_SOURCE: dict[tuple[int, int, int], tuple[int, int, int]] = {
 
 @lru_cache(maxsize=None)
 def _oriented(m: int, k: int, n: int) -> FMMAlgorithm:
-    src = _ORIENTATION_SOURCE[(m, k, n)]
-    base = base_case(*src)
-    oriented = all_orientations(base)
-    algo = oriented.get((m, k, n))
-    if algo is None:  # pragma: no cover - orientation closure is total
-        raise KeyError(f"<{m},{k},{n}> not reachable from base {src}")
-    return algo
+    return orient(base_case(*_ORIENTATION_SOURCE[(m, k, n)]), (m, k, n))
+
+
+def shape_stats(m: int, k: int, n: int) -> StackStats:
+    """The model's inputs for the Fig.-2 shape ``<m,k,n>``: rank, nnz
+    triple and name of ``get_algorithm((m, k, n))``.
+
+    Derived from the shape's base case by
+    :func:`repro.core.transforms.orientation_stats`, so pricing the whole
+    family builds the handful of base cases and never materializes or
+    Brent-validates the orientations a compiled pick needs.
+    """
+    key = (m, k, n)
+    if key not in FIG2_SHAPES:
+        raise _unknown_spec_error(key)
+    return _base_orientation_stats(*_ORIENTATION_SOURCE[key])[key]
+
+
+@lru_cache(maxsize=None)
+def _base_orientation_stats(m: int, k: int, n: int):
+    return orientation_stats(base_case(m, k, n))
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ Discovered algorithms are committed as data files under
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -93,6 +94,8 @@ def load_directory(path: str | Path) -> dict[str, FMMAlgorithm]:
     return out
 
 
+@lru_cache(maxsize=None)
 def data_dir() -> Path:
-    """Directory holding the shipped coefficient data files."""
+    """Directory holding the shipped coefficient data files (resolved
+    once: the catalog asks for it per base case)."""
     return Path(str(resources.files("repro.algorithms") / "data"))

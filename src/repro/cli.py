@@ -225,6 +225,8 @@ def cmd_serve(args) -> int:
     )
     handles, errors = [], []
     lock = threading.Lock()
+    pinned = not (args.algorithm is None and args.levels is None
+                  and args.variant is None)
 
     def submitter(count):
         for _ in range(count):
@@ -249,12 +251,22 @@ def cmd_serve(args) -> int:
     results = [h.result(timeout=120.0) for h in handles]
     svc.shutdown(drain=True)
 
+    core_path = None
     if handles:
-        C_ref = multiply(A, B, algorithm=args.algorithm, levels=args.levels,
-                         variant=args.variant, threads=args.threads)
+        if pinned:
+            C_ref = multiply(
+                A, B,
+                algorithm="strassen" if args.algorithm is None else args.algorithm,
+                levels=1 if args.levels is None else args.levels,
+                variant="abc" if args.variant is None else args.variant,
+                threads=args.threads)
+        else:
+            C_ref = multiply(A, B, engine="auto", threads=args.threads)
         if not np.array_equal(results[0], C_ref):
             print("FAIL: service result != direct multiply")
             return 1
+        report = handles[0].report()
+        core_path = report.core_path if report is not None else None
     st = svc.stats()
     snap = metrics.snapshot()
     lat = snap["histograms"].get("serve.job_latency_s", {})
@@ -265,6 +277,7 @@ def cmd_serve(args) -> int:
         "submitters": n_sub,
         "policy": svc.policy,
         "threads": args.threads or 1,
+        "core_path": core_path,
         "stats": st,
         "rejected_at_submit": len(errors),
         "latency_s": {k: lat.get(k) for k in ("count", "mean", "p50", "p95")},
@@ -281,7 +294,8 @@ def cmd_serve(args) -> int:
     if lat:
         print(f"  job latency p50={1e3 * (lat.get('p50') or 0):.2f}ms "
               f"p95={1e3 * (lat.get('p95') or 0):.2f}ms")
-    print("  sample result verified against direct multiply: ok")
+    print(f"  sample result ({core_path}) verified against direct "
+          "multiply: ok")
     return 0
 
 
@@ -685,9 +699,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve",
                        help="drive the async MultiplyService under load")
     _add_shape(p)
-    p.add_argument("--algorithm", default="strassen")
-    p.add_argument("--levels", type=int, default=1)
-    p.add_argument("--variant", choices=("naive", "ab", "abc"), default="abc")
+    p.add_argument("--algorithm", default=None,
+                   help="pin a schedule (default: the service default, "
+                        "engine=\"auto\"'s pick)")
+    p.add_argument("--levels", type=int, default=None,
+                   help="pin the recursion depth (default 1 once any of "
+                        "--algorithm/--levels/--variant is given)")
+    p.add_argument("--variant", choices=("naive", "ab", "abc"), default=None,
+                   help="pin the variant (default abc once pinned)")
     p.add_argument("--dtype", choices=("float32", "float64"),
                    default="float64")
     p.add_argument("--jobs", type=int, default=64,

@@ -11,12 +11,54 @@ level list and lazily materializes the composed coefficients.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.fmm import FMMAlgorithm, nnz
+from repro.core.fmm import FMMAlgorithm
 
-__all__ = ["MultiLevelFMM"]
+__all__ = ["MultiLevelFMM", "StackStats"]
+
+
+class StackStats(NamedTuple):
+    """What the §4.4 model prices of an algorithm: no coefficients.
+
+    :func:`repro.model.terms.term_table` and
+    :func:`repro.model.perfmodel.predict_fmm` read only these fields
+    (``dims_total``, ``rank_total``, ``nnz_uvw()`` and ``name``), so a
+    :class:`StackStats` prices exactly like the :class:`MultiLevelFMM` it
+    describes, and ranking a schedule never needs its coefficients.
+    """
+
+    dims_total: tuple[int, int, int]
+    rank_total: int
+    nnz: tuple[int, int, int]
+    name: str
+
+    def nnz_uvw(self) -> tuple[int, int, int]:
+        return self.nnz
+
+    @classmethod
+    def of(cls, algo: FMMAlgorithm) -> "StackStats":
+        """One level: the algorithm's own dims, rank, nnz and name."""
+        return cls(algo.dims, algo.rank, algo.nnz_uvw(), algo.name)
+
+    @classmethod
+    def compose(cls, levels: Sequence["StackStats"]) -> "StackStats":
+        """The stats of the Kronecker composition of ``levels``.
+
+        Partition dims, rank and each nnz multiply level by level: a
+        Kronecker product's nonzeros are the products of its factors'
+        nonzeros, so ``nnz(X1 (x) X2) = nnz(X1) * nnz(X2)`` exactly.
+        """
+        m = k = n = r = u = v = w = 1
+        for s in levels:
+            sm, sk, sn = s.dims_total
+            su, sv, sw = s.nnz
+            m, k, n, r = m * sm, k * sk, n * sn, r * s.rank_total
+            u, v, w = u * su, v * sv, w * sw
+        return cls((m, k, n), r, (u, v, w),
+                   " (x) ".join(s.name for s in levels))
 
 
 class MultiLevelFMM:
@@ -45,27 +87,24 @@ class MultiLevelFMM:
     def L(self) -> int:
         return len(self.levels)
 
+    @cached_property
+    def stats(self) -> StackStats:
+        """The model's inputs, composed from the per-level algorithms."""
+        return StackStats.compose([StackStats.of(a) for a in self.levels])
+
     @property
     def dims_total(self) -> tuple[int, int, int]:
         """``(M~_L, K~_L, N~_L)`` — the products of per-level partition dims."""
-        m = k = n = 1
-        for a in self.levels:
-            m *= a.m
-            k *= a.k
-            n *= a.n
-        return m, k, n
+        return self.stats.dims_total
 
     @property
     def rank_total(self) -> int:
         """``R_L = prod_l R_l`` — number of submatrix multiplications."""
-        r = 1
-        for a in self.levels:
-            r *= a.rank
-        return r
+        return self.stats.rank_total
 
     @property
     def name(self) -> str:
-        return " (x) ".join(a.name for a in self.levels)
+        return self.stats.name
 
     def grids(self, operand: str) -> list[tuple[int, int]]:
         """Per-level partition grids for operand 'A', 'B' or 'C'."""
@@ -112,8 +151,10 @@ class MultiLevelFMM:
         return cols
 
     def nnz_uvw(self) -> tuple[int, int, int]:
-        """``nnz`` of the composed coefficients (performance-model inputs)."""
-        return (nnz(self.U), nnz(self.V), nnz(self.W))
+        """``nnz`` of the composed coefficients (performance-model inputs):
+        the product of the per-level counts, so no Kronecker product is
+        formed to price a schedule."""
+        return self.stats.nnz
 
     def theoretical_speedup(self) -> float:
         """Arithmetic-count speedup over classical for the full L levels."""

@@ -720,18 +720,28 @@ class _FringeBinding:
             self.leaf.fringe(f, self.A, self.B, self.C)
 
 
+def _run_tasks(binding, tasks) -> None:
+    # A non-finite operand makes FMM's operand sums and C updates meet
+    # Inf - Inf, which numpy flags as "invalid".  The NaN that comes out
+    # is the documented result (see multiply's Notes), so the runtime's
+    # coefficient products stay as quiet as A @ B on the same operands.
+    # errstate is per thread, hence per task list, in every worker.
+    with np.errstate(invalid="ignore"):
+        for t in tasks:
+            binding.run(t)
+
+
 def _run_phase(binding, tasks, pool) -> None:
     inline = pool is None or len(tasks) == 1
     with obs_trace.span("phase:" + tasks[0].kind, "phase",
                         tasks=len(tasks),
                         mode="inline" if inline else "pool"):
         if inline:
-            for t in tasks:
-                binding.run(t)
+            _run_tasks(binding, tasks)
         else:
             # list() is the barrier: it drains the map and re-raises worker
             # exceptions before the next phase may start.
-            list(pool.map(binding.run, tasks))
+            list(pool.map(lambda t: _run_tasks(binding, (t,)), tasks))
 
 
 # ---------------------------------------------------------------------- #
@@ -1398,17 +1408,18 @@ def _run_steps(cplan, Ac, Bc, Cc, bm, bk, bn) -> None:
     Cv = cplan.block_views(Cc, "C", bm, bn)
     lead = Ac.shape[:-2]
     dt = np.result_type(Ac, Bc)
-    for s in cplan.steps:
-        S = _vsum(s.a_terms, Av, lead + (bm, bk), dt)
-        T = _vsum(s.b_terms, Bv, lead + (bk, bn), dt)
-        M = S @ T
-        for i, w in s.c_terms:
-            if w == 1:
-                Cv[i] += M
-            elif w == -1:
-                Cv[i] -= M
-            else:
-                Cv[i] += w * M
+    with np.errstate(invalid="ignore"):  # as in _run_tasks
+        for s in cplan.steps:
+            S = _vsum(s.a_terms, Av, lead + (bm, bk), dt)
+            T = _vsum(s.b_terms, Bv, lead + (bk, bn), dt)
+            M = S @ T
+            for i, w in s.c_terms:
+                if w == 1:
+                    Cv[i] += M
+                elif w == -1:
+                    Cv[i] -= M
+                else:
+                    Cv[i] += w * M
 
 
 def _vsum(terms, views, shape, dtype):

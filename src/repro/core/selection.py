@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
-from repro.algorithms.catalog import FIG2_SHAPES, get_algorithm
+from repro.algorithms.catalog import FIG2_SHAPES, get_algorithm, shape_stats
 from repro.blis.simulator import simulate_time
-from repro.core.kronecker import MultiLevelFMM
+from repro.core.kronecker import MultiLevelFMM, StackStats
 from repro.core.spec import Schedule
 from repro.model.machines import MachineParams
 from repro.model.perfmodel import (
@@ -185,14 +185,25 @@ def enumerate_candidates(
 
     out: list[Candidate] = []
     for stack in stacks:
-        ml = MultiLevelFMM([get_algorithm(s) for s in stack])
-        Mt, Kt, Nt = ml.dims_total
+        stats = _stack_stats(stack)
+        Mt, Kt, Nt = stats.dims_total
         if m < Mt or k < Kt or n < Nt:
             continue  # partition coarser than the problem
         for var in variants:
-            pred = predict_fmm(m, k, n, ml, var, machine)
+            pred = predict_fmm(m, k, n, stats, var, machine)
             out.append(Candidate(shapes=stack, variant=var, prediction=pred))
     return out
+
+
+@lru_cache(maxsize=4096)
+def _stack_stats(stack: tuple[tuple[int, int, int], ...]) -> StackStats:
+    """What the model prices of one per-level shape stack, computed once
+    per process and without forming the stack's coefficients: each
+    catalog shape's stats come from its base case
+    (:func:`repro.algorithms.catalog.shape_stats`) and compose level by
+    level (:meth:`StackStats.compose`), exactly as the compiled
+    :class:`MultiLevelFMM` would report them."""
+    return StackStats.compose([shape_stats(*s) for s in stack])
 
 
 def rank_candidates(candidates: list[Candidate]) -> list[Candidate]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.fmm import FMMAlgorithm
+from repro.core.kronecker import StackStats
 from repro.core.morton import recursive_to_rowmajor
 
 __all__ = [
@@ -27,6 +28,8 @@ __all__ = [
     "rotations",
     "transpose_dual",
     "all_orientations",
+    "orient",
+    "orientation_stats",
     "direct_sum_m",
     "direct_sum_k",
     "direct_sum_n",
@@ -43,11 +46,8 @@ def transpose_rows(X: np.ndarray, r: int, c: int) -> np.ndarray:
     """
     if X.shape[0] != r * c:
         raise ValueError(f"X has {X.shape[0]} rows, expected {r}*{c}")
-    Y = np.empty_like(X)
-    for a in range(r):
-        for b in range(c):
-            Y[b * r + a] = X[a * c + b]
-    return Y
+    return np.ascontiguousarray(
+        X.reshape(r, c, *X.shape[1:]).swapaxes(0, 1).reshape(X.shape))
 
 
 def rotate(algo: FMMAlgorithm) -> FMMAlgorithm:
@@ -114,6 +114,60 @@ def all_orientations(algo: FMMAlgorithm) -> dict[tuple[int, int, int], FMMAlgori
         seen.setdefault(a.dims, a)
     for a in rotations(transpose_dual(algo)):
         seen.setdefault(a.dims, a)
+    return seen
+
+
+def _orientation_order(dims):
+    """``(dims, transposed, turns)`` of each orientation, in
+    :func:`all_orientations`' construction order: the three rotations of
+    the algorithm, then the three of its transpose dual."""
+    m, k, n = dims
+    return (((m, k, n), False, 0), ((k, n, m), False, 1),
+            ((n, m, k), False, 2), ((n, k, m), True, 0),
+            ((k, m, n), True, 1), ((m, n, k), True, 2))
+
+
+def orient(algo: FMMAlgorithm, dims) -> FMMAlgorithm:
+    """``all_orientations(algo)[dims]``, building only that orientation.
+
+    The same transforms in the same order, so the result is identical,
+    but at most three are built and validated instead of five.  Raises
+    ``KeyError`` when ``dims`` is not an orientation of ``algo``.
+    """
+    for d, transposed, turns in _orientation_order(algo.dims):
+        if d == tuple(dims):
+            out = transpose_dual(algo) if transposed else algo
+            for _ in range(turns):
+                out = rotate(out)
+            return out
+    raise KeyError(f"{tuple(dims)} is not an orientation of {algo.dims}")
+
+
+def orientation_stats(
+    algo: FMMAlgorithm,
+) -> dict[tuple[int, int, int], StackStats]:
+    """:func:`all_orientations` reduced to what the model prices.
+
+    Both transforms only permute coefficient rows and swap matrices, so
+    rank is kept and the ``(U, V, W)`` nnz triple is permuted:
+    :func:`rotate` maps it to ``(V, W, U)`` and :func:`transpose_dual` to
+    ``(V, U, W)``.  Following :func:`all_orientations`' order (first one
+    wins) and names, each entry equals
+    ``StackStats.of(all_orientations(algo)[dims])`` without building or
+    validating a single orientation.
+    """
+    seen: dict[tuple[int, int, int], StackStats] = {}
+    for d, transposed, turns in _orientation_order(algo.dims):
+        if d in seen:
+            continue
+        u, v, w = algo.nnz_uvw()
+        if transposed:
+            u, v = v, u
+        for _ in range(turns):
+            u, v, w = v, w, u
+        name = (algo.name if not (transposed or turns)
+                else "<%d,%d,%d>:%d" % (*d, algo.rank))
+        seen[d] = StackStats(d, algo.rank, (u, v, w), name)
     return seen
 
 

@@ -30,9 +30,10 @@ __all__ = [
     "calibrate_lambda",
 ]
 
-@dataclass(frozen=True)
+@dataclass
 class ModelPrediction:
-    """Predicted time decomposition for one configuration."""
+    """Predicted time decomposition for one configuration (a value; not
+    frozen for the same reason as :class:`~repro.model.terms.TermTable`)."""
 
     m: int
     k: int

@@ -18,9 +18,14 @@ from repro.model.machines import MachineParams
 __all__ = ["TermTable", "term_table", "gemm_term_table"]
 
 
-@dataclass(frozen=True)
+@dataclass
 class TermTable:
-    """Unit times (seconds) and counts for one (shape, algorithm, variant)."""
+    """Unit times (seconds) and counts for one (shape, algorithm, variant).
+
+    Not frozen: selection builds hundreds per model miss, and a frozen
+    dataclass pays an ``object.__setattr__`` per field.  Treat it as a
+    value.
+    """
 
     # unit times (tau column of Fig. 5, middle table)
     t_mul: float          # T_a^x
@@ -95,60 +100,43 @@ def term_table(
     in the paper (the model deliberately ignores fringe effects; see §4.4).
     """
     Mt, Kt, Nt = ml.dims_total
-    RL = ml.rank_total
+    RL = float(ml.rank_total)
     nnz_u, nnz_v, nnz_w = ml.nnz_uvw()
     sm, sk, sn = m / Mt, k / Kt, n / Nt
     ta, tb = machine.tau_a, machine.tau_b
     kc, nc = machine.blocking.kc, machine.blocking.nc
     lam = machine.lam
 
-    times = dict(
-        t_mul=2.0 * sm * sn * sk * ta,
-        t_a_add=2.0 * sm * sk * ta,
-        t_b_add=2.0 * sk * sn * ta,
-        t_c_add=2.0 * sm * sn * ta,
-        t_a_pack_read=sm * sk * math.ceil(sn / nc) * tb,
-        t_b_pack_read=sn * sk * tb,
-        t_c_kernel=2.0 * lam * sm * sn * math.ceil(sk / kc) * tb,
-        t_a_temp=sm * sk * tb,
-        t_b_temp=sk * sn * tb,
-        t_c_temp=sm * sn * tb,
-    )
-
-    counts = dict(
-        n_mul=float(RL),
-        n_a_add=float(nnz_u - RL),
-        n_b_add=float(nnz_v - RL),
-        n_c_add=float(nnz_w),
-        n_a_temp=0.0,
-        n_b_temp=0.0,
-        n_c_temp=0.0,
-    )
+    # The variant-dependent counts, in field order: n_a_pack_read,
+    # n_b_pack_read, n_c_kernel, n_a_temp, n_b_temp, n_c_temp.  The table
+    # is built positionally because selection prices every candidate
+    # schedule on each model miss, and keywords cost a third of it.
     if variant == "abc":
-        counts.update(
-            n_a_pack_read=float(nnz_u),
-            n_b_pack_read=float(nnz_v),
-            n_c_kernel=float(nnz_w),
-        )
+        counts = (float(nnz_u), float(nnz_v), float(nnz_w), 0.0, 0.0, 0.0)
     elif variant == "ab":
-        counts.update(
-            n_a_pack_read=float(nnz_u),
-            n_b_pack_read=float(nnz_v),
-            n_c_kernel=float(RL),
-            n_c_temp=3.0 * nnz_w,
-        )
+        counts = (float(nnz_u), float(nnz_v), RL, 0.0, 0.0, 3.0 * nnz_w)
     elif variant == "naive":
-        counts.update(
-            n_a_pack_read=float(RL),
-            n_b_pack_read=float(RL),
-            n_c_kernel=float(RL),
-            n_a_temp=float(nnz_u + RL),
-            n_b_temp=float(nnz_v + RL),
-            n_c_temp=3.0 * nnz_w,
-        )
+        counts = (RL, RL, RL, float(nnz_u + RL), float(nnz_v + RL),
+                  3.0 * nnz_w)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return TermTable(**times, **counts)
+    return TermTable(
+        2.0 * sm * sn * sk * ta,                              # t_mul
+        2.0 * sm * sk * ta,                                   # t_a_add
+        2.0 * sk * sn * ta,                                   # t_b_add
+        2.0 * sm * sn * ta,                                   # t_c_add
+        sm * sk * math.ceil(sn / nc) * tb,                    # t_a_pack_read
+        sn * sk * tb,                                         # t_b_pack_read
+        2.0 * lam * sm * sn * math.ceil(sk / kc) * tb,        # t_c_kernel
+        sm * sk * tb,                                         # t_a_temp
+        sk * sn * tb,                                         # t_b_temp
+        sm * sn * tb,                                         # t_c_temp
+        RL,                                                   # n_mul
+        float(nnz_u - RL),                                    # n_a_add
+        float(nnz_v - RL),                                    # n_b_add
+        float(nnz_w),                                         # n_c_add
+        *counts,
+    )
 
 
 def gemm_term_table(m: int, k: int, n: int, machine: MachineParams) -> TermTable:

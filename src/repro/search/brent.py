@@ -23,6 +23,7 @@ verification predicate that gates every algorithm admitted to the catalog.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,16 +52,30 @@ def matmul_tensor(m: int, k: int, n: int, dtype=np.float64) -> np.ndarray:
     if m < 1 or k < 1 or n < 1:
         raise ValueError(f"partition dims must be positive, got {(m, k, n)}")
     T = np.zeros((m * k, k * n, m * n), dtype=dtype)
-    for i1 in range(m):
-        for i2 in range(k):
-            for j2 in range(n):
-                T[i1 * k + i2, i2 * n + j2, i1 * n + j2] = 1
+    i1, i2, j2 = np.ix_(range(m), range(k), range(n))
+    T[i1 * k + i2, i2 * n + j2, i1 * n + j2] = 1
+    return T
+
+
+@lru_cache(maxsize=None)
+def _read_only_tensor(m: int, k: int, n: int) -> np.ndarray:
+    """:func:`matmul_tensor` for the residual checks, built once per shape
+    (catalog construction validates the same small shapes repeatedly)."""
+    T = matmul_tensor(m, k, n)
+    T.setflags(write=False)
     return T
 
 
 def _cp_reconstruct(U: np.ndarray, V: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Evaluate ``sum_r U[:,r] (x) V[:,r] (x) W[:,r]`` as a dense tensor."""
-    return np.einsum("ir,jr,pr->ijp", U, V, W, optimize=True)
+    """Evaluate ``sum_r U[:,r] (x) V[:,r] (x) W[:,r]`` as a dense tensor.
+
+    One GEMM over the row-wise products of ``U`` and ``V``: the same sum
+    ``einsum("ir,jr,pr->ijp")`` forms, without its path search, which
+    costs more than the product on catalog-sized triples.
+    """
+    R = U.shape[1]
+    UV = (U[:, None, :] * V[None, :, :]).reshape(-1, R)
+    return (UV @ W.T).reshape(U.shape[0], V.shape[0], W.shape[0])
 
 
 def brent_residual_tensor(
@@ -68,7 +83,7 @@ def brent_residual_tensor(
 ) -> np.ndarray:
     """Residual tensor ``CP(U,V,W) - T_{m,k,n}``."""
     _check_shapes(U, V, W, m, k, n)
-    return _cp_reconstruct(U, V, W) - matmul_tensor(m, k, n)
+    return _cp_reconstruct(U, V, W) - _read_only_tensor(m, k, n)
 
 
 def brent_max_residual(

@@ -1,7 +1,9 @@
 """The serving layer: async multiply submission with coalescing.
 
-Public surface: :class:`MultiplyService` (``submit`` -> job handle,
-scheduler-side same-plan coalescing, byte-budget admission control),
+Public surface: :class:`MultiplyService` (``submit`` -> job handle;
+a job that names no schedule runs ``engine="auto"``'s pick, a classical
+one as its own BLAS call; same-plan FMM jobs coalesce; byte-budget
+admission control),
 :class:`JobHandle`, and the typed service errors.  The deterministic
 test seams live in :mod:`repro.serve.testing`.
 """

@@ -3,22 +3,36 @@
 Every caller so far blocks in :func:`repro.multiply` /
 :func:`repro.multiply_batched`.  :class:`MultiplyService` turns the fast
 multiply library into a service that survives load: ``submit(A, B,
-**spec)`` validates the request up front (spec normalization + plan
-compilation happen in the caller, so bad requests fail synchronously),
-prices it against a byte budget, and returns a :class:`JobHandle` whose
-status moves ``pending -> running -> complete | error | cancelled``.
+**spec)`` validates the request up front (spec normalization, route
+resolution and plan compilation happen in the caller, so bad requests
+fail synchronously), prices it against a byte budget, and returns a
+:class:`JobHandle` whose status moves ``pending -> running -> complete |
+error | cancelled``.
+
+**The default job is auto's pick.**  A job that names no schedule (no
+``algorithm``, ``levels`` or ``variant``) resolves through the same
+memoized route as ``multiply(A, B, engine="auto")``
+(:func:`repro.core.executor._resolve`), so it returns bitwise what that
+call returns.  Wherever FMM does not pay off (the paper's §4.4
+poly-algorithm), that route is classical, and the scheduler runs the job
+as its own BLAS call (:func:`repro.core.runtime.run_blas`): no stacking,
+no plan, no batch window, since one ``np.matmul`` has nothing to
+amortize.  Before this default, every job ran ``strassen@1``; a job that
+sets any of the three spec arguments still pins a schedule, with
+``strassen``, 1 and ``"abc"`` for the ones it leaves out.
 
 A single scheduler thread drains the queue and **coalesces same-plan
-requests**: the compiled-plan cache key (:mod:`repro.core.compile`) plus
-the thread count form the coalescing key, and matching jobs that arrive
-within the batch window are stacked into one batched execution through
-:func:`repro.core.runtime.execute_plan` — the same amortization
+FMM requests**: the compiled-plan cache key (:mod:`repro.core.compile`)
+plus the thread count form the coalescing key, and matching jobs that
+arrive within the batch window are stacked into one batched execution
+through :func:`repro.core.runtime.execute_plan` — the same amortization
 :func:`repro.multiply_batched` gives a caller who already holds a stack,
 earned here across callers who do not know about each other.  Batched
 execution is bitwise-equal to per-request 2-D execution under the same
 plan (the batch folds into the task slabs; the per-element accumulation
-order is unchanged), so coalescing is invisible to results.  The window
-and batch cap default from the wisdom-tunable constants
+order is unchanged), so coalescing is invisible to results, and every
+job gets an array of its own.  The window and batch cap default from
+the wisdom-tunable constants
 (:func:`repro.core.spec.effective_serve_batch_window_us` /
 :func:`effective_serve_max_batch`), like ``DEFAULT_FUSED_GROUP`` before
 them.
@@ -26,12 +40,14 @@ them.
 **Admission control** prices each job off the arena's byte accounting:
 :func:`repro.model.perfmodel.predict_workspace_bytes` (the model twin of
 the runtime's arena specs) plus the operand/result bytes, summed over the
-queue, against ``byte_budget``.  Jobs whose plan resolved to the
-out-of-core ``tiled`` lowering are charged their bounded RAM window only
-— slabs spill to mmap, operands stream through the window.  Over budget, the ``policy`` knob decides:
-``"queue"`` blocks the submitter until the queue drains, ``"reject"``
-raises :class:`ServiceOverloadedError`, ``"serial"`` degrades the call to
-a synchronous in-caller multiply that never enters the queue.
+queue, against ``byte_budget``.  A BLAS job is charged its operand and
+result bytes only.  Jobs whose plan resolved to the out-of-core
+``tiled`` lowering are charged their bounded RAM window only — slabs
+spill to mmap, operands stream through the window.  Over budget, the
+``policy`` knob decides: ``"queue"`` blocks the submitter until the
+queue drains, ``"reject"`` raises :class:`ServiceOverloadedError`,
+``"serial"`` degrades the call to a synchronous in-caller multiply that
+never enters the queue.
 
 Job state, queue depth, coalesce ratio and per-job latency publish into
 the PR-8 observability layer — the :mod:`repro.obs.metrics` registry and
@@ -45,7 +61,8 @@ The scheduler's clock and batch executor are injectable constructor
 seams (``clock=``, ``executor=``): :mod:`repro.serve.testing` provides a
 manual :class:`~repro.serve.testing.ServiceTestClock` and a
 fault-injecting executor so coalescing windows, cancellation races and
-error propagation are tested without wall-clock sleeps.
+error propagation are tested without wall-clock sleeps.  A BLAS job
+reaches the executor too, as a batch of one.
 """
 
 from __future__ import annotations
@@ -60,7 +77,7 @@ import numpy as np
 
 from repro.core import compile as plancache
 from repro.core import runtime
-from repro.core.executor import _compute_dtype
+from repro.core.executor import _compute_dtype, _contig_operand, _resolve
 from repro.core.spec import (
     effective_serve_batch_window_us,
     effective_serve_max_batch,
@@ -186,6 +203,40 @@ obs_metrics.gauge("serve.coalesce_ratio",
 _job_ids = itertools.count(1)
 
 
+class _Latch:
+    """A one-shot completion flag with :class:`threading.Event`'s
+    ``set``/``is_set``/``wait``, for one job each.
+
+    An Event builds a Condition per job and a waiter lock per ``wait``;
+    this is one lock, held from creation until :meth:`set`, so a job
+    costs less to submit, finish and wait on.  ``set`` runs once per job:
+    the scheduler, a cancel or a non-draining shutdown finishes it.
+    """
+
+    __slots__ = ("_lock", "_set")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._lock.acquire()
+        self._set = False
+
+    def set(self) -> None:
+        self._lock.release()
+        self._set = True
+
+    def is_set(self) -> bool:
+        return self._set
+
+    def wait(self, timeout: float | None = None) -> bool:
+        if self._set:
+            return True
+        if not self._lock.acquire(
+                timeout=-1 if timeout is None else max(timeout, 0.0)):
+            return False
+        self._lock.release()  # let every other waiter through too
+        return True
+
+
 class JobHandle:
     """A submitted multiply: queryable status, blocking result, report.
 
@@ -195,28 +246,31 @@ class JobHandle:
     """
 
     __slots__ = (
-        "id", "_service", "_key", "_cplan", "_A", "_B", "_threads",
-        "_cost_bytes", "_submitted_at",
+        "id", "_service", "_key", "_cplan", "_blas", "_A", "_B", "_threads",
+        "_shape", "_dtype", "_cost_bytes", "_submitted_at",
         "_status", "_result", "_exc", "_batch_size", "_done",
         "__weakref__",
     )
 
-    def __init__(self, service, key, cplan, A, B, threads, cost_bytes,
-                 submitted_at) -> None:
+    def __init__(self, service, key, cplan, blas, A, B, threads, shape,
+                 dtype, cost_bytes, submitted_at) -> None:
         self.id = f"job-{next(_job_ids)}"
         self._service = service
-        self._key = key
-        self._cplan = cplan
+        self._key = key            # coalescing key; None for a BLAS job
+        self._cplan = cplan        # the pinned or picked FMM plan, else None
+        self._blas = blas          # a BLAS job's constant report fields
         self._A = A
         self._B = B
         self._threads = threads
+        self._shape = shape
+        self._dtype = dtype
         self._cost_bytes = cost_bytes
         self._submitted_at = submitted_at
         self._status = "pending"
         self._result = None
         self._exc: BaseException | None = None
         self._batch_size = 0
-        self._done = threading.Event()
+        self._done = _Latch()
 
     @property
     def status(self) -> str:
@@ -225,11 +279,11 @@ class JobHandle:
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        return self._cplan.shape
+        return self._shape
 
     @property
     def dtype(self) -> np.dtype:
-        return self._cplan.dtype
+        return self._dtype
 
     @property
     def batch_size(self) -> int:
@@ -291,18 +345,26 @@ class JobHandle:
 
 
 def execute_batch(jobs: list[JobHandle]):
-    """The default batch executor: run ``jobs`` (same coalescing key)
-    through one plan execution; return ``(results, report)``.
+    """The default batch executor: run one claimed batch; return
+    ``(results, report)``.
 
-    A single job executes 2-D; several stack into a ``(batch, m, k)``
-    operand and run the batched lowering — bitwise-equal per element
-    either way.  The report is read via ``last_report()`` *in this
-    thread* immediately after the execution, which is the one place that
-    thread-local is race-free; the service then attributes it to each
-    job id in the history.
+    A BLAS job (auto resolved it classical) is one
+    :func:`repro.core.runtime.run_blas` call into a fresh result; the
+    scheduler hands those over one per call, so the report is that
+    job's.
+    For an FMM plan a single job executes 2-D; several stack into a
+    ``(batch, m, k)`` operand and run the batched lowering —
+    bitwise-equal per element either way — and each job gets a copy of
+    its slice, so no result keeps the stack alive.  The report is read
+    via ``last_report()`` *in this thread* immediately after the
+    execution, which is the one place that thread-local is race-free;
+    the service then attributes it to each job id in the history.
     """
     lead = jobs[0]
     cplan = lead._cplan
+    if cplan is None:
+        results = [runtime.run_blas(j._A, j._B, None, j._blas) for j in jobs]
+        return results, runtime.last_report()
     m, k, n = cplan.shape
     if len(jobs) == 1:
         C = np.zeros((m, n), dtype=cplan.dtype)
@@ -313,7 +375,7 @@ def execute_batch(jobs: list[JobHandle]):
         B3 = np.stack([j._B for j in jobs])
         C3 = np.zeros((len(jobs), m, n), dtype=cplan.dtype)
         runtime.execute_plan(cplan, A3, B3, C3, threads=lead._threads)
-        results = list(C3)
+        results = [C.copy() for C in C3]
     return results, runtime.last_report()
 
 
@@ -339,7 +401,9 @@ class MultiplyService:
         (see :data:`repro.core.spec.OVERLOAD_POLICIES`).  Default
         ``"reject"``.
     threads:
-        Worker count for jobs that do not specify their own.
+        Worker count for jobs that do not specify their own (default:
+        serial; a default job resolves like ``multiply(engine="auto")``
+        without ``threads``).
     clock, executor:
         Test seams (see module docstring).  ``executor(jobs)`` must
         return ``(results, report_or_None)`` aligned with ``jobs``.
@@ -373,12 +437,17 @@ class MultiplyService:
         if self._byte_budget is not None and self._byte_budget < 0:
             raise ValueError("byte_budget must be >= 0")
         self._policy = normalize_overload_policy(policy)
-        self._threads = normalize_threads(threads) or 1
+        # None keeps auto's own thread class for default jobs, exactly
+        # as multiply(engine="auto") without threads.
+        self._threads = normalize_threads(threads)
         self._clock = clock if clock is not None else MonotonicClock()
         self._executor = executor if executor is not None else execute_batch
 
         self._cond = threading.Condition()
         self._queue: deque[JobHandle] = deque()
+        # Queued jobs per coalescing key, so a batch window checks its
+        # fill without scanning the queue on every wake.
+        self._key_counts: dict = {}
         self._pending_bytes = 0
         self._closed = False
         self._draining = True
@@ -448,20 +517,25 @@ class MultiplyService:
         peak workspace for its plan (the arena's byte-accounting twin)
         plus its operand and result slabs.
 
-        A plan that resolved to the ``tiled`` lowering is charged its
-        bounded RAM window only (``predict_workspace_bytes`` prices
-        tiled as :func:`repro.model.perfmodel.predict_tile_window_bytes`
-        and the operand term is dropped): its slab-scale temporaries
-        spill to mmap and its operands stream through the window, so
-        charging the full slabs would starve the queue of exactly the
-        jobs the out-of-core path exists to admit.
+        A BLAS job (``cplan`` None) has no workspace: ``np.matmul``
+        allocates only the result, so it is charged the operand and
+        result bytes.  A plan that resolved to the ``tiled`` lowering is
+        charged its bounded RAM window only (``predict_workspace_bytes``
+        prices tiled as
+        :func:`repro.model.perfmodel.predict_tile_window_bytes` and the
+        operand term is dropped): its slab-scale temporaries spill to
+        mmap and its operands stream through the window, so charging the
+        full slabs would starve the queue of exactly the jobs the
+        out-of-core path exists to admit.
         """
+        operands = (m * k + k * n + m * n) * dt.itemsize
+        if cplan is None:
+            return operands
         workspace = predict_workspace_bytes(
             m, k, n, cplan.ml, fusion=cplan.fusion, threads=threads, dtype=dt
         )
         if cplan.fusion == "tiled":
             return workspace
-        operands = (m * k + k * n + m * n) * dt.itemsize
         return workspace + operands
 
     def submit(
@@ -469,21 +543,31 @@ class MultiplyService:
         A,
         B,
         *,
-        algorithm="strassen",
-        levels: int = 1,
-        variant: str = "abc",
+        algorithm=None,
+        levels: int | None = None,
+        variant: str | None = None,
         dtype=None,
         fusion: str = "auto",
         threads: int | None = None,
     ) -> JobHandle:
         """Queue ``C = A @ B`` and return its :class:`JobHandle`.
 
+        A job that sets none of ``algorithm``, ``levels`` and ``variant``
+        gets ``engine="auto"``'s pick: it resolves through the same
+        memoized route as ``multiply(A, B, engine="auto", dtype=dtype,
+        fusion=fusion, threads=threads)`` and returns bitwise what that
+        call returns.  A classical pick runs as its own BLAS call, never
+        stacked and never held for a batch window.  Setting any of the
+        three pins the schedule, with ``"strassen"``, 1 and ``"abc"`` for
+        the ones left unset, so ``submit(A, B, levels=2)`` is
+        ``strassen@2``; the accepted spec is the direct-engine multiply
+        surface (schedule strings and hybrid stacks included).  Before
+        this default, a bare ``submit(A, B)`` ran ``strassen@1``.
+
         Validation is synchronous: shape/spec errors raise here in the
-        caller, never inside the scheduler.  The accepted spec is the
-        direct-engine multiply surface (schedule strings and hybrid
-        stacks included); ``threads`` defaults to the service-wide count.
-        Complex operands raise ``TypeError`` here, like in
-        :func:`repro.multiply`.
+        caller, never inside the scheduler.  ``threads`` defaults to the
+        service-wide count.  Complex operands raise ``TypeError`` here,
+        like in :func:`repro.multiply`.
         """
         A = np.asarray(A)
         B = np.asarray(B)
@@ -495,22 +579,38 @@ class MultiplyService:
             )
         if A.shape[1] != B.shape[0]:
             raise ValueError(f"incompatible operand shapes {A.shape} x {B.shape}")
-        dt = _compute_dtype(A, B, dtype=dtype)
         threads = normalize_threads(threads) or self._threads
         fusion = normalize_fusion(fusion)
         m, k, n = A.shape[0], A.shape[1], B.shape[1]
-        cplan = plancache.compile(
-            (m, k, n), algorithm, levels, variant, dtype=dt, fusion=fusion
-        )
-        A = np.ascontiguousarray(A, dtype=dt)
-        B = np.ascontiguousarray(B, dtype=dt)
-        # The coalescing key: the compiled plan's cache key (shape,
-        # schedule, variant, dtype, resolved fusion) extended with the
-        # thread count a batch must share.
-        key = (cplan.key, threads)
+        cplan = blas = None
+        if algorithm is None and levels is None and variant is None:
+            A, B, route = _resolve(False, A, B, None, None, None, None,
+                                   "auto", threads, dtype, "readonly", fusion)
+            dt, threads = route.dt, route.threads
+            if route.depth:
+                blas = route.report
+            else:
+                algorithm, levels, variant, _ = route.config
+        else:
+            dt = _compute_dtype(A, B, dtype=dtype)
+            threads = threads or 1
+            algorithm = "strassen" if algorithm is None else algorithm
+            levels = 1 if levels is None else levels
+            variant = "abc" if variant is None else variant
+        if blas is None:
+            cplan = plancache.compile(
+                (m, k, n), algorithm, levels, variant, dtype=dt, fusion=fusion
+            )
+        A = _contig_operand(A, dt, "A")
+        B = _contig_operand(B, dt, "B")
+        # The coalescing key of an FMM job: the compiled plan's cache key
+        # (shape, schedule, variant, dtype, resolved fusion) extended with
+        # the thread count a batch must share.  A BLAS job has none: it
+        # always runs alone.
+        key = None if cplan is None else (cplan.key, threads)
         cost = self._price(cplan, threads, dt, m, k, n)
-        job = JobHandle(self, key, cplan, A, B, threads, cost,
-                        self._clock.now())
+        job = JobHandle(self, key, cplan, blas, A, B, threads, (m, k, n), dt,
+                        cost, self._clock.now())
 
         degraded = False
         with self._cond:
@@ -543,6 +643,8 @@ class MultiplyService:
             if not degraded:
                 self._counts["submitted"] += 1
                 self._queue.append(job)
+                if key is not None:
+                    self._key_counts[key] = self._key_counts.get(key, 0) + 1
                 self._pending_bytes += cost
                 self._cond.notify_all()
         _m_submitted.inc()
@@ -577,6 +679,7 @@ class MultiplyService:
                 self._queue.remove(job)
             except ValueError:
                 return False
+            self._uncount_locked(job)
             job._status = "cancelled"
             self._pending_bytes -= job._cost_bytes
             self._counts["cancelled"] += 1
@@ -599,33 +702,52 @@ class MultiplyService:
             if batch:
                 self._run_batch(batch)
 
-    def _collect_batch_locked(self) -> list[JobHandle]:
-        """Claim the next coalesced batch (called with the lock held).
+    def _uncount_locked(self, job: JobHandle) -> None:
+        """Drop a job that leaves the queue from its key's count."""
+        if job._key is not None:
+            left = self._key_counts[job._key] - 1
+            if left:
+                self._key_counts[job._key] = left
+            else:
+                del self._key_counts[job._key]
 
-        The queue head's key selects the batch; the window holds it open
-        for more same-key arrivals until ``max_batch`` jobs matched, the
-        deadline passed, or shutdown began.  Pending jobs stay in the
-        queue (still cancellable) until the batch closes.
+    def _collect_batch_locked(self) -> list[JobHandle]:
+        """Claim the next batch (called with the lock held).
+
+        A BLAS job at the head is claimed alone and at once: one
+        ``np.matmul`` has nothing to share, so it never waits for
+        company.  Otherwise the head's key selects the batch; the window
+        holds it open for more same-key arrivals until ``max_batch``
+        jobs are queued under it, the deadline passed, or shutdown
+        began.  Pending jobs stay in the queue (still cancellable) until
+        the batch closes, and then one pass splits the queue into the
+        batch and the rest.
         """
         key = self._queue[0]._key
-        max_batch = self.max_batch
-        deadline = self._clock.now() + self.batch_window_s
-        while True:
-            matched = [j for j in self._queue if j._key == key]
-            if (len(matched) >= max_batch or self._closed
-                    or not matched):
-                break
-            remaining = deadline - self._clock.now()
-            if remaining <= 0:
-                break
-            self._clock.wait(self._cond, remaining)
-        matched = matched[:max_batch]
-        for job in matched:
-            self._queue.remove(job)
+        if key is None:
+            batch = [self._queue.popleft()]
+        else:
+            max_batch = self.max_batch
+            deadline = self._clock.now() + self.batch_window_s
+            while (0 < self._key_counts.get(key, 0) < max_batch
+                   and not self._closed):
+                remaining = deadline - self._clock.now()
+                if remaining <= 0:
+                    break
+                self._clock.wait(self._cond, remaining)
+            batch, rest = [], deque()
+            for job in self._queue:
+                if job._key == key and len(batch) < max_batch:
+                    batch.append(job)
+                else:
+                    rest.append(job)
+            self._queue = rest
+        for job in batch:
+            self._uncount_locked(job)
             self._pending_bytes -= job._cost_bytes
             job._status = "running"
         self._cond.notify_all()  # queue-policy submitters may fit now
-        return matched
+        return batch
 
     def _run_batch(self, jobs: list[JobHandle]) -> None:
         try:
@@ -685,6 +807,7 @@ class MultiplyService:
             if not drain:
                 cancelled = list(self._queue)
                 self._queue.clear()
+                self._key_counts.clear()
                 self._pending_bytes = 0
                 for job in cancelled:
                     job._status = "cancelled"

@@ -11,6 +11,8 @@ from repro.core.transforms import (
     direct_sum_m,
     direct_sum_n,
     kron_compose,
+    orient,
+    orientation_stats,
     rotate,
     rotations,
     transpose_dual,
@@ -102,6 +104,24 @@ class TestAllOrientations:
         for dims, algo in all_orientations(base).items():
             assert algo.rank == 6
             _check_semantics(algo, rng)
+
+    @pytest.mark.parametrize("src", [(2, 2, 3), (2, 3, 4), (2, 2, 2)])
+    def test_orient_and_stats_follow_all_orientations(self, src):
+        from repro.algorithms.catalog import base_case
+        from repro.core.kronecker import StackStats
+
+        base = base_case(*src)
+        stats = orientation_stats(base)
+        every = all_orientations(base)
+        assert set(stats) == set(every)
+        for dims, want in every.items():
+            got = orient(base, dims)
+            assert (got.name, got.source) == (want.name, want.source)
+            for X, Y in ((got.U, want.U), (got.V, want.V), (got.W, want.W)):
+                assert np.array_equal(X, Y)
+            assert stats[dims] == StackStats.of(want)
+        with pytest.raises(KeyError):
+            orient(base, (5, 5, 5))
 
 
 class TestDirectSums:

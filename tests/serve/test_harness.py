@@ -5,6 +5,10 @@ These tests drive the scheduler entirely through the injectable seams —
 when the test advances the clock) and :class:`FaultInjectingExecutor`
 (delay / raise / deadlock on command).  No assertion in this module
 depends on wall-clock timing.
+
+A default job runs auto's pick, which at these sizes is one BLAS call
+that never waits for a window; tests about coalescing pin
+``strassen`` so their jobs share a plan.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ class TestCoalescingWindow:
     def test_window_holds_until_the_clock_advances(self, rig, ops):
         svc, clock, ex = rig
         A, B = ops
-        handles = [svc.submit(A, B) for _ in range(5)]
+        handles = [svc.submit(A, B, algorithm="strassen") for _ in range(5)]
         # Simulated time is frozen: the window cannot expire on its own,
         # so every same-plan job lands in one batch once time moves.
         clock.run_until(lambda: all(h.done() for h in handles))
@@ -54,7 +58,8 @@ class TestCoalescingWindow:
         A, B = ops
         try:
             gate = ex.push_block()  # freeze batch #1 so all 5 queue first
-            handles = [svc.submit(A, B) for _ in range(5)]
+            handles = [svc.submit(A, B, algorithm="strassen")
+                       for _ in range(5)]
             gate.set()
             clock.run_until(lambda: all(h.done() for h in handles))
             sizes = sorted(len(call) for call in ex.calls)
@@ -67,8 +72,9 @@ class TestCoalescingWindow:
         svc, clock, ex = rig
         A64 = rng.standard_normal((48, 48))
         B64 = rng.standard_normal((48, 48))
-        h_f64 = [svc.submit(A64, B64) for _ in range(3)]
-        h_f32 = [svc.submit(A64.astype(np.float32), B64.astype(np.float32))
+        h_f64 = [svc.submit(A64, B64, algorithm="strassen") for _ in range(3)]
+        h_f32 = [svc.submit(A64.astype(np.float32), B64.astype(np.float32),
+                            algorithm="strassen")
                  for _ in range(3)]
         h_lvl2 = [svc.submit(A64, B64, levels=2) for _ in range(2)]
         everyone = h_f64 + h_f32 + h_lvl2
@@ -86,8 +92,8 @@ class TestCoalescingWindow:
     def test_execution_knobs_split_the_coalescing_key(self, rig, ops):
         svc, clock, ex = rig
         A, B = ops
-        h1 = svc.submit(A, B, threads=1)
-        h2 = svc.submit(A, B, threads=2)
+        h1 = svc.submit(A, B, algorithm="strassen", threads=1)
+        h2 = svc.submit(A, B, algorithm="strassen", threads=2)
         clock.run_until(lambda: h1.done() and h2.done())
         assert {frozenset(c) for c in ex.calls} == {
             frozenset([h1.id]), frozenset([h2.id])}
@@ -120,7 +126,8 @@ class TestCancellationRaces:
         assert h.cancel() is False
         gate.set()
         clock.run_until(lambda: h.done())
-        assert np.array_equal(h.result(timeout=30.0), multiply(A, B))
+        assert np.array_equal(h.result(timeout=30.0),
+                              multiply(A, B, engine="auto"))
 
     def test_double_cancel_reports_false_the_second_time(self, rig, ops):
         svc, clock, ex = rig
@@ -148,8 +155,8 @@ class TestErrorPropagation:
         A, B = ops
         boom = ArithmeticError("singular universe")
         ex.push_raise(boom)
-        h1 = svc.submit(A, B)
-        h2 = svc.submit(A, B)
+        h1 = svc.submit(A, B, algorithm="strassen")
+        h2 = svc.submit(A, B, algorithm="strassen")
         clock.run_until(lambda: h1.done() and h2.done())
         assert h1.status == h2.status == "error"
         for h in (h1, h2):
@@ -168,7 +175,8 @@ class TestErrorPropagation:
         clock.run_until(lambda: good.done())
         assert bad.status == "error"
         assert good.status == "complete"
-        assert np.array_equal(good.result(timeout=30.0), multiply(A, B))
+        assert np.array_equal(good.result(timeout=30.0),
+                              multiply(A, B, engine="auto"))
 
 
 class TestDeadlockedExecutor:

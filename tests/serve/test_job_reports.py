@@ -56,8 +56,9 @@ class TestInterleavedJobsNeverSwapReports:
 
     def test_two_interleaved_jobs_get_their_own_reports(self, rng):
         # Distinct plans (shape and dtype differ) so a swapped report is
-        # unambiguous, submitted into one frozen window so both are in
-        # flight together.
+        # unambiguous, pinned to strassen and submitted into one frozen
+        # window so both are in flight together (a default job would run
+        # as one BLAS call at once).
         A1 = rng.standard_normal((64, 48))
         B1 = rng.standard_normal((48, 72))
         A2 = rng.standard_normal((32, 32)).astype(np.float32)
@@ -65,8 +66,8 @@ class TestInterleavedJobsNeverSwapReports:
         clock = ServiceTestClock()
         svc = MultiplyService(batch_window_s=1.0, clock=clock)
         try:
-            h1 = svc.submit(A1, B1)
-            h2 = svc.submit(A2, B2)
+            h1 = svc.submit(A1, B1, algorithm="strassen")
+            h2 = svc.submit(A2, B2, algorithm="strassen")
             clock.run_until(lambda: h1.done() and h2.done())
         finally:
             svc.shutdown(timeout=30.0)

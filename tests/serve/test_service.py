@@ -31,7 +31,7 @@ def ops(rng):
 
 
 def priced_bytes(A, B) -> int:
-    """What the service charges one (A, B) strassen@1 job: probed via a
+    """What the service charges one default (A, B) job: probed via a
     throwaway 1-byte-budget service so tests size budgets off the real
     price instead of hardcoding model output."""
     svc = MultiplyService(byte_budget=1, policy="reject")
@@ -62,7 +62,7 @@ class TestJobLifecycle:
             assert h.status == "complete"
             assert h.done()
             assert h.id.startswith("job-")
-            assert np.array_equal(C, multiply(A, B))
+            assert np.array_equal(C, multiply(A, B, engine="auto"))
 
     def test_statuses_are_the_documented_set(self):
         assert JOB_STATUSES == (
@@ -163,7 +163,7 @@ class TestAdmissionControl:
             h = svc.submit(A, B)
             # Already terminal: the caller executed it synchronously.
             assert h.status == "complete"
-            assert np.array_equal(h.result(), multiply(A, B))
+            assert np.array_equal(h.result(), multiply(A, B, engine="auto"))
             st = svc.stats()
             assert st["degraded_serial"] == 1
             assert st["queue_depth"] == 0
@@ -286,12 +286,12 @@ class TestObservabilityPublication:
     def test_queue_depth_gauge_tracks_live_services(self, ops):
         A, B = ops
         # A frozen test clock keeps the coalescing window open forever, so
-        # both jobs deterministically sit in the queue (still pending)
-        # when the gauge is read.
+        # both pinned jobs deterministically sit in the queue (still
+        # pending) when the gauge is read.
         svc = MultiplyService(clock=ServiceTestClock(), batch_window_s=10.0)
         try:
-            svc.submit(A, B)
-            svc.submit(A, B)
+            svc.submit(A, B, algorithm="strassen")
+            svc.submit(A, B, algorithm="strassen")
             snap = obs_metrics.registry.snapshot()
             assert snap["gauges"]["serve.queue_depth"] == 2
             assert snap["gauges"]["serve.pending_bytes"] > 0
@@ -379,7 +379,7 @@ class TestCoalescingAcceptance:
             lock = threading.Lock()
 
             def submit_one():
-                h = svc.submit(A, B)
+                h = svc.submit(A, B, algorithm="strassen")
                 with lock:
                     handles.append(h)
 

@@ -397,7 +397,21 @@ def render_serve_section() -> str:
         "",
         "`repro.serve.MultiplyService` turns the library call into a",
         "concurrent job API: `submit(A, B, **spec)` returns a `JobHandle`",
-        "immediately and a dedicated scheduler thread coalesces",
+        "immediately and a dedicated scheduler thread runs it.",
+        "",
+        "A job that names no schedule (no `algorithm`, `levels` or",
+        "`variant`) gets `engine=\"auto\"`'s pick: it resolves through",
+        "the same memoized route as `multiply(A, B, engine=\"auto\")`",
+        "and returns bitwise what that call returns.  A classical pick,",
+        "which is every job on hosts where FMM does not pay off at the",
+        "job's size, runs as its own BLAS call (`runtime.run_blas`):",
+        "no stacking, no plan and no batch window, since one",
+        "`np.matmul` has nothing to amortize.  Until this default, every",
+        "job ran `strassen@1`; setting any of the three spec arguments",
+        "still pins a schedule, with `strassen`, 1 and `abc` for the",
+        "rest.",
+        "",
+        "FMM jobs, pinned or picked, coalesce: the scheduler stacks",
         "same-plan requests into one batched `execute_plan` call — the",
         "compiled-plan cache key (shape, schedule, variant, dtype,",
         "resolved fusion) extended with the thread count is the",
@@ -406,19 +420,21 @@ def render_serve_section() -> str:
         "`float32` request can never come back upcast.  The batched",
         "lowering is bitwise-equal to the per-request 2-D path, so",
         "coalescing is observationally invisible (the property suite in",
-        "`tests/serve/` holds it to that).",
+        "`tests/serve/` holds it to that), and each job gets an array",
+        "of its own.",
         "",
         "Job lifecycle: " + " → ".join(f"`{s}`" for s in JOB_STATUSES[:3])
         + " (terminal: " + ", ".join(f"`{s}`" for s in JOB_STATUSES[2:])
-        + ").  A job stays cancellable while it waits in the coalescing",
-        "window; `JobHandle.result(timeout=...)` blocks for the result,",
+        + ").  A job stays cancellable until the scheduler claims it;",
+        "`JobHandle.result(timeout=...)` blocks for the result,",
         "`JobHandle.report()` returns the job's `ExecutionReport` from",
         "the report history (keyed by job id — `runtime.last_report()`",
         "is thread-local and would race across service threads).",
         "",
         "Admission control prices every submission at",
         "`predict_workspace_bytes` for its plan plus operand/result",
-        "slabs, and compares the sum over the queue against",
+        "slabs (a BLAS job: operand and result bytes only), and",
+        "compares the sum over the queue against",
         "`byte_budget`.  Over budget, the `policy` knob decides:",
         "",
     ]
@@ -438,7 +454,8 @@ def render_serve_section() -> str:
         "table above) — no parallel bookkeeping.",
         "",
         "`repro serve` drives a service under concurrent submitters from",
-        "the CLI and prints the coalesce ratio; `repro jobs` walks a",
+        "the CLI and prints the coalesce ratio and the sample job's",
+        "`core_path`; `repro jobs` walks a",
         "mixed batch through the whole lifecycle (including a",
         "cancellation) and tabulates per-job status and reports.",
         "`benchmarks/bench_serve.py` gates coalesced throughput against",

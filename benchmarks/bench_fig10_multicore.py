@@ -106,20 +106,18 @@ def test_fig10_modeled_vs_measured_scaling(benchmark):
     """Modeled and measured strong scaling side by side on this machine.
 
     The modeled curve is the paper's machine model; the measured curve is
-    the real task-graph runtime (:mod:`repro.core.runtime`) executing the
-    same configuration at each thread count on the shared thread pool.
-    On shared 1-2 core CI the measured curve carries little signal, so
-    the assertion is only that threading does not catastrophically
-    degrade; run ``benchmarks/bench_parallel_runtime.py`` on a >= 4-core
-    box for the 2x acceptance bar.
+    the paper's kind of parallelism on this host — BLAS data parallelism
+    inside every leaf GEMM: the same configuration runs in a child
+    interpreter per core count with ``OPENBLAS_NUM_THREADS`` set (counts
+    above this host's cores are skipped).  On shared 1-2 core CI the
+    measured curve carries little signal, so the assertion is only that
+    more BLAS threads do not catastrophically degrade the runtime.
     """
-    import os
-
     from repro.core.executor import resolve_levels
     from repro.core.parallel import measured_scaling_curve, scaling_curve
 
     m = k = n = 768
-    threads = tuple(t for t in (1, 2, 4) if t <= (os.cpu_count() or 1)) or (1,)
+    threads = (1, 2, 4)
 
     measured = benchmark.pedantic(
         measured_scaling_curve, args=(m, k, n),
@@ -130,13 +128,13 @@ def test_fig10_modeled_vs_measured_scaling(benchmark):
     modeled = {
         p.cores: p
         for p in scaling_curve(m, k, n, resolve_levels("strassen", 1), "abc",
-                               max_cores=max(threads))
+                               max_cores=max(p.cores for p in measured))
     }
-    print(f"\n{'threads':>7} {'time s':>10} {'spdup':>10} {'model spdup':>12}")
+    print(f"\n{'cores':>7} {'time s':>10} {'spdup':>10} {'model spdup':>12}")
     for p in measured:
         mp = modeled.get(p.cores)
         print(f"{p.cores:7d} {p.time:10.4f} {p.speedup:9.2f}x "
               f"{mp.speedup if mp else 1.0:11.2f}x")
     assert measured[0].speedup == 1.0
-    # Threading may not catastrophically degrade the runtime.
+    # More BLAS threads may not catastrophically degrade the runtime.
     assert all(p.time < measured[0].time * 3.0 for p in measured)

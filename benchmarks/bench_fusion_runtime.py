@@ -4,9 +4,9 @@ The tentpole acceptance bench for the variant-aware runtime
 (:mod:`repro.core.runtime`): the same compiled plans are executed through
 the **staged** lowering (all R products' ``S``/``T``/``M`` slabs plus the
 scatter staging materialized — the reference-framework memory behavior)
-and the **fused** lowering (per-worker group-streamed product buffers,
-immediate C scatter), across square, skewed and batched shapes at one and
-— where the cores exist — N threads.  Two claims are regression-tracked:
+and the **fused** lowering (group-streamed product buffers, immediate C
+scatter), across square, skewed and batched shapes.  Two claims are
+regression-tracked:
 
 * **memory** — the fused pipeline's measured peak workspace bytes (from
   the arena high-water meter on the execution report) are strictly below
@@ -33,7 +33,7 @@ import numpy as np
 #: so the staged slabs genuinely outgrow the caches (the regime the fused
 #: pipeline exists for); the 1536^3 point is past the staged pipeline's
 #: ``vector_cap`` — there staged legally falls back to its serial
-#: per-step loop while fused stays on the task graph; the batched point
+#: per-step loop while fused stays on the arena path; the batched point
 #: exercises the chunked 3-D path.
 SHAPES = (
     ((1024, 1024, 1024), "strassen", 2, None),
@@ -47,12 +47,6 @@ REPEATS = 3
 SPEED_MARGIN = 1.10
 
 
-def _threads_here(limit: int | None = None) -> tuple[int, ...]:
-    """Benchmark thread counts, never exceeding this host's cores."""
-    avail = limit or os.cpu_count() or 1
-    return (1, 2) if avail >= 2 else (1,)
-
-
 def _operands(shape, batch, dtype=np.float64, seed=2017):
     m, k, n = shape
     rng = np.random.default_rng(seed)
@@ -63,7 +57,7 @@ def _operands(shape, batch, dtype=np.float64, seed=2017):
     return A, B, C
 
 
-def measure_point(shape, spec, levels, batch, threads=1, repeats=REPEATS):
+def measure_point(shape, spec, levels, batch, repeats=REPEATS):
     """Interleaved best-of-``repeats`` timings + peak bytes for both modes.
 
     Staged and fused runs alternate so slow drift on a shared machine
@@ -79,8 +73,8 @@ def measure_point(shape, spec, levels, batch, threads=1, repeats=REPEATS):
     }
     peaks: dict[str, int] = {}
     paths: dict[str, str] = {}
-    for mode, cplan in plans.items():  # warm: compile, arena, pools
-        runtime.execute_plan(cplan, A, B, C, threads=threads)
+    for mode, cplan in plans.items():  # warm: compile, arena
+        runtime.execute_plan(cplan, A, B, C)
         report = runtime.last_report()
         peaks[mode] = report.peak_workspace_bytes
         paths[mode] = report.core_path
@@ -88,32 +82,28 @@ def measure_point(shape, spec, levels, batch, threads=1, repeats=REPEATS):
     for _ in range(repeats):
         for mode, cplan in plans.items():
             t0 = time.perf_counter()
-            runtime.execute_plan(cplan, A, B, C, threads=threads)
+            runtime.execute_plan(cplan, A, B, C)
             times[mode] = min(times[mode], time.perf_counter() - t0)
     return times, peaks, paths
 
 
-def run_sweep(threads_list=None):
-    """Measure every (shape, threads) point; returns a list of row dicts."""
+def run_sweep():
+    """Measure every shape point; returns a list of row dicts."""
     rows = []
-    for threads in threads_list or _threads_here():
-        for shape, spec, levels, batch in SHAPES:
-            times, peaks, paths = measure_point(
-                shape, spec, levels, batch, threads
-            )
-            rows.append({
-                "shape": list(shape),
-                "algorithm": f"{spec}-L{levels}",
-                "batch": batch or 1,
-                "threads": threads,
-                "staged_ms": times["staged"] * 1e3,
-                "fused_ms": times["fused"] * 1e3,
-                "staged_peak_bytes": peaks["staged"],
-                "fused_peak_bytes": peaks["fused"],
-                "staged_core_path": paths["staged"],
-                "fused_core_path": paths["fused"],
-                "speed_ratio": times["staged"] / times["fused"],
-            })
+    for shape, spec, levels, batch in SHAPES:
+        times, peaks, paths = measure_point(shape, spec, levels, batch)
+        rows.append({
+            "shape": list(shape),
+            "algorithm": f"{spec}-L{levels}",
+            "batch": batch or 1,
+            "staged_ms": times["staged"] * 1e3,
+            "fused_ms": times["fused"] * 1e3,
+            "staged_peak_bytes": peaks["staged"],
+            "fused_peak_bytes": peaks["fused"],
+            "staged_core_path": paths["staged"],
+            "fused_core_path": paths["fused"],
+            "speed_ratio": times["staged"] / times["fused"],
+        })
     return rows
 
 
@@ -131,7 +121,7 @@ def test_fused_peak_below_staged_at_1024_cubed_two_level():
     from repro.model.perfmodel import predict_workspace_bytes
 
     times, peaks, _ = measure_point((1024, 1024, 1024), "strassen", 2, None,
-                                    threads=1, repeats=1)
+                                    repeats=1)
     assert peaks["fused"] < peaks["staged"], peaks
     ml = resolve_levels("strassen", 2)
     for mode in ("staged", "fused"):
@@ -145,7 +135,7 @@ def test_fused_no_slower_overall_and_lower_peak_on_two_shapes():
     """Acceptance: summed over the sweep, fused is no slower than staged
     (10% noise margin), and its peak workspace is strictly lower on at
     least two shapes."""
-    rows = run_sweep(threads_list=(1,))
+    rows = run_sweep()
     total_staged = sum(r["staged_ms"] for r in rows)
     total_fused = sum(r["fused_ms"] for r in rows)
     assert total_fused <= total_staged * SPEED_MARGIN, (
@@ -182,7 +172,7 @@ def main() -> None:
     from repro.bench.reporting import write_bench_json
 
     print(f"fusion-runtime benchmark (host has {os.cpu_count()} cores)")
-    print(f"{'shape':>18} {'algorithm':>22} {'t':>2} "
+    print(f"{'shape':>18} {'algorithm':>22} "
           f"{'staged ms':>10} {'fused ms':>9} {'ratio':>6} "
           f"{'staged MiB':>11} {'fused MiB':>10}")
     rows = run_sweep()
@@ -190,7 +180,7 @@ def main() -> None:
         shape = "x".join(str(d) for d in r["shape"])
         if r["batch"] > 1:
             shape += f"(x{r['batch']})"
-        print(f"{shape:>18} {r['algorithm']:>22} {r['threads']:>2} "
+        print(f"{shape:>18} {r['algorithm']:>22} "
               f"{r['staged_ms']:10.1f} {r['fused_ms']:9.1f} "
               f"{r['speed_ratio']:5.2f}x "
               f"{r['staged_peak_bytes'] / 2**20:11.1f} "

@@ -16,11 +16,11 @@ stays in RAM.  Three claims are regression-tracked:
 * **speed** — summed across the sweep, tiled wall-clock stays within
   ``SPEED_MARGIN`` (1.3x) of the in-core fused pipeline at these in-RAM
   sizes: streaming through the window must not wreck the kernel
-  efficiency the task graph was built for.
+  efficiency the fused pipeline was built for.
 * **out-of-core completion** — a 2-level multiply on ``np.memmap``
   operands whose slabs are 4x the configured budget completes through
-  the tiled lowering, bitwise-equal to the in-core result at the same
-  worker count, with measured peak RAM <= the priced window.
+  the tiled lowering, bitwise-equal to the in-core fused result, with
+  measured peak RAM <= the priced window.
 
 Run standalone (``python benchmarks/bench_out_of_core.py``) for a table
 plus machine-readable ``benchmarks/results/BENCH_out_of_core.json``
@@ -53,12 +53,6 @@ BUDGET_DIV = 8
 SPEED_MARGIN = 1.30
 
 
-def _threads_here(limit: int | None = None) -> tuple[int, ...]:
-    """Benchmark thread counts, never exceeding this host's cores."""
-    avail = limit or os.cpu_count() or 1
-    return (1, 2) if avail >= 2 else (1,)
-
-
 def _operands(shape, dtype=np.float64, seed=2017):
     m, k, n = shape
     rng = np.random.default_rng(seed)
@@ -77,7 +71,7 @@ def _budget_for(shape, spec, levels) -> int:
     return operand_slab_bytes(m, k, n, ml) // BUDGET_DIV
 
 
-def measure_point(shape, spec, levels, threads=1, repeats=REPEATS):
+def measure_point(shape, spec, levels, repeats=REPEATS):
     """Interleaved best-of-``repeats`` timings + peaks for all three modes.
 
     The tiled plan executes under the shape's reduced memory budget
@@ -102,7 +96,7 @@ def measure_point(shape, spec, levels, threads=1, repeats=REPEATS):
         if mode == "tiled":
             set_runtime_tunables(mem_budget_bytes=budget)
         try:
-            runtime.execute_plan(plans[mode], A, B, C, threads=threads)
+            runtime.execute_plan(plans[mode], A, B, C)
         finally:
             if mode == "tiled":
                 set_runtime_tunables(mem_budget_bytes=0)
@@ -110,7 +104,7 @@ def measure_point(shape, spec, levels, threads=1, repeats=REPEATS):
 
     peaks: dict[str, int] = {}
     tiled_rep = None
-    for mode in plans:  # warm: compile, arena, pools, spill files
+    for mode in plans:  # warm: compile, arena, spill files
         report = _run(mode)
         peaks[mode] = report.peak_workspace_bytes
         if mode == "tiled":
@@ -125,7 +119,7 @@ def measure_point(shape, spec, levels, threads=1, repeats=REPEATS):
     set_runtime_tunables(mem_budget_bytes=budget)
     try:
         predicted = predict_tile_window_bytes(
-            m, k, n, resolve_levels(spec, levels), threads=threads
+            m, k, n, resolve_levels(spec, levels)
         )
     finally:
         set_runtime_tunables(mem_budget_bytes=0)
@@ -139,25 +133,23 @@ def measure_point(shape, spec, levels, threads=1, repeats=REPEATS):
     return times, peaks, stats
 
 
-def run_sweep(threads_list=None):
-    """Measure every (shape, threads) point; returns a list of row dicts."""
+def run_sweep():
+    """Measure every shape point; returns a list of row dicts."""
     rows = []
-    for threads in threads_list or _threads_here():
-        for shape, spec, levels in SHAPES:
-            times, peaks, stats = measure_point(shape, spec, levels, threads)
-            rows.append({
-                "shape": list(shape),
-                "algorithm": f"{spec}-L{levels}",
-                "threads": threads,
-                "staged_ms": times["staged"] * 1e3,
-                "fused_ms": times["fused"] * 1e3,
-                "tiled_ms": times["tiled"] * 1e3,
-                "staged_peak_bytes": peaks["staged"],
-                "fused_peak_bytes": peaks["fused"],
-                "tiled_peak_bytes": peaks["tiled"],
-                "tiled_vs_fused": times["tiled"] / times["fused"],
-                **stats,
-            })
+    for shape, spec, levels in SHAPES:
+        times, peaks, stats = measure_point(shape, spec, levels)
+        rows.append({
+            "shape": list(shape),
+            "algorithm": f"{spec}-L{levels}",
+            "staged_ms": times["staged"] * 1e3,
+            "fused_ms": times["fused"] * 1e3,
+            "tiled_ms": times["tiled"] * 1e3,
+            "staged_peak_bytes": peaks["staged"],
+            "fused_peak_bytes": peaks["fused"],
+            "tiled_peak_bytes": peaks["tiled"],
+            "tiled_vs_fused": times["tiled"] / times["fused"],
+            **stats,
+        })
     return rows
 
 
@@ -169,7 +161,7 @@ def test_tiled_peak_below_staged_on_at_least_two_shapes():
     measured peak never exceeds the priced window (which equals the
     report's ``tile_window_bytes`` by construction).  Deterministic
     byte counts from the arena high-water meter, no wall-clock."""
-    rows = run_sweep(threads_list=(1,))
+    rows = run_sweep()
     for r in rows:
         assert r["tile_window_bytes"] == r["predicted_window_bytes"], r
         assert 0 < r["tiled_peak_bytes"] <= r["tile_window_bytes"], r
@@ -184,7 +176,7 @@ def test_tiled_peak_below_staged_on_at_least_two_shapes():
 def test_tiled_wallclock_within_margin_of_incore():
     """Acceptance: summed over the sweep, tiled wall-clock stays within
     ``SPEED_MARGIN`` of the in-core fused pipeline at in-RAM sizes."""
-    rows = run_sweep(threads_list=(1,))
+    rows = run_sweep()
     total_fused = sum(r["fused_ms"] for r in rows)
     total_tiled = sum(r["tiled_ms"] for r in rows)
     assert total_tiled <= total_fused * SPEED_MARGIN, (
@@ -213,13 +205,13 @@ def test_out_of_core_acceptance_memmap_operands_4x_budget(tmp_path):
     Am[:] = rng.standard_normal((m, k))
     Bm[:] = rng.standard_normal((k, n))
     ref = multiply(np.array(Am), np.array(Bm), algorithm="strassen",
-                   levels=2, variant="abc", fusion="fused", threads=1)
+                   levels=2, variant="abc", fusion="fused")
     set_runtime_tunables(mem_budget_bytes=budget)
     try:
         out = multiply(Am, Bm, algorithm="strassen", levels=2,
-                       variant="abc", fusion="auto", threads=1)
+                       variant="abc", fusion="auto")
         rep = last_report()
-        predicted = predict_tile_window_bytes(m, k, n, ml, threads=1)
+        predicted = predict_tile_window_bytes(m, k, n, ml)
     finally:
         set_runtime_tunables(mem_budget_bytes=0)
     assert rep.fusion == "tiled", rep.fusion
@@ -236,14 +228,14 @@ def main() -> None:
 
     print(f"out-of-core benchmark (host has {os.cpu_count()} cores, "
           f"tiled budget = slabs/{BUDGET_DIV})")
-    print(f"{'shape':>14} {'algorithm':>22} {'t':>2} "
+    print(f"{'shape':>14} {'algorithm':>22} "
           f"{'staged ms':>10} {'fused ms':>9} {'tiled ms':>9} {'t/f':>5} "
           f"{'staged MiB':>11} {'tiled MiB':>10} {'window MiB':>11} "
           f"{'tiles':>6}")
     rows = run_sweep()
     for r in rows:
         shape = "x".join(str(d) for d in r["shape"])
-        print(f"{shape:>14} {r['algorithm']:>22} {r['threads']:>2} "
+        print(f"{shape:>14} {r['algorithm']:>22} "
               f"{r['staged_ms']:10.1f} {r['fused_ms']:9.1f} "
               f"{r['tiled_ms']:9.1f} {r['tiled_vs_fused']:4.2f}x "
               f"{r['staged_peak_bytes'] / 2**20:11.2f} "

@@ -95,7 +95,6 @@ def main() -> None:
         rows.append({
             "shape": [N, N, N],
             "algorithm": f"strassen-L{levels}",
-            "threads": 1,
             "cached_us": cached * 1e6,
             "uncached_us": uncached * 1e6,
             "speedup": ratio,

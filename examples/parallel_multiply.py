@@ -1,10 +1,11 @@
-"""Parallel execution quickstart: the task-graph runtime on real cores.
+"""Parallel execution quickstart: BLAS data parallelism on real cores.
 
-``multiply(..., threads=N)`` lowers the compiled plan into a task DAG —
-gather the operand blocks into arena workspace, compute the coefficient
-products ``M_r``, scatter into conflict-free destination tiles — and runs
-it on a reusable worker pool.  ``threads=1`` executes the identical
-schedule serially, so parallel results match the serial ones.
+Every multiply runs its phases — gather the operand blocks into arena
+workspace, compute the coefficient products ``M_r``, scatter into the
+destination tiles — in order on the calling thread.  The parallelism is
+the paper's data parallelism: each leaf product is one ``np.matmul``,
+which OpenBLAS runs on all of its threads (``OPENBLAS_NUM_THREADS``
+sets how many, before Python starts).
 
 Run with ``PYTHONPATH=src python examples/parallel_multiply.py``.
 """
@@ -22,36 +23,37 @@ def main() -> None:
     A = rng.standard_normal((n, n))
     B = rng.standard_normal((n, n))
 
-    # 1. Explicit thread counts: same answer, more cores.
-    C1 = multiply(A, B, algorithm="strassen", levels=1, threads=1)
-    C4 = multiply(A, B, algorithm="strassen", levels=1, threads=4)
-    print(f"serial vs 4-thread max diff: {np.abs(C4 - C1).max():.3e}")
-    print(f"vs numpy oracle:             {np.abs(C4 - A @ B).max():.3e}")
+    # 1. One worker per multiply; reruns are bitwise identical.
+    C1 = multiply(A, B, algorithm="strassen", levels=1)
+    C2 = multiply(A, B, algorithm="strassen", levels=1)
+    rep = last_report()
+    print(f"rerun bitwise equal:         {np.array_equal(C1, C2)} "
+          f"({rep.worker_mode}, threads={rep.threads})")
+    print(f"vs numpy oracle:             {np.abs(C1 - A @ B).max():.3e}")
 
     # 2. The workspace arena recycles every temporary: repeated same-plan
     #    multiplies allocate nothing on the hot path.
     before = arena_stats()
     for _ in range(10):
-        multiply(A, B, algorithm="strassen", levels=1, threads=4)
+        multiply(A, B, algorithm="strassen", levels=1)
     after = arena_stats()
     print(f"arena: {after.allocations} workspaces allocated, "
           f"{after.reuses - before.reuses} reuses over 10 calls")
 
-    # 3. Auto-dispatch picks the schedule, not the thread count: it runs
-    #    serial unless threads= is given.
-    C = multiply(A, B, engine="auto", threads=2)
+    # 3. Auto-dispatch picks the schedule; BLAS picks the threads.
+    C = multiply(A, B, engine="auto")
     rep = last_report()
     print(f"engine='auto' max err:       {np.abs(C - A @ B).max():.3e} "
-          f"({rep.schedule}, {rep.threads} thread(s) requested, "
-          f"{rep.worker_mode})")
+          f"({rep.schedule}, core_path={rep.core_path})")
 
-    # 4. Measured strong scaling of the real runtime on this machine.
-    threads = tuple(
-        t for t in (1, 2, 4) if t <= (os.cpu_count() or 1)
+    # 4. Measured strong scaling of BLAS data parallelism: each core
+    #    count runs in a child interpreter with OPENBLAS_NUM_THREADS set.
+    cores = tuple(
+        p for p in (1, 2, 4) if p <= (os.cpu_count() or 1)
     ) or (1,)
     print(f"\nmeasured scaling at {n}^3 (strassen L1):")
-    for p in measured_scaling_curve(n, n, n, threads_list=threads, repeats=2):
-        print(f"  {p.cores} thread(s): {p.time * 1e3:7.2f} ms  "
+    for p in measured_scaling_curve(n, n, n, threads_list=cores, repeats=2):
+        print(f"  {p.cores} BLAS thread(s): {p.time * 1e3:7.2f} ms  "
               f"{p.gflops:6.2f} GFLOPS  speedup {p.speedup:4.2f}x")
 
 

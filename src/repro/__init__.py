@@ -22,19 +22,21 @@ Public surface
   (rectangular ``<m,k,n>`` entries included; see ``docs/algorithms.md``).
 * :class:`FMMAlgorithm` / :class:`MultiLevelFMM` — the ``[[U,V,W]]`` algebra.
 * :class:`DirectEngine` / :class:`BlockedEngine` — execution engines, thin
-  clients of the task-graph runtime over the cached :class:`CompiledPlan`
+  clients of the lowering runtime over the cached :class:`CompiledPlan`
   artifact (:mod:`repro.core.compile`; inspect the cache with
   :func:`plan_cache_info` / :func:`plan_cache_clear`).
-* :func:`execute_plan` / :func:`lower_plan` — the variant-aware parallel
-  runtime (:mod:`repro.core.runtime`): staged, streaming-fused or
-  out-of-core tiled task DAGs (``fusion=`` knob; tiled streams
-  mmap-spilled slabs through a bounded RAM window priced by
-  :func:`predict_tile_window_bytes`) + reusable worker pools + arena
-  (:func:`arena_stats` / :func:`arena_clear`); every execution publishes
-  an :class:`ExecutionReport` with measured peak workspace bytes
+* :func:`execute_plan` — the variant-aware runtime
+  (:mod:`repro.core.runtime`): staged, streaming-fused or out-of-core
+  tiled lowerings (``fusion=`` knob; tiled streams mmap-spilled slabs
+  through a bounded RAM window priced by
+  :func:`predict_tile_window_bytes`) over a recycling arena
+  (:func:`arena_stats` / :func:`arena_clear`); each execution runs on
+  one worker while BLAS threads its leaf products, and publishes an
+  :class:`ExecutionReport` with measured peak workspace bytes
   (:func:`last_report`).
-* :func:`measured_scaling_curve` / :func:`scaling_curve` — measured vs
-  modeled multicore scaling (:mod:`repro.core.parallel`).
+* :func:`measured_scaling_curve` / :func:`scaling_curve` — measured
+  (BLAS data parallelism) vs modeled multicore scaling
+  (:mod:`repro.core.parallel`).
 * :func:`predict_fmm` / :func:`predict_gemm` — the Fig.-5 performance model.
 * :func:`select` — model-guided poly-algorithm selection (Fig. 8).
 * :func:`tune_problem` / :func:`tune_sweep` / :class:`WisdomStore` —
@@ -92,14 +94,7 @@ from repro.core.fmm import FMMAlgorithm
 from repro.core.kronecker import MultiLevelFMM
 from repro.core.parallel import measured_scaling_curve, scaling_curve
 from repro.core.plan import build_plan
-from repro.core.runtime import (
-    ExecutionReport,
-    TaskGraph,
-    execute_plan,
-    get_pool,
-    last_report,
-    lower_plan,
-)
+from repro.core.runtime import ExecutionReport, execute_plan, last_report
 from repro.core.selection import Candidate, auto_config, hybrid_shapes_for, select
 from repro.core.spec import (
     FUSION_MODES,
@@ -178,11 +173,8 @@ __all__ = [
     "NAMED_ALGORITHMS",
     "known_algorithm_names",
     "execute_plan",
-    "lower_plan",
     "last_report",
     "ExecutionReport",
-    "TaskGraph",
-    "get_pool",
     "arena_stats",
     "arena_clear",
     "scaling_curve",

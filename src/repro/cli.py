@@ -25,10 +25,23 @@ import sys
 import numpy as np
 
 
-def _add_shape(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-m", type=int, default=1024)
-    p.add_argument("-k", type=int, default=1024)
-    p.add_argument("-n", type=int, default=1024)
+def _int_at_least(low: int):
+    """An argparse ``type`` for integers ``>= low``: anything else is a
+    usage error (exit 2), not a traceback from deep inside a command."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
+def _add_shape(p: argparse.ArgumentParser, low: int = 0) -> None:
+    """``-m/-k/-n``; commands that price or tune a problem need ``low=1``."""
+    for dim in ("-m", "-k", "-n"):
+        p.add_argument(dim, type=_int_at_least(low), default=1024)
 
 
 def _parse_algorithm(spec: str, levels: int):
@@ -65,31 +78,28 @@ def cmd_multiply(args) -> int:
     if args.batch > 1:
         C = multiply_batched(
             A, B, algorithm=ml if ml is not None else "strassen",
-            variant=args.variant, engine=args.engine, threads=args.threads,
+            variant=args.variant, engine=args.engine,
             tune=args.tune, fusion=args.fusion,
         )
     elif args.engine == "blocked":
-        # BlockedEngine normalizes threads itself (None -> 1, 0/neg raise).
-        eng = BlockedEngine(variant=args.variant, threads=args.threads)
+        eng = BlockedEngine(variant=args.variant)
         C = np.zeros((args.m, args.n), dtype=dtype)
         eng.multiply(A, B, C, ml)
         print("counters:", eng.counters)
     else:
         C = multiply(
             A, B, algorithm=ml if ml is not None else "strassen",
-            variant=args.variant, engine=args.engine, threads=args.threads,
+            variant=args.variant, engine=args.engine,
             tune=args.tune, fusion=args.fusion,
         )
     from repro.core.runtime import last_report
 
     rep = last_report()
     if rep is not None:
-        print(f"runtime: {rep.fusion} lowering, {rep.threads} thread(s), "
+        print(f"runtime: {rep.fusion} lowering, "
               f"peak workspace {rep.peak_workspace_bytes / 2**20:.2f} MiB")
         if args.report:
-            print(f"report: worker_mode={rep.worker_mode} "
-                  f"n_workers={rep.n_workers} "
-                  f"core_path={rep.core_path} n_tasks={rep.n_tasks} "
+            print(f"report: core_path={rep.core_path} "
                   f"n_chunks={rep.n_chunks}")
             if rep.fusion == "tiled":
                 print(f"tiled: n_tiles={rep.n_tiles} "
@@ -108,8 +118,9 @@ def cmd_multiply(args) -> int:
                       f"peak {st.peak_bytes_hw / 2**20:.2f} MiB; "
                       f"plan-cache hit-rate {hit_rate:.0%} "
                       f"({ci.hits}/{ci.hits + ci.misses})")
-    err = float(np.abs(C - A @ B).max())
-    scale = max(1.0, float(np.abs(C).max()))
+    # An empty product (a zero dimension) has no entry to be wrong.
+    err = float(np.abs(C - A @ B).max()) if C.size else 0.0
+    scale = max(1.0, float(np.abs(C).max())) if C.size else 1.0
     tol = 1e-6 if dtype == np.float64 else 1e-2
     batch_note = f" x{args.batch} batch" if args.batch > 1 else ""
     print(f"{label} on {args.m}x{args.k}x{args.n}{batch_note} "
@@ -141,8 +152,8 @@ def cmd_trace(args) -> int:
         # compile, the warm one the plan-cache hit + steady-state phases.
         for _ in range(repeat):
             call(A, B, algorithm=ml if ml is not None else "strassen",
-                 variant=args.variant, engine=args.engine,
-                 threads=args.threads, tune="off", fusion=args.fusion)
+                 variant=args.variant, engine=args.engine, tune="off",
+                 fusion=args.fusion)
         doc = trace.export_chrome(args.out)
     finally:
         trace.disable()
@@ -221,7 +232,6 @@ def cmd_serve(args) -> int:
         byte_budget=(None if args.byte_budget_mb is None
                      else int(args.byte_budget_mb * 2**20)),
         policy=args.policy,
-        threads=args.threads,
     )
     handles, errors = [], []
     lock = threading.Lock()
@@ -258,10 +268,9 @@ def cmd_serve(args) -> int:
                 A, B,
                 algorithm="strassen" if args.algorithm is None else args.algorithm,
                 levels=1 if args.levels is None else args.levels,
-                variant="abc" if args.variant is None else args.variant,
-                threads=args.threads)
+                variant="abc" if args.variant is None else args.variant)
         else:
-            C_ref = multiply(A, B, engine="auto", threads=args.threads)
+            C_ref = multiply(A, B, engine="auto")
         if not np.array_equal(results[0], C_ref):
             print("FAIL: service result != direct multiply")
             return 1
@@ -276,7 +285,6 @@ def cmd_serve(args) -> int:
         "jobs": args.jobs,
         "submitters": n_sub,
         "policy": svc.policy,
-        "threads": args.threads or 1,
         "core_path": core_path,
         "stats": st,
         "rejected_at_submit": len(errors),
@@ -445,12 +453,11 @@ def cmd_tune(args) -> int:
     if args.sweep:
         problems = SWEEP_PRESETS[args.sweep]
         reports = tune_sweep(problems, budget_s=budget, dtype=dtype,
-                             threads=args.threads, top=args.top, store=store,
-                             machine=mp)
+                             top=args.top, store=store, machine=mp)
     else:
         reports = [tune_problem(args.m, args.k, args.n, dtype=dtype,
-                                threads=args.threads, top=args.top,
-                                store=store, budget_s=budget, machine=mp)]
+                                top=args.top, store=store, budget_s=budget,
+                                machine=mp)]
 
     if args.json:
         print(json.dumps([
@@ -540,7 +547,7 @@ def cmd_wisdom(args) -> int:
             )
         )
         m, k, n = e["problem"]
-        print(f"  {bucket:<32} {label}/{cfg['variant']} t{cfg['threads']}"
+        print(f"  {bucket:<32} {label}/{cfg['variant']}"
               f" {e['gflops']:.2f} GF (tuned at {m}x{k}x{n})")
     return 0
 
@@ -609,13 +616,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("naive", "ab", "abc"), default="abc")
     p.add_argument("--engine", choices=("direct", "blocked", "auto"),
                    default="direct")
-    p.add_argument("--threads", type=int, default=None,
-                   help="runtime worker threads (default: 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dtype", choices=("float32", "float64"), default="float64")
-    p.add_argument("--batch", type=int, default=1,
+    p.add_argument("--batch", type=_int_at_least(1), default=1,
                    help="multiply a stack of N same-shape problems "
-                        "through one compiled plan")
+                        "through one compiled plan (1: one 2-D multiply)")
     p.add_argument("--tune", choices=("off", "readonly", "on"),
                    default="readonly",
                    help="autotuning-wisdom use under --engine auto "
@@ -624,29 +629,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fusion", choices=("auto", "staged", "fused", "tiled"),
                    default="auto",
                    help="runtime lowering: staged slabs (O(R) product "
-                        "buffers) or the streaming fused pipeline "
-                        "(O(threads) buffers); auto resolves per plan. "
+                        "buffers), the streaming fused pipeline (one "
+                        "product group of buffers) or its out-of-core "
+                        "tiled form; auto resolves per plan. "
                         "The blocked engine's packed kernel always "
                         "streams (staged requests execute fused there)")
     p.add_argument("--report", action="store_true",
-                   help="print the execution report's worker fields "
-                        "(worker_mode, n_workers, core path)")
+                   help="print the execution report's core path, chunk "
+                        "count and report-history line")
 
     p = sub.add_parser("select", help="model-guided selection")
-    _add_shape(p)
+    _add_shape(p, low=1)
     p.add_argument("--cores", type=int, default=1)
     p.add_argument("--top", type=int, default=2)
     p.add_argument("--json", action="store_true",
                    help="emit the selection as machine-readable JSON")
 
     p = sub.add_parser("tune", help="measure candidates, persist wisdom")
-    _add_shape(p)
+    _add_shape(p, low=1)
     p.add_argument("--budget", default="2s",
                    help="wall-clock budget, e.g. 5, 5s or 500ms (default 2s)")
     p.add_argument("--top", type=int, default=3,
                    help="model finalists to measure (plus the GEMM baseline)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="tune for an explicit thread count (default: serial)")
     p.add_argument("--dtype", choices=("float32", "float64"), default="float64")
     p.add_argument("--store", default=None,
                    help="wisdom file (default: $REPRO_WISDOM or "
@@ -675,11 +679,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=1)
     p.add_argument("--variant", choices=("naive", "ab", "abc"), default="abc")
     p.add_argument("--engine", choices=("direct", "auto"), default="direct")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dtype", choices=("float32", "float64"),
                    default="float64")
-    p.add_argument("--batch", type=int, default=1)
+    p.add_argument("--batch", type=_int_at_least(1), default=1)
     p.add_argument("--fusion", choices=("auto", "staged", "fused", "tiled"),
                    default="auto")
     p.add_argument("--repeat", type=int, default=2,
@@ -724,7 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=("queue", "reject", "serial"),
                    default=None,
                    help="over-budget behavior (default reject)")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true",
                    help="emit the serve summary as machine-readable JSON")

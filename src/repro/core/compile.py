@@ -119,7 +119,7 @@ class CompiledPlan:
     dtype: np.dtype
     #: Resolved runtime lowering mode: ``"staged"`` (materialize every
     #: gather/product/scatter slab), ``"fused"`` (stream each product
-    #: through per-worker buffers) or ``"tiled"`` (the fused pipeline
+    #: group through recycled buffers) or ``"tiled" (the fused pipeline
     #: out-of-core: mmap-spilled slabs, strip-windowed product phase).
     #: ``fusion="auto"`` requests resolve at compile time via
     #: :func:`repro.core.spec.resolve_fusion`.
@@ -287,8 +287,8 @@ def compile(
     fusion : {"auto", "staged", "fused", "tiled"}, optional
         Runtime lowering mode.  ``"staged"`` materializes the full
         gather/product/scatter slabs; ``"fused"`` streams each product
-        through per-worker recycled buffers (O(workers) live product
-        buffers instead of O(R)); ``"tiled"`` runs the fused pipeline
+        group through recycled buffers (O(group) live product buffers
+        instead of O(R)); ``"tiled"`` runs the fused pipeline
         out-of-core, spilling slab-scale buffers to mmap and streaming
         the product phase through a budget-sized RAM strip window.  The
         default ``"auto"`` resolves from the variant, the staged-slab

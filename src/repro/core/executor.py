@@ -9,23 +9,21 @@ so :func:`multiply` / :func:`multiply_batched` run it as one BLAS call
 and :class:`DirectEngine` does the same with a classical plan it is
 handed.  Under ``engine="auto"`` both entry points resolve each call
 signature once and memoize the route (:func:`_resolve`), so a repeat
-classical call is one dict probe plus that BLAS call.  Since the
-task-graph refactor the engines are thin *clients of the runtime*
-(:mod:`repro.core.runtime`) — they re-derive nothing per call and own no
-execution loop of their own:
+classical call is one dict probe plus that BLAS call.  The engines are
+thin *clients of the runtime* (:mod:`repro.core.runtime`) — they
+re-derive nothing per call and own no execution loop of their own:
 
 * :class:`DirectEngine` — hands the compiled plan to
-  :func:`repro.core.runtime.execute_plan`: the plan's task DAG
-  (gather/product/scatter over arena workspace) runs on ``threads``
-  workers from the shared pool; ``threads=1`` executes the identical
-  schedule inline.  Fast and simple; the correctness oracle for
-  everything else.
-* :class:`BlockedEngine` — the simulated-BLIS path: the *same* task
-  graph, with :class:`~repro.core.variants.BlisProductLeaf` as its leaf
-  kernel — every product runs through the packed five-loop GEMM with
+  :func:`repro.core.runtime.execute_plan`: the plan's phases
+  (gather/product/scatter over arena workspace) run in order on the
+  calling thread, and BLAS threads every leaf product.  Fast and
+  simple; the correctness oracle for everything else.
+* :class:`BlockedEngine` — the simulated-BLIS path: the *same* phases,
+  with :class:`~repro.core.variants.BlisProductLeaf` as the leaf kernel
+  — every product runs through the packed five-loop GEMM with
   variant-specific fusion, instrumented with the counters the
-  performance model prices.  Thread-parallel across products using the
-  same shared runtime pools.
+  performance model prices.  ``threads`` parallelizes the packed GEMM's
+  3rd (``ic``) loop, the paper's data parallelism.
 
 Public API on top: :func:`multiply` (with model-guided
 ``engine="auto"`` dispatch), :func:`multiply_batched` (one compiled plan
@@ -40,6 +38,8 @@ from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -55,6 +55,7 @@ from repro.core.runtime import check_exec_shapes as _check_exec_shapes
 from repro.core.spec import (
     MEM_BUDGET_ENV,
     check_backend_workers,
+    check_threads,
     classical_depth,
     decision_generation,
     dtype_name,
@@ -161,21 +162,18 @@ def _compile_for(A: np.ndarray, B: np.ndarray, algorithm, variant: str) -> Compi
 
 
 class DirectEngine:
-    """Thin client of the task-graph runtime (:mod:`repro.core.runtime`).
+    """Thin client of the lowering runtime (:mod:`repro.core.runtime`).
 
     Parameters
     ----------
-    threads:
-        Worker count for the task DAG; 1 (default) executes the same
-        schedule inline with no pool involved.
     vector_cap:
         Per-element workload bound (elements across the stacked S/T/M
-        intermediates) under which the arena task-graph path is used;
+        intermediates) under which the staged arena path is used;
         larger cores use the serial per-step gather loop to bound
         workspace.
     chunk_target:
         Intermediate-size target (elements) for slicing a batch into
-        cache-resident chunks on the task-graph path.
+        cache-resident chunks on the arena path.
 
     A ``C`` that cannot absorb the plan dtype (e.g. an integer ``C``)
     runs the runtime's serial per-step loop, which keeps the operand
@@ -184,11 +182,9 @@ class DirectEngine:
 
     def __init__(
         self,
-        threads: int = 1,
         vector_cap: int = runtime.DEFAULT_VECTOR_CAP,
         chunk_target: int = runtime.DEFAULT_CHUNK_TARGET,
     ) -> None:
-        self.threads = normalize_threads(threads) or 1
         self.vector_cap = int(vector_cap)
         self.chunk_target = int(chunk_target)
         self.last_peel = None
@@ -228,12 +224,11 @@ class DirectEngine:
             _check_exec_shapes(cplan, A, B, C)
             out = runtime.execute_blas(
                 A, B, C, dtype=cplan.dtype, variant=cplan.variant,
-                threads=self.threads, levels=len(cplan.ml.levels),
+                levels=len(cplan.ml.levels),
             )
         else:
             out = runtime.execute_plan(
                 cplan, A, B, C,
-                threads=self.threads,
                 vector_cap=self.vector_cap,
                 chunk_target=self.chunk_target,
             )
@@ -242,10 +237,10 @@ class DirectEngine:
 
 
 class BlockedEngine:
-    """Simulated-BLIS client of the task-graph runtime.
+    """Simulated-BLIS client of the lowering runtime.
 
-    Executes the *same* lowered task graphs as :class:`DirectEngine`
-    (there is no separate blocked loop nest), with
+    Executes the *same* lowered phases as :class:`DirectEngine` (there is
+    no separate blocked loop nest), with
     :class:`~repro.core.variants.BlisProductLeaf` as the per-product leaf
     kernel: each product streams through the packed five-loop GEMM with
     variant-specific fusion, charging the operation counters the
@@ -260,9 +255,11 @@ class BlockedEngine:
         used when compiling plans via :meth:`multiply`.  :meth:`execute`
         honors the variant baked into the plan.
     threads:
-        Worker count for the product-level data parallelism; 1 =
-        sequential.  Workers come from the shared runtime pools
-        (:func:`repro.core.runtime.get_pool`) — no per-call pool churn.
+        Workers for the packed GEMM's 3rd (``ic``) loop — the paper's
+        data parallelism: each worker packs its own ``A~`` block and
+        owns a disjoint row band of C, so results and counters match
+        the sequential run.  1 (default) is sequential; more opens a
+        ``ThreadPoolExecutor`` for the duration of each call.
     mode:
         Macro-kernel granularity, ``"slab"`` (fast) or ``"micro"`` (faithful
         register-tile loop).
@@ -285,7 +282,12 @@ class BlockedEngine:
         self.last_report: runtime.ExecutionReport | None = None
 
     def _pool(self):
-        return runtime.get_pool(self.threads) if self.threads > 1 else None
+        """The call's ``ic``-loop pool (a context manager yielding None
+        when sequential)."""
+        if self.threads == 1:
+            return nullcontext()
+        return ThreadPoolExecutor(max_workers=self.threads,
+                                  thread_name_prefix="repro-ic")
 
     def multiply(
         self,
@@ -304,38 +306,41 @@ class BlockedEngine:
         """Interpret a compiled plan through the blocked substrate.
 
         Operands may be 2-D or batched ``(batch, rows, cols)`` stacks —
-        the runtime walks batch elements through the same task graph
-        (the packed leaf kernel is 2-D).
+        the runtime walks batch elements through the same phases (the
+        packed leaf kernel is 2-D).
         """
         _check_exec_shapes(cplan, A, B, C)
         self.last_peel = cplan.peel_plan
         self.last_plan = cplan
-        leaf = BlisProductLeaf(
-            variant=cplan.variant,
-            params=self.params,
-            counters=self.counters,
-            mode=self.mode,
-        )
-        out = runtime.execute_plan(cplan, A, B, C, threads=self.threads, leaf=leaf)
+        with self._pool() as pool:
+            leaf = BlisProductLeaf(
+                variant=cplan.variant,
+                params=self.params,
+                counters=self.counters,
+                mode=self.mode,
+                pool=pool,
+            )
+            out = runtime.execute_plan(cplan, A, B, C, leaf=leaf)
         self.last_report = runtime.last_report()
         return out
 
     def gemm(self, A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
         """Plain packed GEMM (the BLIS baseline the paper compares against)."""
         _check_mult_shapes(A, B, C)
-        packed_gemm(
-            [(1.0, A)], [(1.0, B)], [(1.0, C)],
-            self.params, self.counters, mode=self.mode, pool=self._pool(),
-        )
+        with self._pool() as pool:
+            packed_gemm(
+                [(1.0, A)], [(1.0, B)], [(1.0, C)],
+                self.params, self.counters, mode=self.mode, pool=pool,
+            )
         return C
 
 
-def _dispatch(engine: str, cplan: CompiledPlan, A, B, C, params, threads, mode):
+def _dispatch(engine: str, cplan: CompiledPlan, A, B, C, params, mode):
     if engine == "direct":
-        DirectEngine(threads=threads).execute(cplan, A, B, C)
+        DirectEngine().execute(cplan, A, B, C)
     elif engine == "blocked":
         BlockedEngine(
-            params=params, variant=cplan.variant, threads=threads, mode=mode
+            params=params, variant=cplan.variant, mode=mode
         ).execute(cplan, A, B, C)
     else:
         raise ValueError(
@@ -389,13 +394,12 @@ class _Route(NamedTuple):
     shape: tuple         # (m, k, n)
     batch: int           # stack count, 1 for 2-D
     config: tuple        # resolved (algorithm, levels, variant, engine)
-    threads: int
     depth: int           # classical depth on the BLAS route, else 0
     cast: bool           # whether an operand's dtype differs from dt
     report: dict | None  # the BLAS route's constant report fields
 
 
-def _route_key(batched, A, B, C, threads, dtype, tune, fusion):
+def _route_key(batched, A, B, C, dtype, tune, fusion):
     """What an ``engine="auto"`` call's route depends on besides the
     decision generation, or None for a ``C`` that is not an array.
 
@@ -410,7 +414,7 @@ def _route_key(batched, A, B, C, threads, dtype, tune, fusion):
     else:
         return None
     return (batched, A.shape, A.dtype, B.shape, B.dtype, c_sig,
-            threads, dtype, tune, fusion)
+            dtype, tune, fusion)
 
 
 def _memo_get(key) -> _Route | None:
@@ -433,14 +437,13 @@ def _remember(key, route: _Route) -> None:
             del _routes[next(iter(_routes))]
 
 
-def _memo_blas_route(batched, A, B, C, threads, dtype, tune, fusion):
+def _memo_blas_route(batched, A, B, C, dtype, tune, fusion):
     """The memoized BLAS route of an ``engine="auto"`` call whose
     operands run as they are: exact ndarrays, C-contiguous, already in
     the compute dtype.  None sends the call through :func:`_resolve`."""
     if type(A) is not np.ndarray or type(B) is not np.ndarray:
         return None
-    route = _memo_get(_route_key(batched, A, B, C, threads, dtype, tune,
-                                 fusion))
+    route = _memo_get(_route_key(batched, A, B, C, dtype, tune, fusion))
     if (route is None or not route.depth or route.cast
             or not (A.flags.c_contiguous and B.flags.c_contiguous)):
         return None
@@ -473,8 +476,8 @@ def _check_operands(batched, A, B) -> tuple[int, int, int, int]:
     return a.shape[1], a.shape[2], b.shape[2], batch
 
 
-def _resolve(batched, A, B, C, algorithm, levels, variant, engine, threads,
-             dtype, tune, fusion):
+def _resolve(batched, A, B, C, algorithm, levels, variant, engine, dtype,
+             tune, fusion):
     """Validate one call and decide how it runs: the front matter
     :func:`multiply` and :func:`multiply_batched` share.
 
@@ -490,7 +493,7 @@ def _resolve(batched, A, B, C, algorithm, levels, variant, engine, threads,
     m, k, n, batch = _check_operands(batched, A, B)
     key = None
     if engine == "auto":
-        key = _route_key(batched, A, B, C, threads, dtype, tune, fusion)
+        key = _route_key(batched, A, B, C, dtype, tune, fusion)
         route = _memo_get(key)
         if route is not None:
             return A, B, route
@@ -504,17 +507,16 @@ def _resolve(batched, A, B, C, algorithm, levels, variant, engine, threads,
         from repro.core.selection import auto_config
 
         algorithm, levels, variant, engine = auto_config(
-            m, k, n, dtype=dtype_name(dt), threads=threads, tune=tune
+            m, k, n, dtype=dtype_name(dt), tune=tune
         )[:4]
-    threads = threads or 1
     depth = _blas_depth(engine, algorithm, levels, variant, fusion, dt, C,
                         (m, k, n))
     report = None
     if depth:
         report = runtime.blas_report_fields(
-            (m, k, n), batch, dt, normalize_variant(variant), threads, depth)
+            (m, k, n), batch, dt, normalize_variant(variant), depth)
     route = _Route(generation, dt, (m, k, n), batch,
-                   (algorithm, levels, variant, engine), threads, depth,
+                   (algorithm, levels, variant, engine), depth,
                    A.dtype != dt or B.dtype != dt, report)
     if key is not None:
         _remember(key, route)
@@ -530,7 +532,7 @@ def _run_plan(A, B, C, route: _Route, fusion, params, mode) -> np.ndarray:
     cplan = plancache.compile(
         (m, k, n), algorithm, levels, variant, dtype=route.dt, fusion=fusion
     )
-    _dispatch(engine, cplan, A, B, C, params, route.threads, mode)
+    _dispatch(engine, cplan, A, B, C, params, mode)
     return C
 
 
@@ -577,17 +579,16 @@ def multiply(
     variant : {"abc", "ab", "naive"}, optional
         Operand-sum fusion variant (paper §4.2).
     engine : {"direct", "blocked", "auto"}, optional
-        ``"direct"`` runs the task-graph runtime (fast NumPy path);
+        ``"direct"`` runs the lowering runtime (fast NumPy path);
         ``"blocked"`` the instrumented simulated-BLIS substrate;
         ``"auto"`` picks schedule, variant and engine from wisdom + the
         §4.4 performance model, falling back to classical GEMM when FMM
-        will not pay off; it runs serial unless ``threads`` is given.  A
-        classical pick (or ``algorithm="classical"`` on the direct
-        engine) runs as one BLAS call — no plan compile, task graph,
-        arena or pool; ``threads`` and ``fusion`` are still validated,
-        and ``last_report()`` shows ``core_path="blas"``.  An out-of-core
-        lowering keeps the runtime path: ``fusion="tiled"``, or a
-        caller's ``C`` under ``"auto"`` past the memory budget.  Auto
+        will not pay off.  A classical pick (or
+        ``algorithm="classical"`` on the direct engine) runs as one BLAS
+        call — no plan compile, lowering or arena; ``fusion`` is still
+        validated, and ``last_report()`` shows ``core_path="blas"``.  An
+        out-of-core lowering keeps the runtime path: ``fusion="tiled"``,
+        or a caller's ``C`` under ``"auto"`` past the memory budget.  Auto
         resolves each call signature (operand shapes and dtypes, ``C``'s
         shape and dtype, the knobs) once per process and memoizes the
         route until wisdom, the machine record, the tunables or the
@@ -595,10 +596,11 @@ def multiply(
         ``np.matmul`` and one report.
     params : BlockingParams, optional
         Cache/register blocking for the blocked engine.
-    threads : int, optional
-        Worker count for the runtime's thread pool (``1`` = same
-        schedule, serial).  Defaults to 1.  ``threads=0`` or a negative
-        count raises ``ValueError`` up front.
+    threads : {1}, optional
+        Accepted for the perf ledger, which passes ``threads=1``.  Every
+        execution runs on one worker and BLAS threads each leaf product
+        (``OPENBLAS_NUM_THREADS`` sets how many); any other count raises
+        ``ValueError`` up front.
     mode : {"slab", "micro"}, optional
         Blocked-engine macro-kernel granularity.
     dtype : dtype-like, optional
@@ -618,14 +620,14 @@ def multiply(
     fusion : {"auto", "staged", "fused", "tiled"}, optional
         Runtime lowering mode: ``"staged"`` materializes every
         gather/product/scatter slab (O(R) live product buffers);
-        ``"fused"`` streams each product through per-worker recycled
-        buffers (O(threads) live buffers — the paper's fused pipeline);
-        ``"tiled"`` runs the same task graph out-of-core — operands may
+        ``"fused"`` streams each product group through recycled buffers
+        (O(group) live buffers — the paper's fused pipeline);
+        ``"tiled"`` runs the fused pipeline out-of-core — operands may
         be ``np.memmap``-backed, slab-scale temporaries spill to
         mmap-backed arena buffers, and the product/scatter phase
         streams through a bounded RAM window sized by the ``tile_rows``
         / ``mem_budget_bytes`` tunables (``REPRO_MEM_BUDGET``) —
-        bitwise-equal to ``"fused"`` at the same worker count.
+        bitwise-equal to ``"fused"``.
         ``"auto"`` (default) resolves from the variant, the staged slab
         footprint, and the configured memory budget
         (:func:`repro.core.spec.resolve_fusion`: past the budget the
@@ -679,7 +681,7 @@ def multiply(
     >>> import numpy as np
     >>> from repro import multiply
     >>> A = np.random.rand(64, 64); B = np.random.rand(64, 64)
-    >>> C = multiply(A, B, algorithm="strassen", levels=2, threads=2)
+    >>> C = multiply(A, B, algorithm="strassen", levels=2)
     >>> np.allclose(C, A @ B)
     True
 
@@ -691,16 +693,16 @@ def multiply(
     >>> np.allclose(C, A @ B)
     True
     """
-    threads = normalize_threads(threads)
     tune = normalize_tune(tune)
     fusion = normalize_fusion(fusion)
+    check_threads(threads)
     check_backend_workers(backend, workers)
     if engine == "auto":
-        route = _memo_blas_route(False, A, B, C, threads, dtype, tune, fusion)
+        route = _memo_blas_route(False, A, B, C, dtype, tune, fusion)
         if route is not None:
             return runtime.run_blas(A, B, C, route.report)
     A, B, route = _resolve(False, A, B, C, algorithm, levels, variant, engine,
-                           threads, dtype, tune, fusion)
+                           dtype, tune, fusion)
     A = _contig_operand(A, route.dt, "A")
     B = _contig_operand(B, route.dt, "B")
     if route.depth:
@@ -729,10 +731,9 @@ def multiply_batched(
 
     The configuration is compiled **once** and amortized over the whole
     batch, and both engines route the stack through the same runtime
-    pipelines: the direct path folds the batch into its task slabs
-    (staged) or per-worker buffers (fused) and fans tasks out over
-    ``threads`` workers; the blocked path walks batch elements through
-    the identical task graph with the packed leaf kernel.
+    pipelines: the direct path folds the batch into its staged slabs or
+    fused group buffers; the blocked path walks batch elements through
+    the identical phases with the packed leaf kernel.
 
     Parameters
     ----------
@@ -776,16 +777,16 @@ fusion, backend, workers
     >>> np.allclose(C, A @ B)
     True
     """
-    threads = normalize_threads(threads)
     tune = normalize_tune(tune)
     fusion = normalize_fusion(fusion)
+    check_threads(threads)
     check_backend_workers(backend, workers)
     if engine == "auto":
-        route = _memo_blas_route(True, A, B, C, threads, dtype, tune, fusion)
+        route = _memo_blas_route(True, A, B, C, dtype, tune, fusion)
         if route is not None:
             return runtime.run_blas(A, B, C, route.report)
     A, B, route = _resolve(True, A, B, C, algorithm, levels, variant, engine,
-                           threads, dtype, tune, fusion)
+                           dtype, tune, fusion)
     dt = route.dt
     if route.depth:
         # np.matmul broadcasts a shared operand over the stack itself.

@@ -6,17 +6,19 @@ Two sides of the same figures:
   the generated implementations with the machine model (arithmetic divides
   by cores, DRAM bandwidth saturates at the socket), reproducing the
   flattened curves of Figs. 9–10 without touching hardware.
-* **Measured** — :func:`measured_scaling_curve` drives the real task-graph
-  runtime (:mod:`repro.core.runtime`) at each thread count and reports
-  wall-clock speedup on *this* machine, so modeled and measured scaling
-  can finally be plotted side by side
-  (``benchmarks/bench_parallel_runtime.py`` /
-  ``benchmarks/bench_fig10_multicore.py``).
+* **Measured** — :func:`measured_scaling_curve` runs the real runtime
+  (:mod:`repro.core.runtime`) with BLAS limited to each core count and
+  reports wall-clock speedup on *this* machine, so modeled and measured
+  scaling plot side by side (``benchmarks/bench_fig10_multicore.py``).
+  Like the paper's, that parallelism is data parallelism inside each
+  leaf GEMM, not task parallelism across products.
 """
 
 from __future__ import annotations
 
-import time
+import json
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +77,31 @@ def scaling_curve(
     return out
 
 
+#: Timed in each child interpreter of :func:`measured_scaling_curve`:
+#: one warm-up call (plan compile, arena growth), then the best of
+#: ``repeats`` calls, printed as JSON.
+_TIMING_CHILD = """
+import json, sys, time
+import numpy as np
+from repro.core.executor import multiply
+cfg = json.loads(sys.argv[1])
+m, k, n = cfg["shape"]
+rng = np.random.default_rng(cfg["seed"])
+A = rng.standard_normal((m, k)).astype(cfg["dtype"], copy=False)
+B = rng.standard_normal((k, n)).astype(cfg["dtype"], copy=False)
+C = np.zeros((m, n), dtype=cfg["dtype"])
+kw = dict(algorithm=cfg["algorithm"], levels=cfg["levels"],
+          variant=cfg["variant"], engine=cfg["engine"])
+multiply(A, B, C, **kw)
+best = float("inf")
+for _ in range(cfg["repeats"]):
+    t0 = time.perf_counter()
+    multiply(A, B, C, **kw)
+    best = min(best, time.perf_counter() - t0)
+print(json.dumps(best))
+"""
+
+
 def measured_scaling_curve(
     m: int,
     k: int,
@@ -88,41 +115,59 @@ def measured_scaling_curve(
     dtype=np.float64,
     seed: int = 0,
 ) -> list[ScalingPoint]:
-    """Measured strong-scaling of the task-graph runtime on this machine.
+    """Measured strong scaling of BLAS data parallelism on this machine.
 
-    Runs ``multiply(..., threads=t)`` for each ``t`` in ``threads_list``
-    (best-of-``repeats`` wall-clock; the first entry — conventionally 1 —
-    is the speedup baseline).  Unlike :func:`scaling_curve` nothing here is
-    modeled: this is the real runtime on real cores, including one warm-up
-    call per thread count so plan compilation and arena allocation stay
-    out of the timings.
+    For each core count ``p`` in ``threads_list`` the multiply runs in a
+    child interpreter with ``OPENBLAS_NUM_THREADS`` and
+    ``OMP_NUM_THREADS`` set to ``p`` (BLAS reads them once, at load),
+    timed best-of-``repeats`` after one warm-up call.  Counts above
+    ``os.cpu_count()`` are skipped: oversubscribing the cores measures
+    the scheduler, not the library.  The first remaining entry —
+    conventionally 1 — is the speedup baseline.  Unlike
+    :func:`scaling_curve` nothing here is modeled: this is the real
+    runtime on real cores, where every leaf product is one BLAS call
+    using ``p`` threads.  String ``algorithm`` specs only (the spec
+    crosses a process boundary as JSON).
     """
-    from repro.core.executor import multiply
+    import subprocess  # here, not at module level: `import repro` stays lean
 
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((m, k)).astype(dtype, copy=False)
-    B = rng.standard_normal((k, n)).astype(dtype, copy=False)
-    C = np.zeros((m, n), dtype=dtype)
+    from repro.core.spec import normalize_threads
+
+    cpus = os.cpu_count() or 1
+    counts = [p for p in (normalize_threads(t) for t in threads_list)
+              if p <= cpus]
+    src = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    cfg = json.dumps({
+        "shape": [int(m), int(k), int(n)], "algorithm": algorithm,
+        "levels": int(levels), "variant": variant, "engine": engine,
+        "repeats": max(int(repeats), 1), "dtype": np.dtype(dtype).name,
+        "seed": int(seed),
+    })
     out: list[ScalingPoint] = []
     base = None
-    for t in threads_list:
-        multiply(A, B, C, algorithm=algorithm, levels=levels,
-                 variant=variant, engine=engine, threads=t)  # warm-up
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            multiply(A, B, C, algorithm=algorithm, levels=levels,
-                     variant=variant, engine=engine, threads=t)
-            best = min(best, time.perf_counter() - t0)
+    for p in counts:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(p),
+                   OMP_NUM_THREADS=str(p))
+        env["PYTHONPATH"] = os.pathsep.join(
+            x for x in (src, env.get("PYTHONPATH")) if x)
+        proc = subprocess.run(
+            [sys.executable, "-c", _TIMING_CHILD, cfg], env=env,
+            capture_output=True, text=True,
+        )
+        if proc.returncode:
+            raise RuntimeError(
+                f"timing child at {p} core(s) failed:\n{proc.stderr}")
+        best = float(json.loads(proc.stdout.strip().splitlines()[-1]))
         if base is None:
             base = best
         out.append(
             ScalingPoint(
-                cores=int(t),
+                cores=p,
                 time=best,
                 gflops=effective_gflops(m, k, n, best),
                 speedup=base / best,
-                efficiency=base / best / int(t),
+                efficiency=base / best / p,
             )
         )
     return out

@@ -1,54 +1,62 @@
-"""Variant-aware task-graph runtime over the :class:`CompiledPlan` IR.
+"""Variant-aware lowering runtime over the :class:`CompiledPlan` IR.
 
 The paper's central implementation result is that fast matrix
 multiplication pays off when the per-product operand sums and C-updates
 are *fused* into the execution pipeline (the Naive/AB/ABC variant family
 of §4.1) instead of materializing all R product temporaries.  This module
-is that idea as **one runtime**: a compiled plan lowers to a task graph in
-one of two modes, and every engine — the fast NumPy ``direct`` path, the
-instrumented simulated-BLIS ``blocked`` path, and batched stacks — is a
-thin client of the same graphs with a pluggable per-product *leaf kernel*.
+is that idea as **one runtime**: a compiled plan lowers to an ordered
+list of phases in one of three modes, and every engine — the fast NumPy
+``direct`` path, the instrumented simulated-BLIS ``blocked`` path, and
+batched stacks — runs the same phases with a pluggable per-product *leaf
+kernel*.
+
+**Parallelism is BLAS's.**  The paper parallelizes FMM "with simple but
+efficient data parallelism without the overhead of task parallelism".
+Every leaf product here is one (possibly batched) ``np.matmul``, which
+OpenBLAS already runs on all of its threads (``OPENBLAS_NUM_THREADS``
+sets how many), so each execution runs its phases on one worker, in
+order, with no pool, no per-worker accumulators and no reduction.  The
+execution API keeps a ``threads`` keyword that accepts only 1 (see
+:func:`repro.core.spec.check_threads`); the simulated-BLIS substrate
+models the paper's 3rd-loop data parallelism itself
+(:class:`repro.core.executor.BlockedEngine`).
 
 **Staged lowering** (``fusion="staged"``) is the reference-framework
 memory behavior, kept for small cores where batched matmuls beat kernel
 dispatch overhead:
 
-* **gather** tasks copy the recursive blocks of ``A``/``B`` into
-  contiguous arena slabs ``A~``/``B~``;
-* **product** tasks compute ranges of coefficient products ``M_r`` via
-  stacked matmuls (``S = Ut A~``, ``T = Vt B~``, ``M = S @ T``);
-* **scatter** tasks own disjoint destination blocks of ``C`` and apply
-  ``upd = W M`` — all R products live simultaneously (O(R) slabs).
+* **gather** copies the recursive blocks of ``A``/``B`` into contiguous
+  arena slabs ``A~``/``B~``;
+* **product** computes every coefficient product ``M_r`` via stacked
+  matmuls (``S = Ut A~``, ``T = Vt B~``, ``M = S @ T``);
+* **scatter** applies ``upd = W M`` to the destination blocks of ``C`` —
+  all R products live simultaneously (O(R) slabs).
+
+**Fused lowering** (``fusion="fused"``) is the paper's streaming
+pipeline: the **fproduct** phase walks the products in small *groups*,
+forming each group's A-combos and B-combos in recycled buffers,
+computing the group's products, and immediately scatter-accumulating
+each into its C tiles — O(group) live product buffers instead of O(R).
+On the NumPy substrate the combos come from short coefficient-GEMM
+strips against the gathered operand slabs (so the fused pipeline keeps
+the staged pipeline's arithmetic efficiency while dropping its O(R)
+``S``/``T``/``M``/``upd`` slabs); a leaf that packs its own operands
+(BLIS) instead gathers each product's combos straight from the block
+views.
 
 **Tiled lowering** (``fusion="tiled"``) is the fused pipeline taken
-out-of-core: the same task graph, but the slab-scale buffers (operand
-slabs, group ``S``/``T`` strips, the multi-worker ``Cacc``
-accumulators) live in mmap-spilled arena storage
-(:mod:`repro.core.workspace`), and each **tile** task streams the
+out-of-core: the slab-scale buffers (operand slabs, group ``S``/``T``
+strips) live in mmap-spilled arena storage
+(:mod:`repro.core.workspace`), and the **tile** phase streams the
 batched product matmul and the scatter-accumulate through Morton-ordered
 row strips of a bounded RAM window (:mod:`repro.core.tiles`).  The
 group boundaries, coefficient GEMMs and accumulation order are the
 fused pipeline's exactly — relocating a buffer to mmap changes no bits,
 and the strip-split batched matmul is row-invariant — so tiled results
-are bitwise-equal to the in-core paths at every worker count while
-operands (which may themselves be ``np.memmap``-backed) and slabs far
-larger than RAM stream through a window the memory budget sizes
+are bitwise-equal to the fused ones while operands (which may themselves
+be ``np.memmap``-backed) and slabs far larger than RAM stream through a
+window the memory budget sizes
 (:func:`repro.core.spec.effective_mem_budget_bytes`).
-
-**Fused lowering** (``fusion="fused"``) is the paper's streaming
-pipeline: each **fproduct** task walks a range of products, forming the
-A-combos and B-combos of a small *group* in per-worker recycled buffers,
-computing the group's products, and immediately scatter-accumulating
-each into its C tiles — O(workers · group) live product buffers instead
-of O(R).  On the NumPy substrate the combos come from short
-coefficient-GEMM strips against the gathered operand slabs (so the fused
-pipeline keeps the staged pipeline's arithmetic efficiency while
-dropping its O(R) ``S``/``T``/``M``/``upd`` slabs); a leaf that packs
-its own operands (BLIS) instead gathers each product's combos straight
-from the block views.  With several workers, each accumulates into a
-private ``Cacc`` slab and a deterministic **reduce** phase folds the
-slabs into ``C`` (write-disjoint block ranges), so results are
-bitwise-reproducible for a given thread count.
 
 The §4.1 write-back variants are *lowering modes* of this one runtime:
 ``naive`` (materialize everything) lowers staged; ``ab``/``abc`` lower
@@ -58,36 +66,32 @@ kernel (:class:`repro.core.variants.BlisProductLeaf`) additionally fuses
 the sums into packing (ab/abc) and the C update into the macro-kernel
 (abc), exactly as the paper generates.
 
-Phases are separated by barriers; tasks within a phase are independent.
-``threads=1`` executes the *same* schedule inline.  Worker pools are
-process-wide and reused across calls (:func:`get_pool`), and every
-temporary lives in the recycling workspace arena
+Each phase runs inside a ``phase:<kind>`` trace span (``gather_a``,
+``gather_b``, ``product``, ``scatter``, ``fproduct``, ``tile``,
+``fringe``), and every temporary lives in the recycling workspace arena
 (:mod:`repro.core.workspace`), whose per-execution high-water meter feeds
 ``peak_workspace_bytes`` on the :class:`ExecutionReport` every execution
 publishes (:func:`last_report`).
 
 The classical ``<1,1,1>`` schedule — the §4.4 poly-algorithm's GEMM
 fallback — has no operand sums to fuse and no workspace to avoid, so it
-never enters the task graph: :func:`execute_blas` runs it as one
+never enters the lowering: :func:`execute_blas` runs it as one
 ``np.matmul`` (``core_path="blas"``), bitwise-equal to interpreting the
 classical plan.  The direct engine and ``multiply`` route classical
 configurations there; :func:`execute_plan` itself still interprets
 every plan it is handed.
 
-Fallbacks (both serial, both documented limits of the arena path): staged
-cores whose stacked intermediates exceed ``vector_cap`` run the
-memory-light per-step loop, as does a destination dtype that cannot
-absorb the plan dtype (e.g. integer ``C``).
+Fallbacks (both documented limits of the arena path): staged cores whose
+stacked intermediates exceed ``vector_cap`` run the memory-light
+per-step loop, as does a destination dtype that cannot absorb the plan
+dtype (e.g. integer ``C``).
 """
 
 from __future__ import annotations
 
-import atexit
 import math
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +102,7 @@ from repro.obs.logcfg import get_logger
 from repro.core.spec import (
     DEFAULT_FUSED_GROUP,
     check_backend_workers,
+    check_threads,
     dtype_name,
     effective_fused_group,
     validate_resolved_fusion,
@@ -113,16 +118,11 @@ from repro.kernels.reference import (
 __all__ = [
     "ExecutionReport",
     "NumpyProductLeaf",
-    "Task",
-    "TaskGraph",
-    "lower_plan",
     "execute_plan",
     "execute_blas",
     "blas_report_fields",
     "run_blas",
     "last_report",
-    "get_pool",
-    "pool_info",
     "shutdown_pools",
     "DEFAULT_VECTOR_CAP",
     "DEFAULT_CHUNK_TARGET",
@@ -149,217 +149,16 @@ _m_io_bytes = obs_metrics.counter(
 )
 
 
-# ---------------------------------------------------------------------- #
-# Reusable worker pools
-# ---------------------------------------------------------------------- #
-_pool_lock = threading.Lock()
-_pools: dict[int, ThreadPoolExecutor] = {}
-_pools_atexit = False
-
-
-def get_pool(workers: int) -> ThreadPoolExecutor:
-    """The process-wide pool with ``workers`` threads (created on first use).
-
-    Pools persist for the life of the process and are shared by every
-    execution requesting the same worker count — no per-call pool spin-up
-    or teardown.  Teardown is registered with ``atexit`` on first use.
-    """
-    global _pools_atexit
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    with _pool_lock:
-        if not _pools_atexit:
-            atexit.register(shutdown_pools)
-            _pools_atexit = True
-        pool = _pools.get(workers)
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix=f"repro-rt{workers}"
-            )
-            _pools[workers] = pool
-            _log.debug("created thread pool with %d workers", workers)
-        return pool
-
-
-def pool_info() -> dict[int, int]:
-    """``{workers: max_workers}`` of every live pool (for tests/telemetry)."""
-    with _pool_lock:
-        return {w: p._max_workers for w, p in _pools.items()}
-
-
 def shutdown_pools() -> None:
-    """Shut down and drop every pooled executor."""
-    with _pool_lock:
-        pools = list(_pools.values())
-        _pools.clear()
-    for p in pools:
-        p.shutdown(wait=True)
+    """No-op: the runtime owns no worker pools.
 
-
-def _drop_pools_after_fork() -> None:  # pragma: no cover - fork hook
-    """A forked child inherits the pool dict but none of the threads.
-
-    Dropping the dead executors (without joining their nonexistent
-    threads) keeps the child from ever dispatching onto them, and
-    resetting the atexit flag lets the child register its own teardown.
-    """
-    global _pool_lock, _pools_atexit
-    _pool_lock = threading.Lock()
-    _pools.clear()
-    _pools_atexit = False
-
-
-os.register_at_fork(after_in_child=_drop_pools_after_fork)
-
-
-# ---------------------------------------------------------------------- #
-# Lowering: CompiledPlan -> TaskGraph
-# ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class Task:
-    """One schedulable unit: a half-open ``[lo, hi)`` range of one kind.
-
-    Staged kinds: ``gather_a``/``gather_b`` (operand block ranges),
-    ``product`` (step ranges over ``r``), ``scatter`` (destination block
-    ranges).  Fused kinds: ``fproduct`` (a step range streamed through the
-    per-worker buffer set ``slot``), ``reduce`` (destination block ranges
-    folding the worker ``Cacc`` slabs into ``C``).  Tiled kind: ``tile``
-    (an fproduct range whose product/scatter phase streams row strips
-    through the slot's bounded RAM window).  All: ``fringe`` (peel-fringe
-    indices).
+    Kept because the perf ledger calls it between workloads.
     """
 
-    kind: str
-    lo: int
-    hi: int
-    slot: int = 0
 
-
-@dataclass(frozen=True)
-class TaskGraph:
-    """The lowered schedule of one plan for one worker count and mode.
-
-    ``phases`` are executed in order with a barrier between consecutive
-    phases; tasks inside a phase are mutually independent (disjoint
-    writes) and may run concurrently.
-    """
-
-    key: tuple
-    workers: int
-    fusion: str
-    phases: tuple[tuple[Task, ...], ...]
-    gathered: bool = True
-
-    @property
-    def n_tasks(self) -> int:
-        return sum(len(p) for p in self.phases)
-
-    @property
-    def n_slots(self) -> int:
-        """Worker-buffer sets the fused/tiled pipelines need (0 staged)."""
-        return sum(
-            1 for p in self.phases for t in p
-            if t.kind in ("fproduct", "tile")
-        )
-
-
-def _split(total: int, parts: int) -> list[tuple[int, int]]:
-    """Balanced half-open ranges covering ``[0, total)`` (no empty ranges)."""
-    parts = max(1, min(parts, total))
-    step, rem = divmod(total, parts)
-    ranges, lo = [], 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < rem else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
-
-
-_graph_lock = threading.Lock()
-_graphs: dict[tuple, TaskGraph] = {}
-_GRAPH_CACHE_MAX = 256
-
-
-def lower_plan(
-    cplan: CompiledPlan,
-    workers: int = 1,
-    fusion: str | None = None,
-    gathered: bool = True,
-) -> TaskGraph:
-    """Lower a compiled plan to its task DAG for ``workers`` workers.
-
-    ``fusion`` defaults to the mode resolved at compile time
-    (``cplan.fusion``); pass ``"staged"``, ``"fused"`` or ``"tiled"``
-    to override.
-    ``gathered`` (fused mode only) controls whether the graph stages the
-    operand blocks into contiguous slabs first — the NumPy group-streaming
-    pipeline wants them (its combos are coefficient-GEMM strips over the
-    slabs); a leaf that packs operands itself (BLIS) does not.
-    Pure metadata (index ranges only — no arrays), memoized per
-    ``(plan key, workers, fusion, gathered)``.
-    """
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    fusion = validate_resolved_fusion(
-        cplan.fusion if fusion is None else fusion
-    )
-    gathered = bool(gathered) if fusion == "fused" else True
-    key = (cplan.key, workers, fusion, gathered)
-    with _graph_lock:
-        hit = _graphs.get(key)
-        if hit is not None:
-            return hit
-
-    Pa = len(cplan.a_table)
-    Pb = len(cplan.b_table)
-    Pc = len(cplan.c_table)
-    R = cplan.rank_total
-    phases: list[tuple[Task, ...]] = []
-    if cplan.peel_plan.has_core:
-        if fusion == "staged" or gathered:
-            gather = [Task("gather_a", lo, hi) for lo, hi in _split(Pa, workers)]
-            gather += [Task("gather_b", lo, hi) for lo, hi in _split(Pb, workers)]
-            phases.append(tuple(gather))
-        if fusion == "staged":
-            phases.append(
-                tuple(Task("product", lo, hi) for lo, hi in _split(R, workers))
-            )
-            phases.append(
-                tuple(Task("scatter", lo, hi) for lo, hi in _split(Pc, workers))
-            )
-        else:
-            kind = "tile" if fusion == "tiled" else "fproduct"
-            ranges = _split(R, workers)
-            phases.append(
-                tuple(
-                    Task(kind, lo, hi, slot=i)
-                    for i, (lo, hi) in enumerate(ranges)
-                )
-            )
-            if len(ranges) > 1:
-                # Workers accumulated into private Cacc slabs; fold them
-                # into C over write-disjoint destination-block ranges.
-                phases.append(
-                    tuple(Task("reduce", lo, hi) for lo, hi in _split(Pc, workers))
-                )
-    fringes = [
-        Task("fringe", i, i + 1)
-        for i, f in enumerate(cplan.peel_plan.fringes)
-        if 0 not in f.shape
-    ]
-    if fringes:
-        phases.append(tuple(fringes))
-    graph = TaskGraph(
-        key=key, workers=workers, fusion=fusion,
-        phases=tuple(phases), gathered=gathered,
-    )
-    with _graph_lock:
-        graph = _graphs.setdefault(key, graph)
-        while len(_graphs) > _GRAPH_CACHE_MAX:
-            _graphs.pop(next(iter(_graphs)))
-    return graph
+def _phase(kind: str):
+    """The trace span one lowering phase runs in."""
+    return obs_trace.span("phase:" + kind, "phase")
 
 
 # ---------------------------------------------------------------------- #
@@ -389,8 +188,8 @@ def _coef_matmul(coef, X2, out, L) -> None:
 class _GatheredSlabs:
     """Shared operand-slab machinery of the slab-staging bindings.
 
-    Provides the ``A~``/``B~`` slab setup and the gather task bodies, so
-    the staged and grouped-fused pipelines stage operands through one
+    Provides the ``A~``/``B~`` slab setup and the gather phases, so the
+    staged, grouped-fused and tiled pipelines stage operands through one
     code path and cannot diverge.  Slot-free (``__slots__ = ()``) so it
     composes with any slotted binding; subclasses declare the field
     names.
@@ -398,25 +197,26 @@ class _GatheredSlabs:
 
     __slots__ = ()
 
-    def _init_slabs(self, ws) -> None:
+    def _init_slabs(self, cplan, Ac, Bc, bm, bk, bn, ws) -> None:
+        self.cplan = cplan
+        self.steps = cplan.steps
+        self.L = math.prod(Ac.shape[:-2])
+        self.Av = cplan.block_views(Ac, "A", bm, bk)
+        self.Bv = cplan.block_views(Bc, "B", bk, bn)
         self.Ablk = ws["Ablk"]
         self.Bblk = ws["Bblk"]
         self.A2 = self.Ablk.reshape(len(self.Av), -1)
         self.B2 = self.Bblk.reshape(len(self.Bv), -1)
 
-    def _gather(self, task: Task) -> bool:
-        """Run a gather task; False when ``task`` is another kind."""
-        if task.kind == "gather_a":
-            np.stack(self.Av[task.lo : task.hi], out=self.Ablk[task.lo : task.hi])
-        elif task.kind == "gather_b":
-            np.stack(self.Bv[task.lo : task.hi], out=self.Bblk[task.lo : task.hi])
-        else:
-            return False
-        return True
+    def _gather(self) -> None:
+        with _phase("gather_a"):
+            np.stack(self.Av, out=self.Ablk)
+        with _phase("gather_b"):
+            np.stack(self.Bv, out=self.Bblk)
 
 
 class _StagedBinding(_GatheredSlabs):
-    """Binds a staged task graph to concrete operand views and arena slabs.
+    """Binds the staged phases to concrete operand views and arena slabs.
 
     All reshapes below are views of C-contiguous arena slabs, and every
     matmul writes through ``out=`` — the hot path performs no temporary
@@ -424,19 +224,15 @@ class _StagedBinding(_GatheredSlabs):
     """
 
     __slots__ = (
-        "cplan", "Av", "Bv", "Cv", "L",
+        "cplan", "steps", "Av", "Bv", "Cv", "L",
         "Ablk", "Bblk", "A2", "B2", "S2", "T2", "S3", "T3", "M3", "M2",
         "upd", "upd2",
     )
 
     def __init__(self, cplan, Ac, Bc, Cc, bm, bk, bn, ws):
-        self.cplan = cplan
-        self.Av = cplan.block_views(Ac, "A", bm, bk)
-        self.Bv = cplan.block_views(Bc, "B", bk, bn)
+        self._init_slabs(cplan, Ac, Bc, bm, bk, bn, ws)
         self.Cv = cplan.block_views(Cc, "C", bm, bn)
-        self.L = math.prod(Ac.shape[:-2])
         R = cplan.rank_total
-        self._init_slabs(ws)
         S, T, M = ws["S"], ws["T"], ws["M"]
         self.S2 = S.reshape(R, -1)
         self.T2 = T.reshape(R, -1)
@@ -447,156 +243,101 @@ class _StagedBinding(_GatheredSlabs):
         self.upd = ws["upd"]
         self.upd2 = self.upd.reshape(self.upd.shape[0], -1)
 
-    def run(self, task: Task) -> None:
-        kind, lo, hi = task.kind, task.lo, task.hi
-        if self._gather(task):
-            pass
-        elif kind == "product":
-            cp, L = self.cplan, self.L
-            _coef_matmul(cp.Ut[lo:hi], self.A2, self.S2[lo:hi], L)
-            _coef_matmul(cp.Vt[lo:hi], self.B2, self.T2[lo:hi], L)
-            np.matmul(
-                self.S3[lo * L : hi * L],
-                self.T3[lo * L : hi * L],
-                out=self.M3[lo * L : hi * L],
-            )
-        elif kind == "scatter":
-            _coef_matmul(self.cplan.W[lo:hi], self.M2, self.upd2[lo:hi],
-                         self.L)
-            for p in range(lo, hi):
-                self.Cv[p] += self.upd[p]
-        else:  # pragma: no cover - lowering emits only the kinds above
-            raise ValueError(f"unknown task kind {kind!r}")
+    def run(self) -> None:
+        self._gather()
+        cp, L = self.cplan, self.L
+        with _phase("product"):
+            _coef_matmul(cp.Ut, self.A2, self.S2, L)
+            _coef_matmul(cp.Vt, self.B2, self.T2, L)
+            np.matmul(self.S3, self.T3, out=self.M3)
+        with _phase("scatter"):
+            _coef_matmul(cp.W, self.M2, self.upd2, L)
+            for v, u in zip(self.Cv, self.upd):
+                v += u
 
 
-class _FusedBindingBase:
-    """Shared per-worker accumulator machinery of the fused bindings.
+class _FusedBinding:
+    """Binds the *ungathered* fused phase to views + recycled buffers.
 
-    Slot ``i`` of the per-worker slabs (and, with several slots,
-    ``Cacc``) belongs exclusively to fproduct task ``i``, so the
-    streaming pipelines run lock-free; :meth:`_reduce` folds the private
-    ``Cacc`` accumulators into ``C`` in deterministic slot order (both
-    fused pipelines share this fold, so they cannot diverge).
+    The pipeline for custom leaves (BLIS packs its own operands): the
+    fproduct phase walks every product, the leaf gathering each
+    product's A/B-combos straight from the block views into the recycled
+    ``S``/``T``/``M`` buffers it declared in ``needs_buffers``.
     """
 
-    __slots__ = ("cplan", "steps", "Av", "Bv", "Cv", "Cacc", "n_slots")
+    __slots__ = ("steps", "Av", "Bv", "Cv", "S", "T", "M", "leaf")
 
-    def __init__(self, cplan, Ac, Bc, Cc, bm, bk, bn, ws, n_slots):
-        self.cplan = cplan
+    def __init__(self, cplan, Ac, Bc, Cc, bm, bk, bn, ws, leaf):
         self.steps = cplan.steps
         self.Av = cplan.block_views(Ac, "A", bm, bk)
         self.Bv = cplan.block_views(Bc, "B", bk, bn)
         self.Cv = cplan.block_views(Cc, "C", bm, bn)
-        self.n_slots = n_slots
-        if n_slots > 1:
-            self.Cacc = ws["Cacc"]
-            self.Cacc[...] = 0.0
-        else:
-            self.Cacc = None
-
-    def _slot_target(self, slot: int):
-        """The C views this slot accumulates into (private when shared)."""
-        return self.Cv if self.Cacc is None else self.Cacc[slot]
-
-    def _reduce(self, task: Task) -> None:
-        for p in range(task.lo, task.hi):
-            v = self.Cv[p]
-            for w in range(self.n_slots):
-                v += self.Cacc[w][p]
-
-
-class _FusedBinding(_FusedBindingBase):
-    """Binds an *ungathered* fused graph to views + per-worker buffers.
-
-    The pipeline for custom leaves (BLIS packs its own operands): each
-    fproduct task walks its product range, the leaf gathering every
-    product's A/B-combos straight from the block views into the slot's
-    recycled ``S``/``T``/``M`` buffers.
-    """
-
-    __slots__ = ("S", "T", "M", "leaf")
-
-    def __init__(self, cplan, Ac, Bc, Cc, bm, bk, bn, ws, n_slots, leaf):
-        super().__init__(cplan, Ac, Bc, Cc, bm, bk, bn, ws, n_slots)
         self.S = ws.buffers.get("S")
         self.T = ws.buffers.get("T")
         self.M = ws.buffers.get("M")
         self.leaf = leaf
 
-    def run(self, task: Task) -> None:
-        kind = task.kind
-        if kind == "fproduct":
-            slot = task.slot
-            Ct = self._slot_target(slot)
-            S = None if self.S is None else self.S[slot]
-            T = None if self.T is None else self.T[slot]
-            M = None if self.M is None else self.M[slot]
-            leaf, Av, Bv = self.leaf, self.Av, self.Bv
-            for step in self.steps[task.lo : task.hi]:
-                leaf.product(step, Av, Bv, Ct, S, T, M, slot)
-        elif kind == "reduce":
-            self._reduce(task)
-        else:  # pragma: no cover - lowering emits only the kinds above
-            raise ValueError(f"unknown task kind {kind!r}")
+    def run(self) -> None:
+        leaf, Av, Bv, Cv = self.leaf, self.Av, self.Bv, self.Cv
+        S, T, M = self.S, self.T, self.M
+        with _phase("fproduct"):
+            for step in self.steps:
+                leaf.product(step, Av, Bv, Cv, S, T, M)
 
 
-class _GroupedFusedBinding(_FusedBindingBase, _GatheredSlabs):
-    """Binds a *gathered* fused graph: the NumPy group-streaming pipeline.
+class _GroupedFusedBinding(_GatheredSlabs):
+    """Binds the *gathered* fused phases: the NumPy group-streaming pipeline.
 
-    Gather tasks stage the operand blocks into contiguous ``A~``/``B~``
-    slabs (exactly like the staged pipeline — O(blocks of A/B), not
-    O(R)).  Each fproduct task then streams its product range in groups
-    of ``group``: the group's A/B-combos come from short coefficient-GEMM
-    strips (``S_g = Ut[rows] @ A~``) written into the slot's recycled
-    buffers, the group's products from one batched matmul, and every
-    product is scatter-accumulated into C (or the slot's private
-    ``Cacc``) while hot — only O(workers · group) product buffers are
-    ever live.
+    The gather phases stage the operand blocks into contiguous
+    ``A~``/``B~`` slabs (exactly like the staged pipeline — O(blocks of
+    A/B), not O(R)).  The fproduct phase then streams the products in
+    groups of ``group``: the group's A/B-combos come from short
+    coefficient-GEMM strips (``S_g = Ut[rows] @ A~``) written into
+    recycled buffers, the group's products from one batched matmul, and
+    every product is scatter-accumulated into C while hot — only
+    O(group) product buffers are ever live.
     """
 
-    __slots__ = ("L", "group", "Ablk", "Bblk", "A2", "B2",
-                 "S", "T", "M", "S2", "T2", "S3", "T3", "M3", "scratch")
+    __slots__ = ("cplan", "steps", "Av", "Bv", "Cv", "L", "group",
+                 "Ablk", "Bblk", "A2", "B2",
+                 "M", "S2", "T2", "S3", "T3", "M3", "scratch")
 
-    def __init__(self, cplan, Ac, Bc, Cc, bm, bk, bn, ws, n_slots, group):
-        super().__init__(cplan, Ac, Bc, Cc, bm, bk, bn, ws, n_slots)
-        self.L = math.prod(Ac.shape[:-2])
+    def __init__(self, cplan, Ac, Bc, Cc, bm, bk, bn, ws, group,
+                 m_rows=None):
+        self._init_slabs(cplan, Ac, Bc, bm, bk, bn, ws)
+        self.Cv = cplan.block_views(Cc, "C", bm, bn)
         self.group = group
-        self._init_slabs(ws)
         S, T, M = ws["S"], ws["T"], ws["M"]
-        self.S, self.T, self.M = S, T, M
-        self.S2 = [s.reshape(group, -1) for s in S]
-        self.T2 = [t.reshape(group, -1) for t in T]
-        self.S3 = [s.reshape(-1, bm, bk) for s in S]
-        self.T3 = [t.reshape(-1, bk, bn) for t in T]
-        self.M3 = [m_.reshape(-1, bm, bn) for m_ in M]
-        # Per-slot dtype-matched scale strip for non-±1 scatter
-        # coefficients; allocated only for plans that have them.
+        self.M = M
+        self.S2 = S.reshape(group, -1)
+        self.T2 = T.reshape(group, -1)
+        self.S3 = S.reshape(-1, bm, bk)
+        self.T3 = T.reshape(-1, bk, bn)
+        self.M3 = M.reshape(-1, bm if m_rows is None else m_rows, bn)
+        # Dtype-matched scale strip for non-±1 scatter coefficients;
+        # allocated only for plans that have them.
         self.scratch = ws.buffers.get("scratch")
 
-    def run(self, task: Task) -> None:
-        kind = task.kind
-        if self._gather(task):
-            pass
-        elif kind == "fproduct":
-            slot = task.slot
-            Ct = self._slot_target(slot)
-            cp, L, g = self.cplan, self.L, self.group
-            M = self.M[slot]
-            sc = None if self.scratch is None else self.scratch[slot]
-            S2, T2 = self.S2[slot], self.T2[slot]
-            S3, T3, M3 = self.S3[slot], self.T3[slot], self.M3[slot]
-            for lo in range(task.lo, task.hi, g):
-                hi = min(lo + g, task.hi)
-                w = hi - lo
-                _coef_matmul(cp.Ut[lo:hi], self.A2, S2[:w], L)
-                _coef_matmul(cp.Vt[lo:hi], self.B2, T2[:w], L)
+    def _groups(self):
+        """Per group: ``(first product, width)`` after its coefficient
+        GEMMs filled the ``S``/``T`` strips."""
+        cp, L, g = self.cplan, self.L, self.group
+        for lo in range(0, cp.rank_total, g):
+            hi = min(lo + g, cp.rank_total)
+            w = hi - lo
+            _coef_matmul(cp.Ut[lo:hi], self.A2, self.S2[:w], L)
+            _coef_matmul(cp.Vt[lo:hi], self.B2, self.T2[:w], L)
+            yield lo, w
+
+    def run(self) -> None:
+        self._gather()
+        L, M, Cv, sc = self.L, self.M, self.Cv, self.scratch
+        S3, T3, M3 = self.S3, self.T3, self.M3
+        with _phase("fproduct"):
+            for lo, w in self._groups():
                 np.matmul(S3[: w * L], T3[: w * L], out=M3[: w * L])
                 for j in range(w):
-                    _scatter_product(self.steps[lo + j], M[j], Ct, sc)
-        elif kind == "reduce":
-            self._reduce(task)
-        else:  # pragma: no cover - lowering emits only the kinds above
-            raise ValueError(f"unknown task kind {kind!r}")
+                    _scatter_product(self.steps[lo + j], M[j], Cv, sc)
 
 
 def _scatter_strip(step, Ms, Ct, scratch, rows) -> None:
@@ -621,17 +362,16 @@ def _scatter_strip(step, Ms, Ct, scratch, rows) -> None:
             v += w * Ms
 
 
-class _TiledBinding(_FusedBindingBase, _GatheredSlabs):
-    """Binds a tiled graph: the grouped-fused pipeline, out-of-core.
+class _TiledBinding(_GroupedFusedBinding):
+    """Binds the tiled phases: the grouped-fused pipeline, out-of-core.
 
     Identical arithmetic to :class:`_GroupedFusedBinding` — same gather
     into contiguous slabs, same group boundaries, same full-shape
     coefficient GEMMs against the whole ``A~``/``B~`` slabs, same
-    slot-order accumulation — with two relocations that change no bits:
+    accumulation order — with two relocations that change no bits:
 
-    * the slab-scale buffers (``Ablk``/``Bblk``, the group ``S``/``T``
-      strips, and the multi-worker ``Cacc``) live in mmap-spilled arena
-      storage instead of RAM, and
+    * the slab-scale buffers (``Ablk``/``Bblk`` and the group ``S``/``T``
+      strips) live in mmap-spilled arena storage instead of RAM, and
     * the batched product matmul + scatter-accumulate stream over the
       Morton block's row strips (:func:`repro.core.tiles.strip_bounds`),
       so only a ``tile_rows``-high ``M`` window (plus scratch) is ever
@@ -648,44 +388,19 @@ class _TiledBinding(_FusedBindingBase, _GatheredSlabs):
     bm`` degenerates to the fused pipeline with spilled slabs.
     """
 
-    __slots__ = ("L", "group", "tile_rows", "strips",
-                 "Ablk", "Bblk", "A2", "B2",
-                 "S", "T", "M", "S2", "T2", "S3", "T3", "M3", "scratch")
+    __slots__ = ("strips",)
 
-    def __init__(self, cplan, Ac, Bc, Cc, bm, bk, bn, ws, n_slots, group,
-                 tile_rows):
-        super().__init__(cplan, Ac, Bc, Cc, bm, bk, bn, ws, n_slots)
-        self.L = math.prod(Ac.shape[:-2])
-        self.group = group
-        self.tile_rows = tile_rows
+    def __init__(self, cplan, Ac, Bc, Cc, bm, bk, bn, ws, group, tile_rows):
+        super().__init__(cplan, Ac, Bc, Cc, bm, bk, bn, ws, group,
+                         m_rows=tile_rows)
         self.strips = strip_bounds(bm, tile_rows)
-        self._init_slabs(ws)
-        S, T, M = ws["S"], ws["T"], ws["M"]
-        self.S, self.T, self.M = S, T, M
-        self.S2 = [s.reshape(group, -1) for s in S]
-        self.T2 = [t.reshape(group, -1) for t in T]
-        self.S3 = [s.reshape(-1, bm, bk) for s in S]
-        self.T3 = [t.reshape(-1, bk, bn) for t in T]
-        self.M3 = [m_.reshape(-1, tile_rows, bn) for m_ in M]
-        self.scratch = ws.buffers.get("scratch")
 
-    def run(self, task: Task) -> None:
-        kind = task.kind
-        if self._gather(task):
-            pass
-        elif kind == "tile":
-            slot = task.slot
-            Ct = self._slot_target(slot)
-            cp, L, g = self.cplan, self.L, self.group
-            M = self.M[slot]
-            sc_full = None if self.scratch is None else self.scratch[slot]
-            S2, T2 = self.S2[slot], self.T2[slot]
-            S3, T3, M3 = self.S3[slot], self.T3[slot], self.M3[slot]
-            for lo in range(task.lo, task.hi, g):
-                hi = min(lo + g, task.hi)
-                w = hi - lo
-                _coef_matmul(cp.Ut[lo:hi], self.A2, S2[:w], L)
-                _coef_matmul(cp.Vt[lo:hi], self.B2, T2[:w], L)
+    def run(self) -> None:
+        self._gather()
+        L, M, Cv, sc_full = self.L, self.M, self.Cv, self.scratch
+        S3, T3, M3 = self.S3, self.T3, self.M3
+        with _phase("tile"):
+            for lo, w in self._groups():
                 for r0, r1 in self.strips:
                     h = r1 - r0
                     np.matmul(S3[: w * L, r0:r1, :], T3[: w * L],
@@ -694,54 +409,21 @@ class _TiledBinding(_FusedBindingBase, _GatheredSlabs):
                     sc = None if sc_full is None else sc_full[..., :h, :]
                     for j in range(w):
                         _scatter_strip(self.steps[lo + j],
-                                       M[j][..., :h, :], Ct, sc, rows)
-        elif kind == "reduce":
-            self._reduce(task)
-        else:  # pragma: no cover - lowering emits only the kinds above
-            raise ValueError(f"unknown task kind {kind!r}")
+                                       M[j][..., :h, :], Cv, sc, rows)
 
 
-class _FringeBinding:
-    """Binds fringe tasks to the full operands (no arena buffers needed)."""
-
-    __slots__ = ("fringes", "A", "B", "C", "leaf")
-
-    def __init__(self, fringes, A, B, C, leaf=NUMPY_LEAF):
-        self.fringes = fringes
-        self.A, self.B, self.C = A, B, C
-        self.leaf = leaf
-
-    def run(self, task: Task) -> None:
-        f = self.fringes[task.lo]
-        if self.A.ndim == 3 and not self.leaf.supports_batch:
-            for b in range(self.A.shape[0]):
-                self.leaf.fringe(f, self.A[b], self.B[b], self.C[b])
-        else:
-            self.leaf.fringe(f, self.A, self.B, self.C)
-
-
-def _run_tasks(binding, tasks) -> None:
-    # A non-finite operand makes FMM's operand sums and C updates meet
-    # Inf - Inf, which numpy flags as "invalid".  The NaN that comes out
-    # is the documented result (see multiply's Notes), so the runtime's
-    # coefficient products stay as quiet as A @ B on the same operands.
-    # errstate is per thread, hence per task list, in every worker.
-    with np.errstate(invalid="ignore"):
-        for t in tasks:
-            binding.run(t)
-
-
-def _run_phase(binding, tasks, pool) -> None:
-    inline = pool is None or len(tasks) == 1
-    with obs_trace.span("phase:" + tasks[0].kind, "phase",
-                        tasks=len(tasks),
-                        mode="inline" if inline else "pool"):
-        if inline:
-            _run_tasks(binding, tasks)
-        else:
-            # list() is the barrier: it drains the map and re-raises worker
-            # exceptions before the next phase may start.
-            list(pool.map(lambda t: _run_tasks(binding, (t,)), tasks))
+def _run_fringes(fringes, A, B, C, leaf) -> None:
+    """The peel-fringe GEMMs (mutually disjoint C regions, see peeling)."""
+    live = [f for f in fringes if 0 not in f.shape]
+    if not live:
+        return
+    with _phase("fringe"):
+        for f in live:
+            if A.ndim == 3 and not leaf.supports_batch:
+                for b in range(A.shape[0]):
+                    leaf.fringe(f, A[b], B[b], C[b])
+            else:
+                leaf.fringe(f, A, B, C)
 
 
 # ---------------------------------------------------------------------- #
@@ -760,100 +442,73 @@ def _staged_workspace_spec(cplan, lead, bm, bk, bn):
     }
 
 
-def _fused_workspace_spec(cplan, lead, bm, bk, bn, n_slots, needs):
-    """Per-worker single-product buffers (the ungathered / leaf pipeline).
+def _fused_workspace_spec(cplan, lead, bm, bk, bn, needs):
+    """Single-product buffers (the ungathered / leaf pipeline).
 
     Only the buffers the leaf declares in ``needs_buffers`` are
     allocated — a fully-fused kernel (BLIS abc: no ``M_r`` buffer at
-    all) checks out nothing but its ``Cacc`` accumulators, so the
-    reported peak matches the variant's semantics.
+    all) checks out nothing, so the reported peak matches the variant's
+    semantics.
     """
     dt = cplan.dtype
     shapes = {
-        "S": ((n_slots,) + lead + (bm, bk), dt),
-        "T": ((n_slots,) + lead + (bk, bn), dt),
-        "M": ((n_slots,) + lead + (bm, bn), dt),
+        "S": (lead + (bm, bk), dt),
+        "T": (lead + (bk, bn), dt),
+        "M": (lead + (bm, bn), dt),
     }
-    spec = {name: shapes[name] for name in needs}
-    if n_slots > 1:
-        spec["Cacc"] = ((n_slots, len(cplan.c_table)) + lead + (bm, bn), dt)
-    return spec
+    return {name: shapes[name] for name in needs}
 
 
-def _grouped_workspace_spec(cplan, lead, bm, bk, bn, n_slots, group):
-    """Operand slabs + per-worker group buffers (the NumPy fused pipeline)."""
-    dt = cplan.dtype
-    spec = {
-        "Ablk": ((len(cplan.a_table),) + lead + (bm, bk), dt),
-        "Bblk": ((len(cplan.b_table),) + lead + (bk, bn), dt),
-        "S": ((n_slots, group) + lead + (bm, bk), dt),
-        "T": ((n_slots, group) + lead + (bk, bn), dt),
-        "M": ((n_slots, group) + lead + (bm, bn), dt),
-    }
-    if cplan.has_nonunit_c_coeffs:
-        # Per-slot scale strip: keeps the non-±1 scatter-accumulate
-        # dtype-matched and allocation-free (see scatter_accumulate).
-        spec["scratch"] = ((n_slots,) + lead + (bm, bn), dt)
-    if n_slots > 1:
-        spec["Cacc"] = ((n_slots, len(cplan.c_table)) + lead + (bm, bn), dt)
-    return spec
+def _grouped_workspace_spec(cplan, lead, bm, bk, bn, group, m_rows=None,
+                            spill=()):
+    """Operand slabs + group buffers (the NumPy fused pipeline).
 
-
-def _tiled_workspace_spec(cplan, lead, bm, bk, bn, n_slots, group,
-                          tile_rows):
-    """Spilled slabs + RAM strip window (the out-of-core tiled pipeline).
-
-    Same shapes as :func:`_grouped_workspace_spec` except the product
-    buffer ``M`` (and the scatter scratch) shrink from full blocks to
-    ``tile_rows``-high strips, and every slab-scale buffer carries the
-    ``"mmap"`` flag — the arena backs those with anonymous temp files
-    and excludes them from the RAM meters, so a tiled execution's
-    measured ``peak_workspace_bytes`` *is* the strip window
+    The tiled pipeline passes ``m_rows`` (its strip height, so ``M`` and
+    the scratch shrink from full blocks to strips) and ``spill=("mmap",)``
+    for the slab-scale buffers, which the arena then backs with
+    anonymous temp files and excludes from the RAM meters — a tiled
+    execution's measured ``peak_workspace_bytes`` *is* its strip window
     (``predict_tile_window_bytes`` is its byte-exact model twin).
     """
     dt = cplan.dtype
+    rows = bm if m_rows is None else m_rows
     spec = {
-        "Ablk": ((len(cplan.a_table),) + lead + (bm, bk), dt, "mmap"),
-        "Bblk": ((len(cplan.b_table),) + lead + (bk, bn), dt, "mmap"),
-        "S": ((n_slots, group) + lead + (bm, bk), dt, "mmap"),
-        "T": ((n_slots, group) + lead + (bk, bn), dt, "mmap"),
-        "M": ((n_slots, group) + lead + (tile_rows, bn), dt),
+        "Ablk": ((len(cplan.a_table),) + lead + (bm, bk), dt) + spill,
+        "Bblk": ((len(cplan.b_table),) + lead + (bk, bn), dt) + spill,
+        "S": ((group,) + lead + (bm, bk), dt) + spill,
+        "T": ((group,) + lead + (bk, bn), dt) + spill,
+        "M": ((group,) + lead + (rows, bn), dt),
     }
     if cplan.has_nonunit_c_coeffs:
-        spec["scratch"] = ((n_slots,) + lead + (tile_rows, bn), dt)
-    if n_slots > 1:
-        spec["Cacc"] = (
-            (n_slots, len(cplan.c_table)) + lead + (bm, bn), dt, "mmap"
-        )
+        # Scale strip: keeps the non-±1 scatter-accumulate dtype-matched
+        # and allocation-free (see scatter_accumulate).
+        spec["scratch"] = (lead + (rows, bn), dt)
     return spec
 
 
-def _tile_window_bytes(cplan, lead_elems, bn, n_slots, group, tile_rows):
+def _tile_window_bytes(cplan, lead_elems, bn, group, tile_rows):
     """RAM bytes of the tiled strip window for one core execution.
 
-    Byte-exact twin of the non-``"mmap"`` entries of
-    :func:`_tiled_workspace_spec` (and of the model's
-    ``predict_tile_window_bytes``): the ``M`` strip buffers plus, for
-    plans with non-±1 scatter coefficients, one scratch strip per slot.
+    Byte-exact twin of the non-``"mmap"`` entries of the tiled workspace
+    spec (and of the model's ``predict_tile_window_bytes``): the ``M``
+    strip buffers plus, for plans with non-±1 scatter coefficients, one
+    scratch strip.
     """
-    elems = n_slots * group * lead_elems * tile_rows * bn
+    elems = group * lead_elems * tile_rows * bn
     if cplan.has_nonunit_c_coeffs:
-        elems += n_slots * lead_elems * tile_rows * bn
+        elems += lead_elems * tile_rows * bn
     return elems * cplan.dtype.itemsize
 
 
-def _tiled_io_stats(cplan, lead_elems, bm, bk, bn, n_slots, group,
-                    tile_rows, ranges):
+def _tiled_io_stats(cplan, lead_elems, bm, bk, bn, group, tile_rows):
     """Analytic ``(io_bytes, n_tiles)`` of one tiled core execution.
 
     ``io_bytes`` counts the logical bytes moved between the RAM window
     and the mmap-spilled buffers: the gather's slab writes, each group's
-    coefficient-GEMM slab reads and ``S``/``T`` writes, the strip loop's
-    ``S``-row and per-strip ``T``-group reads, and (multi-worker) the
-    spilled ``Cacc``'s zero-fill, scatter read-modify-writes and reduce
-    read.  ``n_tiles`` is the number of streamed strips (one per group x
-    strip).  Both are deterministic functions of the task graph and the
-    shapes.
+    coefficient-GEMM slab reads and ``S``/``T`` writes, and the strip
+    loop's ``S``-row and per-strip ``T``-group reads.  ``n_tiles`` is
+    the number of streamed strips (one per group x strip).  Both are
+    deterministic functions of the plan and the shapes.
     """
     item = cplan.dtype.itemsize
     L = lead_elems
@@ -862,24 +517,16 @@ def _tiled_io_stats(cplan, lead_elems, bm, bk, bn, n_slots, group,
     n_strips = len(strip_bounds(bm, tile_rows))
     io = slab  # gather writes both operand slabs once
     n_tiles = 0
-    steps = cplan.steps
-    for lo, hi in ranges:
-        for glo in range(lo, hi, group):
-            w = min(glo + group, hi) - glo
-            s_bytes = w * L * bm * bk * item
-            t_bytes = w * L * bk * bn * item
-            # Coefficient GEMMs read both slabs and write the group S/T;
-            # the strip loop then reads every S row once and the T group
-            # once per strip.
-            io += slab + 2 * s_bytes + (1 + n_strips) * t_bytes
-            n_tiles += n_strips
-        if n_slots > 1:
-            # Scatter read-modify-writes the slot's spilled Cacc tiles.
-            writes = sum(len(s.c_terms) for s in steps[lo:hi])
-            io += 2 * writes * L * bm * bn * item
-    if n_slots > 1:
-        cacc = n_slots * len(cplan.c_table) * L * bm * bn * item
-        io += 2 * cacc  # zero-fill + the reduce fold's read
+    R = cplan.rank_total
+    for glo in range(0, R, group):
+        w = min(glo + group, R) - glo
+        s_bytes = w * L * bm * bk * item
+        t_bytes = w * L * bk * bn * item
+        # Coefficient GEMMs read both slabs and write the group S/T; the
+        # strip loop then reads every S row once and the T group once
+        # per strip.
+        io += slab + 2 * s_bytes + (1 + n_strips) * t_bytes
+        n_tiles += n_strips
     return io, n_tiles
 
 
@@ -891,9 +538,9 @@ class ExecutionReport:
     """What one :func:`execute_plan` (or :func:`execute_blas`) call did.
 
     The BLAS route (``core_path="blas"``) runs the classical ``<1,1,1>``
-    schedule as one ``np.matmul``: there is no plan interpretation, task
-    graph or arena, so its report records that — see the per-field notes
-    below.  It publishes like every other execution (thread-local
+    schedule as one ``np.matmul``: there is no plan interpretation,
+    lowering or arena, so its report records that — see the per-field
+    notes below.  It publishes like every other execution (thread-local
     :func:`last_report`, the report history, ``runtime.executions`` and
     the latency histogram).
 
@@ -911,15 +558,10 @@ class ExecutionReport:
         The §4.1 write-back variant and the lowering mode that executed
         (``fusion`` may differ from the plan's when a leaf forces fused;
         it is ``"none"`` on the BLAS route, which lowers nothing).
-    threads:
-        Worker count requested (the BLAS route validates but cannot
-        shard one call; ``worker_mode``/``n_workers`` say what ran).
     core_path:
-        ``"graph"`` (task-graph pipeline), ``"steps"`` (serial per-step
-        fallback), ``"blas"`` (the classical schedule as one
+        ``"graph"`` (the lowered arena pipeline), ``"steps"`` (serial
+        per-step fallback), ``"blas"`` (the classical schedule as one
         ``np.matmul``) or ``"none"`` (pure-fringe problem).
-    n_tasks:
-        Tasks in the lowered graph (0 off the graph path).
     peak_workspace_bytes:
         High-water arena bytes this execution checked out — the measured
         memory footprint of its temporaries.  The serial per-step
@@ -930,25 +572,17 @@ class ExecutionReport:
         writes the fresh result itself, ``m * n * itemsize * batch``
         (the product temporary) when it accumulates into a caller's
         ``C``.
-    backend:
-        Always ``"reference"``; kept because the perf ledger replays a
-        report's configuration through :func:`execute_plan`.
-    worker_mode:
-        How the core's tasks actually executed: ``"serial"`` (inline, no
-        pool — including every ``threads=1`` call, the per-step
-        fallback and the BLAS route) or ``"threads"`` (shared thread
-        pool).  ``"serial"`` at ``threads > 1`` when the core could not
-        shard (e.g. a pure-fringe problem or one BLAS call).
-    n_workers:
-        Workers the executing pool used (1 when ``worker_mode="serial"``).
-    ipc_bytes:
-        Always 0; kept because the perf ledger reads it.
+    threads, worker_mode, backend, ipc_bytes:
+        Always ``1``, ``"serial"``, ``"reference"`` and ``0``: every
+        execution runs on one worker (BLAS threads the leaf products).
+        Kept because the perf ledger replays a report's configuration
+        through :func:`execute_plan` and reads them.
     schedule:
         The plan's schedule signature (e.g. ``"<2,2,2>@2"``; the
         classical schedule signs ``"classical@1"`` whether it ran on the
-        BLAS route or through the task graph) — the key the report
-        history and wisdom seeding aggregate on.  Empty for reports
-        built without a plan.
+        BLAS route or through the lowering) — the key the report history
+        and wisdom seeding aggregate on.  Empty for reports built
+        without a plan.
     dtype:
         The plan compute dtype name (``"float64"``, ...).
     duration_s:
@@ -980,13 +614,11 @@ class ExecutionReport:
     batch: int
     variant: str
     fusion: str
-    threads: int
     core_path: str
-    n_tasks: int
     peak_workspace_bytes: int
+    threads: int = 1
     backend: str = "reference"
     worker_mode: str = "serial"
-    n_workers: int = 1
     ipc_bytes: int = 0
     schedule: str = ""
     dtype: str = "float64"
@@ -1053,7 +685,6 @@ def execute_blas(
     *,
     dtype,
     variant: str = "abc",
-    threads: int = 1,
     levels: int = 1,
 ) -> np.ndarray:
     """Run the classical ``<1,1,1>`` schedule as one ``np.matmul``.
@@ -1065,11 +696,11 @@ def execute_blas(
     Operands (2-D, or stacks whose batch dims broadcast) are cast to
     C-contiguous ``dtype`` exactly like the runtime's gather, so the
     result is bitwise-equal to interpreting the classical plan through
-    :func:`execute_plan`; there is simply no plan, task graph, arena or
-    pool to pay for.  ``levels`` is the
-    schedule's depth (``<1,1,1>`` at any depth is one product).  Emits
-    one ``blas`` span and publishes an :class:`ExecutionReport` with
-    ``core_path="blas"`` (see its docstring for the per-field contract).
+    :func:`execute_plan`; there is simply no plan, lowering or arena to
+    pay for.  ``levels`` is the schedule's depth (``<1,1,1>`` at any
+    depth is one product).  Emits one ``blas`` span and publishes an
+    :class:`ExecutionReport` with ``core_path="blas"`` (see its
+    docstring for the per-field contract).
     """
     dtype = np.dtype(dtype)
     A = np.ascontiguousarray(A, dtype=dtype)
@@ -1081,10 +712,10 @@ def execute_blas(
         # In-place += would silently broadcast a mis-shaped C.
         raise ValueError(f"C has shape {C.shape}, expected {lead + (m, n)}")
     return run_blas(A, B, C, blas_report_fields(
-        (m, k, n), math.prod(lead), dtype, variant, threads, levels))
+        (m, k, n), math.prod(lead), dtype, variant, levels))
 
 
-def blas_report_fields(shape, batch, dtype, variant, threads, levels) -> dict:
+def blas_report_fields(shape, batch, dtype, variant, levels) -> dict:
     """The fields every BLAS-route report of one call signature shares:
     everything but ``peak_workspace_bytes`` and ``duration_s``."""
     return {
@@ -1092,9 +723,7 @@ def blas_report_fields(shape, batch, dtype, variant, threads, levels) -> dict:
         "batch": int(batch),
         "variant": variant,
         "fusion": "none",
-        "threads": threads,
         "core_path": "blas",
-        "n_tasks": 0,
         "schedule": f"classical@{levels}",
         "dtype": dtype_name(dtype),
     }
@@ -1133,6 +762,18 @@ def _matmul_into(A, B, C):
     return C, product.nbytes
 
 
+@dataclass
+class _CoreStats:
+    """What the core of one :func:`execute_plan` call did (report fields)."""
+
+    core_path: str = "none"
+    steps_bytes: int = 0
+    io_bytes: int = 0
+    n_tiles: int = 0
+    tile_window_bytes: int = 0
+    n_chunks: int = 0
+
+
 def execute_plan(
     cplan: CompiledPlan,
     A: np.ndarray,
@@ -1147,37 +788,34 @@ def execute_plan(
     backend: str | None = None,
     workers: str | None = None,
 ) -> np.ndarray:
-    """Execute ``C += A @ B`` under a compiled plan on ``threads`` workers.
+    """Execute ``C += A @ B`` under a compiled plan.
 
     Operands may be 2-D or batched ``(batch, rows, cols)`` stacks whose
-    trailing dims match the plan.  ``threads=1`` runs the same task
-    schedule inline; ``threads>1`` fans phases out over the shared thread
-    pool.  ``leaf`` swaps the per-product kernel (the blocked engine
-    passes :class:`repro.core.variants.BlisProductLeaf`); every custom
-    leaf executes on the fused per-product pipeline — the staged slab
-    phases are pure-NumPy math that would bypass its kernel.
-    ``fusion`` overrides the plan's resolved lowering mode (benchmarks
-    compare ``"staged"`` vs ``"fused"`` on the same plan this way).
-    ``arena`` overrides the global workspace arena (tests).  ``backend``
-    accepts only ``"reference"`` and ``workers`` only ``"threads"`` (the
-    perf ledger passes both); any other value raises ``ValueError``.
+    trailing dims match the plan.  The plan's phases run in order on the
+    calling thread; BLAS threads each leaf product.  ``leaf`` swaps the
+    per-product kernel (the blocked engine passes
+    :class:`repro.core.variants.BlisProductLeaf`); every custom leaf
+    executes on the fused per-product pipeline — the staged slab phases
+    are pure-NumPy math that would bypass its kernel.  ``fusion``
+    overrides the plan's resolved lowering mode (benchmarks compare
+    ``"staged"`` vs ``"fused"`` on the same plan this way).  ``arena``
+    overrides the global workspace arena (tests).  ``threads`` accepts
+    only 1, ``backend`` only ``"reference"`` and ``workers`` only
+    ``"threads"`` (the perf ledger passes all three); any other value
+    raises ``ValueError``.
 
     A ``C`` that cannot absorb the plan dtype under ``same_kind`` casting
     (e.g. an integer ``C``) runs the serial per-step loop, which keeps
     the operand dtype.
 
     Every call publishes an :class:`ExecutionReport` — including the
-    measured peak workspace bytes and the executing worker mode —
-    retrievable via :func:`last_report`.
+    measured peak workspace bytes — retrievable via :func:`last_report`.
     """
-    threads = int(threads)
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    check_threads(threads)
     check_backend_workers(backend, workers)
     check_exec_shapes(cplan, A, B, C)
     arena = arena if arena is not None else workspace_arena
     leaf = NUMPY_LEAF if leaf is None else leaf
-    pp = cplan.peel_plan
     fusion_eff = validate_resolved_fusion(
         cplan.fusion if fusion is None else fusion
     )
@@ -1189,152 +827,112 @@ def execute_plan(
         fusion_eff = "fused"
 
     batch = int(math.prod(A.shape[:-2])) if A.ndim > 2 else 1
-    core_path = "none"
-    n_tasks = 0
-    steps_bytes = 0
-    io_bytes = 0
-    n_tiles = 0
-    tile_window = 0
-    n_chunks = 0
-    core_pooled = False
+    stats = _CoreStats()
     t_start = time.perf_counter()
-    # Entered/exited by hand so the body below keeps its indentation;
-    # the span brackets exactly the metered region.
-    exec_span = obs_trace.span(
+    with obs_trace.span(
         "execute_plan", "runtime",
         shape=f"{cplan.shape[0]}x{cplan.shape[1]}x{cplan.shape[2]}",
-        batch=batch, fusion=fusion_eff, threads=threads,
-    )
-    exec_span.__enter__()
-    meter = arena.start_meter()
-    try:
-        if pp.has_core:
-            mp, kp, np_ = pp.core
-            Mt, Kt, Nt = cplan.dims_total
-            bm, bk, bn = mp // Mt, kp // Kt, np_ // Nt
-            Ac = A[..., :mp, :kp]
-            Bc = B[..., :kp, :np_]
-            Cc = C[..., :mp, :np_]
-            per_product = bm * bk + bk * bn + bm * bn
-            # The arena path computes in the plan dtype; when C cannot
-            # absorb that (e.g. integer operands fed straight to the
-            # engine), the per-step loop preserves the operand dtype for
-            # +-1-coefficient algorithms exactly like the classic engine
-            # did.  Custom leaves own their dtype handling.
-            on_graph = leaf is not NUMPY_LEAF or np.can_cast(
-                cplan.dtype, C.dtype, casting="same_kind"
-            )
-            if on_graph and fusion_eff == "staged":
-                on_graph = cplan.rank_total * per_product <= vector_cap
-            if on_graph:
-                core_path = "graph"
-                # Only the built-in NumPy leaf takes the gathered
-                # group-streaming shortcut; every custom leaf runs the
-                # generic per-product pipeline so its kernel and
-                # instrumentation are always honored.
-                gathered = fusion_eff == "staged" or leaf is NUMPY_LEAF
-                graph = lower_plan(cplan, threads, fusion_eff, gathered)
-                n_tasks = graph.n_tasks
-                pool = get_pool(threads) if threads > 1 else None
-                core_pooled = threads > 1
-                core_phases = [p for p in graph.phases if p[0].kind != "fringe"]
-                n_slots = max(graph.n_slots, 1)
-                group = min(effective_fused_group(), cplan.rank_total)
-                if Ac.ndim == 3 and not leaf.supports_batch:
-                    chunks = [(Ac[b], Bc[b], Cc[b]) for b in range(Ac.shape[0])]
-                elif Ac.ndim == 3:
-                    # Chunk so the live intermediates stay near
-                    # chunk_target elements: staged slabs scale with
-                    # R, fused/tiled group buffers with the group —
-                    # the fused pipeline's memory bound holds for
-                    # batched stacks too.
-                    if fusion_eff == "staged":
-                        work = per_product * cplan.rank_total
-                    else:
-                        work = per_product * group
-                    chunk = max(
-                        1, min(Ac.shape[0], chunk_target // max(work, 1))
-                    )
-                    chunks = [(Ac[i : i + chunk], Bc[i : i + chunk],
-                               Cc[i : i + chunk])
-                              for i in range(0, Ac.shape[0], chunk)]
-                else:
-                    chunks = [(Ac, Bc, Cc)]
-                leaf.begin(n_slots)
-                try:
-                    for Ai, Bi, Ci in chunks:
-                        io, nt, win = _run_core(
-                            cplan, Ai, Bi, Ci, bm, bk, bn,
-                            core_phases, pool, arena, fusion_eff,
-                            gathered, n_slots, group, leaf,
-                        )
-                        io_bytes += io
-                        n_tiles += nt
-                        tile_window = max(tile_window, win)
-                        n_chunks += 1
-                finally:
-                    leaf.finish()
-                # Fringe C regions are mutually disjoint (see peeling), so
-                # the fringe phase parallelizes like any other — unless
-                # the leaf's instrumentation is not concurrency-safe.
-                fb = _FringeBinding(pp.fringes, A, B, C, leaf)
-                fringe_pool = pool if leaf.parallel_fringe else None
-                for phase in (p for p in graph.phases if p[0].kind == "fringe"):
-                    _run_phase(fb, phase, fringe_pool)
-            else:
-                core_path = "steps"
-                _log.debug(
-                    "per-step serial fallback for %s (vector cap or "
-                    "non-castable C dtype)", cplan.shape,
-                )
-                # The fallback allocates its per-step S/T/M with plain
-                # numpy, outside the metered arena; report its analytic
-                # live footprint (one product's buffers) so the staged
-                # fallback never shows as using *less* memory than the
-                # graph pipelines.
-                steps_bytes = (
-                    per_product
-                    * batch
-                    * np.result_type(Ac, Bc).itemsize
-                )
-                _run_steps(cplan, Ac, Bc, Cc, bm, bk, bn)
-        if core_path != "graph":
-            fb = _FringeBinding(pp.fringes, A, B, C, leaf)
-            for i, f in enumerate(pp.fringes):
-                if 0 in f.shape:
-                    continue
-                fb.run(Task("fringe", i, i + 1))
-    finally:
-        peak = max(arena.finish_meter(meter), steps_bytes)
-        exec_span.set(core_path=core_path, peak_bytes=peak)
-        exec_span.__exit__(None, None, None)
+        batch=batch, fusion=fusion_eff,
+    ) as exec_span:
+        meter = arena.start_meter()
+        try:
+            # A non-finite operand makes FMM's operand sums and C updates
+            # meet Inf - Inf, which numpy flags as "invalid".  The NaN
+            # that comes out is the documented result (see multiply's
+            # Notes), so the runtime stays as quiet as A @ B on the same
+            # operands.
+            with np.errstate(invalid="ignore"):
+                _run(cplan, A, B, C, vector_cap, chunk_target, arena, leaf,
+                     fusion_eff, stats)
+        finally:
+            peak = max(arena.finish_meter(meter), stats.steps_bytes)
+            exec_span.set(core_path=stats.core_path, peak_bytes=peak)
     _publish_report(ExecutionReport(
         shape=cplan.shape,
         batch=batch,
         variant=cplan.variant,
         fusion=fusion_eff,
-        threads=threads,
-        core_path=core_path,
-        n_tasks=n_tasks,
+        core_path=stats.core_path,
         peak_workspace_bytes=peak,
-        worker_mode="threads" if core_pooled else "serial",
-        n_workers=threads if core_pooled else 1,
         schedule=cplan.schedule_signature,
         dtype=dtype_name(cplan.dtype),
         duration_s=time.perf_counter() - t_start,
-        n_chunks=max(n_chunks, 1),
-        io_bytes=io_bytes,
-        n_tiles=n_tiles,
-        tile_window_bytes=tile_window,
+        n_chunks=max(stats.n_chunks, 1),
+        io_bytes=stats.io_bytes,
+        n_tiles=stats.n_tiles,
+        tile_window_bytes=stats.tile_window_bytes,
     ))
     return C
 
 
-def _run_core(
-    cplan, Ac, Bc, Cc, bm, bk, bn, phases, pool, arena, fusion,
-    gathered, n_slots, group, leaf,
-):
-    """Run one core (one batch chunk).
+def _run(cplan, A, B, C, vector_cap, chunk_target, arena, leaf, fusion,
+         stats: _CoreStats) -> None:
+    """The core (in batch chunks) and then the fringes of one call."""
+    pp = cplan.peel_plan
+    if pp.has_core:
+        mp, kp, np_ = pp.core
+        Mt, Kt, Nt = cplan.dims_total
+        bm, bk, bn = mp // Mt, kp // Kt, np_ // Nt
+        Ac = A[..., :mp, :kp]
+        Bc = B[..., :kp, :np_]
+        Cc = C[..., :mp, :np_]
+        per_product = bm * bk + bk * bn + bm * bn
+        # The arena path computes in the plan dtype; when C cannot absorb
+        # that (e.g. integer operands fed straight to the engine), the
+        # per-step loop preserves the operand dtype for
+        # +-1-coefficient algorithms.  Custom leaves own their dtype
+        # handling.
+        on_graph = leaf is not NUMPY_LEAF or np.can_cast(
+            cplan.dtype, C.dtype, casting="same_kind"
+        )
+        if on_graph and fusion == "staged":
+            on_graph = cplan.rank_total * per_product <= vector_cap
+        if on_graph:
+            stats.core_path = "graph"
+            group = min(effective_fused_group(), cplan.rank_total)
+            if Ac.ndim == 3 and not leaf.supports_batch:
+                chunks = [(Ac[b], Bc[b], Cc[b]) for b in range(Ac.shape[0])]
+            elif Ac.ndim == 3:
+                # Chunk so the live intermediates stay near chunk_target
+                # elements: staged slabs scale with R, fused/tiled group
+                # buffers with the group — the fused pipeline's memory
+                # bound holds for batched stacks too.
+                if fusion == "staged":
+                    work = per_product * cplan.rank_total
+                else:
+                    work = per_product * group
+                chunk = max(1, min(Ac.shape[0], chunk_target // max(work, 1)))
+                chunks = [(Ac[i : i + chunk], Bc[i : i + chunk],
+                           Cc[i : i + chunk])
+                          for i in range(0, Ac.shape[0], chunk)]
+            else:
+                chunks = [(Ac, Bc, Cc)]
+            for Ai, Bi, Ci in chunks:
+                io, nt, win = _run_core(cplan, Ai, Bi, Ci, bm, bk, bn,
+                                        arena, fusion, group, leaf)
+                stats.io_bytes += io
+                stats.n_tiles += nt
+                stats.tile_window_bytes = max(stats.tile_window_bytes, win)
+                stats.n_chunks += 1
+        else:
+            stats.core_path = "steps"
+            _log.debug(
+                "per-step serial fallback for %s (vector cap or "
+                "non-castable C dtype)", cplan.shape,
+            )
+            # The fallback allocates its per-step S/T/M with plain numpy,
+            # outside the metered arena; report its analytic live
+            # footprint (one product's buffers) so the staged fallback
+            # never shows as using *less* memory than the arena
+            # pipelines.
+            stats.steps_bytes = (per_product * math.prod(Ac.shape[:-2])
+                                 * np.result_type(Ac, Bc).itemsize)
+            _run_steps(cplan, Ac, Bc, Cc, bm, bk, bn)
+    _run_fringes(pp.fringes, A, B, C, leaf)
+
+
+def _run_core(cplan, Ac, Bc, Cc, bm, bk, bn, arena, fusion, group, leaf):
+    """Run one core (one batch chunk) through its lowering's phases.
 
     Returns ``(io_bytes, n_tiles, tile_window_bytes)``, all 0 off the
     tiled path.
@@ -1348,51 +946,40 @@ def _run_core(
         )
         binding = _StagedBinding(cplan, Ac, Bc, Cc, bm, bk, bn, ws)
     elif fusion == "tiled":
-        L = math.prod(lead) if lead else 1
+        L = math.prod(lead)
         tile_rows = resolve_tile_rows(
-            bm, bk, bn, n_slots, group, lead_elems=L,
+            bm, bk, bn, group, lead_elems=L,
             itemsize=cplan.dtype.itemsize,
             has_scratch=cplan.has_nonunit_c_coeffs,
         )
         ws = arena.acquire(
-            (cplan.key, lead, "tiled", n_slots, group, tile_rows),
-            lambda: _tiled_workspace_spec(
-                cplan, lead, bm, bk, bn, n_slots, group, tile_rows
+            (cplan.key, lead, "tiled", group, tile_rows),
+            lambda: _grouped_workspace_spec(
+                cplan, lead, bm, bk, bn, group, tile_rows, ("mmap",)
             ),
         )
         binding = _TiledBinding(
-            cplan, Ac, Bc, Cc, bm, bk, bn, ws, n_slots, group, tile_rows
+            cplan, Ac, Bc, Cc, bm, bk, bn, ws, group, tile_rows
         )
-        ranges = [(t.lo, t.hi) for p in phases for t in p
-                  if t.kind == "tile"]
-        io, n_tiles = _tiled_io_stats(
-            cplan, L, bm, bk, bn, n_slots, group, tile_rows, ranges
-        )
-        window = _tile_window_bytes(cplan, L, bn, n_slots, group, tile_rows)
-    elif gathered:
+        io, n_tiles = _tiled_io_stats(cplan, L, bm, bk, bn, group, tile_rows)
+        window = _tile_window_bytes(cplan, L, bn, group, tile_rows)
+    elif leaf is NUMPY_LEAF:
         ws = arena.acquire(
-            (cplan.key, lead, "grouped", n_slots, group),
-            lambda: _grouped_workspace_spec(
-                cplan, lead, bm, bk, bn, n_slots, group
-            ),
+            (cplan.key, lead, "grouped", group),
+            lambda: _grouped_workspace_spec(cplan, lead, bm, bk, bn, group),
         )
         binding = _GroupedFusedBinding(
-            cplan, Ac, Bc, Cc, bm, bk, bn, ws, n_slots, group
+            cplan, Ac, Bc, Cc, bm, bk, bn, ws, group
         )
     else:
         needs = tuple(leaf.needs_buffers)
         ws = arena.acquire(
-            (cplan.key, lead, "fused", n_slots, needs),
-            lambda: _fused_workspace_spec(
-                cplan, lead, bm, bk, bn, n_slots, needs
-            ),
+            (cplan.key, lead, "fused", needs),
+            lambda: _fused_workspace_spec(cplan, lead, bm, bk, bn, needs),
         )
-        binding = _FusedBinding(
-            cplan, Ac, Bc, Cc, bm, bk, bn, ws, n_slots, leaf
-        )
+        binding = _FusedBinding(cplan, Ac, Bc, Cc, bm, bk, bn, ws, leaf)
     try:
-        for phase in phases:
-            _run_phase(binding, phase, pool)
+        binding.run()
     finally:
         arena.release(ws)
     return io, n_tiles, window
@@ -1408,18 +995,17 @@ def _run_steps(cplan, Ac, Bc, Cc, bm, bk, bn) -> None:
     Cv = cplan.block_views(Cc, "C", bm, bn)
     lead = Ac.shape[:-2]
     dt = np.result_type(Ac, Bc)
-    with np.errstate(invalid="ignore"):  # as in _run_tasks
-        for s in cplan.steps:
-            S = _vsum(s.a_terms, Av, lead + (bm, bk), dt)
-            T = _vsum(s.b_terms, Bv, lead + (bk, bn), dt)
-            M = S @ T
-            for i, w in s.c_terms:
-                if w == 1:
-                    Cv[i] += M
-                elif w == -1:
-                    Cv[i] -= M
-                else:
-                    Cv[i] += w * M
+    for s in cplan.steps:
+        S = _vsum(s.a_terms, Av, lead + (bm, bk), dt)
+        T = _vsum(s.b_terms, Bv, lead + (bk, bn), dt)
+        M = S @ T
+        for i, w in s.c_terms:
+            if w == 1:
+                Cv[i] += M
+            elif w == -1:
+                Cv[i] -= M
+            else:
+                Cv[i] += w * M
 
 
 def _vsum(terms, views, shape, dtype):

@@ -105,7 +105,7 @@ class Candidate:
 
         The §4.1 variants *are* the lowering modes of the streaming
         runtime: ``naive`` executes staged (every temporary
-        materialized), ``ab``/``abc`` execute the fused per-worker
+        materialized), ``ab``/``abc`` execute the fused streaming
         pipeline once the staged slabs outgrow the cache — and, past
         the configured memory budget, the out-of-core **tiled**
         pipeline whose RAM window
@@ -260,7 +260,7 @@ def _model_config(
     ``(algorithm, levels, variant, engine)`` ready for the plan compiler:
     the winning per-level shape stack and variant when the model predicts
     FMM beats the GEMM baseline, else the classical ``<1,1,1>`` plan.  The
-    execution engine is the direct task-graph runtime — the
+    execution engine is the direct lowering runtime — the
     wall-clock-fast path of this substrate; callers wanting the
     instrumented blocked substrate ask for it explicitly.
 
@@ -286,7 +286,6 @@ def auto_config(
     max_levels: int = 2,
     *,
     dtype="float64",
-    threads: int | None = None,
     tune: str = "readonly",
 ) -> tuple:
     """Configuration for ``multiply(engine="auto")``: wisdom first, model second.
@@ -307,14 +306,14 @@ def auto_config(
     An empty problem (any dimension 0) is the classical config and never
     touches the store either.
 
-    ``dtype`` and ``threads`` scope the wisdom bucket (``threads=None``
-    is the ``auto`` thread class).
+    ``dtype`` scopes the wisdom bucket.
 
     Returns the 7-tuple ``(algorithm, levels, variant, engine, threads,
     backend, workers)``.  Auto picks no thread count, leaf backend or
-    worker mode: ``threads`` is the explicit request or 1, ``backend`` is
-    ``"reference"`` and ``workers`` is ``"threads"``.  Those three keep
-    the tuple's shape for the perf ledger, which indexes it.
+    worker mode: ``threads`` is 1 (BLAS threads every leaf product),
+    ``backend`` is ``"reference"`` and ``workers`` is ``"threads"``.
+    Those three keep the tuple's shape for the perf ledger, which
+    indexes it.
     """
     from repro.core.spec import normalize_tune
 
@@ -327,16 +326,16 @@ def auto_config(
         from repro.tune.wisdom import default_store
 
         store = default_store()
-        hit = store.lookup_tuple(m, k, n, dtype=dtype, threads=threads)
+        hit = store.lookup_tuple(m, k, n, dtype=dtype)
         if hit is not None:
-            schedule = hit[:4]
+            schedule = hit
         elif tune == "on":
             from repro.tune.tuner import tune_problem
 
             schedule = tune_problem(
-                m, k, n, dtype=dtype, threads=threads,
+                m, k, n, dtype=dtype,
                 max_levels=max_levels, machine=machine, store=store,
-            ).config[:4]
+            ).config
         else:
             if machine is None:
                 machine = store.machine_params()
@@ -345,7 +344,7 @@ def auto_config(
 
                     machine = resolve_machine(store)
             schedule = _model_config(m, k, n, machine, max_levels)
-    return (*schedule, threads or 1, "reference", "threads")
+    return (*schedule, 1, "reference", "threads")
 
 
 def best_gflops_series(

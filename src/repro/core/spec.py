@@ -30,9 +30,11 @@ the heterogeneous per-level algorithm list every layer above the spec
 grammar passes around (compiler keys, selection candidates, wisdom
 records); :func:`resolve_levels` materializes a spec as a
 :class:`MultiLevelFMM`; :func:`spec_key` derives the hashable cache key
-the plan cache is keyed on; :func:`normalize_threads` validates the
-``threads`` execution knob, :func:`normalize_tune` the autotuning-wisdom
-knob, :func:`normalize_variant` the §4.1 write-back variant and
+the plan cache is keyed on; :func:`check_threads` validates the
+``threads`` keyword of the execution API (1 only: BLAS threads the leaf
+products), :func:`normalize_threads` a positive worker count (the
+simulated-BLIS engine's 3rd-loop pool), :func:`normalize_tune` the
+autotuning-wisdom knob, :func:`normalize_variant` the §4.1 write-back variant and
 :func:`normalize_fusion`/:func:`resolve_fusion` the runtime's
 staged-vs-fused lowering mode, so bad values fail here, up front, rather
 than deep inside the runtime.
@@ -70,6 +72,7 @@ __all__ = [
     "VARIANTS",
     "Schedule",
     "check_backend_workers",
+    "check_threads",
     "classical_depth",
     "decision_generation",
     "dtype_name",
@@ -467,13 +470,14 @@ def classical_depth(algorithm, levels: int = 1) -> int:
 
 
 def normalize_threads(threads) -> int | None:
-    """Validate the ``threads`` knob of the execution API.
+    """Validate a worker count.
 
-    Returns ``None`` unchanged (meaning "unspecified": serial, and the
-    ``auto`` thread class of a wisdom bucket) and a positive int for
-    explicit requests.  ``threads=0`` or a negative/non-integer count raises here,
-    at spec-normalization time, with a message naming the knob — never
-    deep inside the executor.
+    Returns ``None`` unchanged (meaning "unspecified") and a positive
+    int for explicit requests.  ``threads=0`` or a negative/non-integer
+    count raises here with a message naming the knob — never deep inside
+    an engine.  :class:`~repro.core.executor.BlockedEngine` sizes its
+    3rd-loop pool with it; the execution API goes through
+    :func:`check_threads`.
     """
     if threads is None:
         return None
@@ -499,6 +503,23 @@ def check_backend_workers(backend, workers) -> None:
     if workers is not None and workers != "threads":
         raise ValueError(
             f"unknown workers mode {workers!r}; the only mode is 'threads'"
+        )
+
+
+def check_threads(threads) -> None:
+    """Validate the ``threads`` keyword of the execution API.
+
+    Every FMM execution runs on one worker and leaves the parallelism to
+    BLAS, which runs each leaf product on all of its threads
+    (``OPENBLAS_NUM_THREADS`` sets how many).  The keyword stays on
+    ``multiply``, ``multiply_batched`` and ``execute_plan`` only because
+    the perf ledger passes ``threads=1``: ``None`` or 1 pass, a
+    non-integer raises ``TypeError`` and any other count ``ValueError``.
+    """
+    if normalize_threads(threads) not in (None, 1):
+        raise ValueError(
+            f"threads must be 1, got {threads}: FMM runs on one worker and "
+            "BLAS threads each leaf product (set OPENBLAS_NUM_THREADS)"
         )
 
 
@@ -538,7 +559,7 @@ def normalize_fusion(fusion) -> str:
 
     ``staged`` materializes every gather/product/scatter slab (the memory
     behavior of the reference frameworks); ``fused`` streams each product
-    through per-worker recycled buffers; ``tiled`` runs the fused
+    group through recycled buffers; ``tiled`` runs the fused
     pipeline out-of-core — slab-scale buffers spill to mmap-backed arena
     storage and the product/scatter phase streams Morton-ordered row
     strips through a bounded RAM window; ``auto`` resolves per plan — see

@@ -218,7 +218,6 @@ def pick_tile_rows(
     budget_bytes: int,
     bm: int,
     bn: int,
-    n_slots: int,
     group: int,
     lead_elems: int = 1,
     itemsize: int = 8,
@@ -226,18 +225,18 @@ def pick_tile_rows(
 ) -> int:
     """Largest strip height whose RAM window fits ``budget_bytes``.
 
-    The tiled lowering's RAM window is the per-slot group of ``M`` strip
-    buffers — ``n_slots × group × lead × tile_rows × bn`` elements —
-    plus, for plans with non-±1 scatter coefficients, one scratch strip
-    per slot.  Everything slab-scale (operand slabs, ``S``/``T`` group
-    buffers, ``Cacc``) lives in mmap-spilled storage and does not count.
+    The tiled lowering's RAM window is the group of ``M`` strip buffers
+    — ``group × lead × tile_rows × bn`` elements — plus, for plans with
+    non-±1 scatter coefficients, one scratch strip.  Everything
+    slab-scale (operand slabs, ``S``/``T`` group buffers) lives in
+    mmap-spilled storage and does not count.
     Clamped via :func:`clamp_tile_rows`: even a budget below the
     smallest bitwise-safe window still executes (with a window that
     overshoots the budget by the minimum safe amount).
     """
-    per_row = n_slots * group * lead_elems * bn * itemsize
+    per_row = group * lead_elems * bn * itemsize
     if has_scratch:
-        per_row += n_slots * lead_elems * bn * itemsize
+        per_row += lead_elems * bn * itemsize
     if per_row <= 0:
         return clamp_tile_rows(bm, bm)
     return clamp_tile_rows(bm, int(budget_bytes) // per_row)
@@ -247,7 +246,6 @@ def resolve_tile_rows(
     bm: int,
     bk: int,
     bn: int,
-    n_slots: int,
     group: int,
     lead_elems: int = 1,
     itemsize: int = 8,
@@ -277,7 +275,7 @@ def resolve_tile_rows(
         if not budget:
             return clamp_tile_rows(bm, bm)
         tr = pick_tile_rows(
-            budget, bm, bn, n_slots, group, lead_elems, itemsize, has_scratch
+            budget, bm, bn, group, lead_elems, itemsize, has_scratch
         )
     if tr < bm:
         dt = "float32" if int(itemsize) == 4 else "float64"

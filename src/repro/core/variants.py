@@ -15,7 +15,7 @@ in where the linear combinations happen and what workspace they require:
   while cache-hot, so no ``M_r`` buffer exists at all.
 
 Since the streaming-runtime refactor there is **no loop nest here**: the
-iteration over products lives in the task graphs of
+iteration over products lives in the fused phase of
 :mod:`repro.core.runtime`, and this module contributes only the
 per-product *leaf kernel* for the simulated-BLIS substrate —
 :class:`BlisProductLeaf` — which executes one
@@ -85,22 +85,22 @@ class BlisProductLeaf:
     """Per-product leaf kernel for the simulated-BLIS substrate.
 
     Plugged into :func:`repro.core.runtime.execute_plan` by
-    :class:`~repro.core.executor.BlockedEngine`: the runtime's fused task
-    graph walks the products and calls :meth:`product` once per
+    :class:`~repro.core.executor.BlockedEngine`: the runtime's fused
+    phase walks the products and calls :meth:`product` once per
     :class:`~repro.core.plan.ProductStep`, with the variant deciding how
     much of the linear algebra is fused into the packed five-loop GEMM.
     2-D only (``supports_batch`` is false — the runtime loops batch
     elements), and staged slab phases are meaningless for a packed
     kernel, so the runtime always lowers fused for this leaf.
 
-    Counter updates are made concurrency-safe by fan-out: :meth:`begin`
-    gives every worker slot a private :class:`OpCounters`, and
-    :meth:`finish` folds them into the engine's shared counters in
-    deterministic slot order.
+    ``pool`` (a ``ThreadPoolExecutor`` or None) parallelizes the packed
+    GEMM's 3rd (``ic``) loop — the paper's data parallelism.  Its
+    workers own disjoint row bands of C and never touch ``counters``
+    (:func:`~repro.blis.gemm.packed_gemm` charges them up front), so
+    every product and fringe charges the engine's counters directly.
     """
 
     supports_batch = False
-    parallel_fringe = False  # fringe GEMMs charge the shared counters
 
     #: Per-variant recycled-buffer needs: abc fuses everything into the
     #: packed kernel (no buffers at all — the paper's "no M_r buffer"
@@ -114,32 +114,21 @@ class BlisProductLeaf:
         params: BlockingParams | None = None,
         counters: OpCounters | None = None,
         mode: str = "slab",
+        pool=None,
     ) -> None:
         self.variant = normalize_variant(variant)
         self.params = params or BlockingParams()
         self.counters = counters
         self.mode = mode
-        self._slot_counters: list[OpCounters] | None = None
+        self.pool = pool
 
     @property
     def needs_buffers(self) -> tuple[str, ...]:
         return self._NEEDS[self.variant]
 
-    def begin(self, n_slots: int) -> None:
-        if self.counters is not None:
-            self._slot_counters = [OpCounters() for _ in range(n_slots)]
-
-    def finish(self) -> None:
-        if self.counters is not None and self._slot_counters:
-            for c in self._slot_counters:
-                self.counters += c
-        self._slot_counters = None
-
-    def product(self, step, Av, Bv, Ct, S, T, M, slot: int) -> None:
+    def product(self, step, Av, Bv, Ct, S, T, M) -> None:
         """One ``M_r`` through the packed substrate in the leaf's variant."""
-        counters = (
-            None if self._slot_counters is None else self._slot_counters[slot]
-        )
+        counters, pool = self.counters, self.pool
         a_ops = [(c, Av[i]) for i, c in step.a_terms]
         b_ops = [(c, Bv[i]) for i, c in step.b_terms]
         c_ops = [(c, Ct[i]) for i, c in step.c_terms]
@@ -147,7 +136,7 @@ class BlisProductLeaf:
         if self.variant == "abc":
             # Fully fused: sums inside packing, C updates inside the kernel.
             packed_gemm(a_ops, b_ops, c_ops, self.params, counters,
-                        mode=self.mode)
+                        mode=self.mode, pool=pool)
             return
 
         if self.variant == "naive":
@@ -159,11 +148,11 @@ class BlisProductLeaf:
 
         M[...] = 0.0
         packed_gemm(a_ops, b_ops, [(1.0, M)], self.params, counters,
-                    mode=self.mode)
+                    mode=self.mode, pool=pool)
         _scatter_temp(M, c_ops, counters)
 
     def fringe(self, f, A, B, C) -> None:
-        """Peel-fringe GEMM through the packed substrate (runs serially)."""
+        """Peel-fringe GEMM through the packed substrate."""
         packed_gemm(
             [(1.0, A[f.a_rows, f.a_cols])],
             [(1.0, B[f.b_rows, f.b_cols])],
@@ -171,4 +160,5 @@ class BlisProductLeaf:
             self.params,
             self.counters,
             mode=self.mode,
+            pool=self.pool,
         )

@@ -1,16 +1,15 @@
-"""Workspace arena: preallocated, recycled buffers for the parallel runtime.
+"""Workspace arena: preallocated, recycled buffers for the runtime.
 
-The task-graph runtime (:mod:`repro.core.runtime`) stages every core
+The lowering runtime (:mod:`repro.core.runtime`) stages every core
 multiply through temporary slabs — the full gathered/stacked slabs of the
-staged pipeline, or the small per-worker S/T/M buffers of the fused
+staged pipeline, or the small group S/T/M buffers of the fused
 streaming pipeline.  Allocating the temporaries per call would dominate
 the serve-many-multiplies workload the ROADMAP targets, so this module
 provides an arena: workspaces are built once per ``(plan, lead-shape,
 mode)`` configuration, checked out for the duration of one execution, and
 returned to a free list for the next call.  Repeated same-plan multiplies
 therefore perform **zero** per-call temporary allocations on the hot path
-(verified by ``tests/core/test_workspace.py`` and
-``benchmarks/bench_parallel_runtime.py``).
+(verified by ``tests/core/test_workspace.py``).
 
 Checkout is thread-safe: concurrent executions of the same plan each get
 their own workspace (the arena grows to the high-water mark of concurrent

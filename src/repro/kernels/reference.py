@@ -1,4 +1,4 @@
-"""The numpy leaf of the task-graph runtime.
+"""The numpy leaf of the lowering runtime.
 
 The weighted block-view gather, the dtype-matched scatter-accumulate,
 and the :class:`NumpyProductLeaf` that streams one product at a time.
@@ -51,7 +51,7 @@ def scatter_accumulate(step, M, Ct, scratch=None) -> None:
     accumulate stays dtype-matched and allocation-free; without a scratch
     buffer it falls back to one block-sized ``w * M`` temporary per term
     (bounded by a single block, not by R, so the fused pipeline's
-    O(workers · group) footprint claim is unaffected either way).
+    O(group) footprint claim is unaffected either way).
     """
     for i, w in step.c_terms:
         v = Ct[i]
@@ -74,19 +74,12 @@ class NumpyProductLeaf:
     """
 
     supports_batch = True    #: leading batch axes handled natively
-    parallel_fringe = True   #: fringe tasks may run on the pool
-    #: Per-slot recycled buffers this leaf's ``product`` actually reads:
-    #: the ungathered pipeline allocates exactly these (a fully-fused
-    #: kernel like the BLIS abc leaf needs none).
+    #: Recycled buffers this leaf's ``product`` actually reads: the
+    #: ungathered pipeline allocates exactly these (a fully-fused kernel
+    #: like the BLIS abc leaf needs none).
     needs_buffers = ("S", "T", "M")
 
-    def begin(self, n_slots: int) -> None:
-        """Per-execution setup hook (stateless here)."""
-
-    def finish(self) -> None:
-        """Per-execution teardown hook (stateless here)."""
-
-    def product(self, step, Av, Bv, Ct, S, T, M, slot: int) -> None:
+    def product(self, step, Av, Bv, Ct, S, T, M) -> None:
         """Stream one product: gather combos, multiply, scatter-accumulate."""
         gather(step.a_terms, Av, S)
         gather(step.b_terms, Bv, T)

@@ -110,7 +110,6 @@ def predict_workspace_bytes(
     n: int,
     ml: MultiLevelFMM,
     fusion: str = "fused",
-    threads: int = 1,
     dtype=np.float64,
 ) -> int:
     """Peak workspace bytes the runtime's lowering mode checks out.
@@ -122,10 +121,9 @@ def predict_workspace_bytes(
     A/B)), but the staged one additionally materializes all ``R`` stacked
     ``S``/``T``/``M`` intermediates plus the scatter staging (O(R) live
     product buffers), while the fused pipeline holds one *group* of
-    ``S``/``T``/``M`` strips per worker, plus per-worker ``Cacc``
-    accumulators when several workers share ``C`` (O(threads · group)
-    live buffers).  Model and runtime agreeing on these numbers is
-    asserted in ``tests/core/test_fusion.py``.
+    ``S``/``T``/``M`` strips (O(group) live buffers).  Model and runtime
+    agreeing on these numbers is asserted in
+    ``tests/core/test_fusion.py``.
     """
     from repro.core.spec import validate_resolved_fusion
 
@@ -133,9 +131,7 @@ def predict_workspace_bytes(
     if fusion == "tiled":
         # The tiled lowering's RAM working set is the strip window —
         # everything slab-scale is mmap-spilled and uncharged.
-        return predict_tile_window_bytes(
-            m, k, n, ml, threads=threads, dtype=dtype
-        )
+        return predict_tile_window_bytes(m, k, n, ml, dtype=dtype)
     bm, bk, bn, Pa, Pb, Pc = _core_blocks(m, k, n, ml)
     if min(bm, bk, bn) < 1:
         return 0  # partition coarser than the problem: no core, no slabs
@@ -147,16 +143,13 @@ def predict_workspace_bytes(
     else:
         from repro.core.spec import effective_fused_group
 
-        slots = max(1, min(int(threads), R))
         group = min(effective_fused_group(), R)
-        elements = operand_slabs + slots * group * per_product
+        elements = operand_slabs + group * per_product
         W = ml.W
         if bool(((W != 0) & (W != 1) & (W != -1)).any()):
-            # Mirror of the runtime's per-slot scatter scratch strip
-            # (allocated only for plans with non-±1 C coefficients).
-            elements += slots * bm * bn
-        if slots > 1:
-            elements += slots * Pc * bm * bn
+            # Mirror of the runtime's scatter scratch strip (allocated
+            # only for plans with non-±1 C coefficients).
+            elements += bm * bn
     return int(elements) * np.dtype(dtype).itemsize
 
 
@@ -165,19 +158,18 @@ def predict_tile_window_bytes(
     k: int,
     n: int,
     ml: MultiLevelFMM,
-    threads: int = 1,
     dtype=np.float64,
     tile_rows: int = 0,
     batch: int = 1,
 ) -> int:
     """RAM bytes of the tiled lowering's strip window.
 
-    The byte-exact model twin of the runtime's tiled arena spec
-    (``repro.core.runtime._tiled_workspace_spec``'s non-``"mmap"``
-    entries, like :func:`predict_workspace_bytes` is of the in-core
-    specs): the per-slot group of ``M`` strip buffers — ``slots x group
-    x batch x tile_rows x bn`` elements — plus one scratch strip per
-    slot for plans with non-±1 scatter coefficients.  ``tile_rows=0``
+    The byte-exact model twin of the runtime's tiled arena spec (the
+    non-``"mmap"`` entries of ``repro.core.runtime._grouped_workspace_spec``
+    at the strip height, like :func:`predict_workspace_bytes` is of the
+    in-core specs): the group of ``M`` strip buffers — ``group x batch x
+    tile_rows x bn`` elements — plus one scratch strip for plans with
+    non-±1 scatter coefficients.  ``tile_rows=0``
     (the default) resolves the strip height exactly as the runtime does
     — explicit tunable, else the effective memory budget, else the full
     block (:func:`repro.core.tiles.resolve_tile_rows`) — so the priced
@@ -193,22 +185,20 @@ def predict_tile_window_bytes(
     bm, bk, bn, Pa, Pb, Pc = _core_blocks(m, k, n, ml)
     if min(bm, bk, bn) < 1:
         return 0  # partition coarser than the problem: no core, no window
-    R = ml.rank_total
-    slots = max(1, min(int(threads), R))
-    group = min(effective_fused_group(), R)
+    group = min(effective_fused_group(), ml.rank_total)
     item = np.dtype(dtype).itemsize
     L = max(int(batch), 1)
     W = ml.W
     has_scratch = bool(((W != 0) & (W != 1) & (W != -1)).any())
     if not tile_rows:
         tile_rows = resolve_tile_rows(
-            bm, bk, bn, slots, group, lead_elems=L, itemsize=item,
+            bm, bk, bn, group, lead_elems=L, itemsize=item,
             has_scratch=has_scratch,
         )
     tile_rows = clamp_tile_rows(bm, tile_rows)
-    elements = slots * group * L * tile_rows * bn
+    elements = group * L * tile_rows * bn
     if has_scratch:
-        elements += slots * L * tile_rows * bn
+        elements += L * tile_rows * bn
     return int(elements) * item
 
 
@@ -223,7 +213,7 @@ def predict_fusion_savings(
 
     The staged lowering writes and re-reads every ``S_r``/``T_r``/``M_r``
     slab plus the scatter staging; the fused pipeline keeps those in
-    per-worker cache-resident buffers.  Priced exactly like the Fig.-5
+    cache-resident group buffers.  Priced exactly like the Fig.-5
     temp terms (``tau_b`` seconds per element, one write + one read per
     temporary element), so the §4.4 model and the streaming runtime agree
     on *why* fused wins: the removed traffic is this term.

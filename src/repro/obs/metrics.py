@@ -1,10 +1,9 @@
 """Process-wide metrics registry: counters, gauges, and histograms.
 
 Before this module the stack's health counters were scattered behind
-module-private APIs — ``plan_cache_info()`` in :mod:`repro.core.compile`,
-``arena_stats()`` in :mod:`repro.core.workspace` and ``pool_info()`` in
-the runtime.  The registry absorbs all of them behind one
-:func:`snapshot` call:
+module-private APIs — ``plan_cache_info()`` in :mod:`repro.core.compile`
+and ``arena_stats()`` in :mod:`repro.core.workspace`.  The registry
+absorbs them behind one :func:`snapshot` call:
 
 * **Counter** — a monotonically increasing integer with thread-safe
   :meth:`~Counter.inc` (e.g. ``runtime.executions``).
@@ -281,15 +280,8 @@ def _arena():
     return arena_stats()
 
 
-def _thread_pools() -> dict:
-    from repro.core.runtime import pool_info
-    return {str(k): v for k, v in pool_info().items()}
-
-
 gauge("plan_cache",
       "Compiled-plan cache: hits, misses, maxsize, currsize", _plan_cache)
 gauge("workspace.arena",
-      "Thread-runtime workspace arena: allocations, reuses, byte totals, "
+      "Runtime workspace arena: allocations, reuses, byte totals, "
       "peak high-water", _arena)
-gauge("pools.threads",
-      "Live thread pools keyed by worker count", _thread_pools)

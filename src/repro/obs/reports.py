@@ -9,8 +9,8 @@ aggregating per plan key.
 
 The history is also the bridge from serving traffic back into the
 tuner: :func:`observed_measurements` groups reports by their full
-execution configuration (shape, dtype, schedule, variant, threads)
-and summarizes latency, which
+execution configuration (shape, dtype, schedule, variant) and
+summarizes latency, which
 ``repro.tune.observe.seed_wisdom_from_observations`` converts into
 wisdom records — measurements for free, from traffic the process was
 serving anyway.
@@ -174,7 +174,7 @@ class ReportHistory:
 
         Unlike :meth:`aggregate` (display granularity), groups carry
         every field the tuner needs to reconstruct a wisdom config:
-        shape, dtype, schedule signature, variant and threads.  Reports
+        shape, dtype, schedule signature and variant.  Reports
         without a schedule signature (legacy constructors) are skipped;
         ``min_count`` filters out one-off shapes that would seed wisdom
         from a single noisy sample.
@@ -183,21 +183,19 @@ class ReportHistory:
         for rep in self.recent():
             if not rep.schedule or rep.batch != 1:
                 continue  # batched latency is not a per-multiply measurement
-            key = (rep.shape, rep.dtype, rep.schedule, rep.variant,
-                   rep.threads)
+            key = (rep.shape, rep.dtype, rep.schedule, rep.variant)
             groups.setdefault(key, []).append(rep)
         out = []
         for key, reps in sorted(groups.items(), key=lambda kv: repr(kv[0])):
             if len(reps) < min_count:
                 continue
             lat = sorted(r.duration_s for r in reps)
-            shape, dtype, schedule, variant, threads = key
+            shape, dtype, schedule, variant = key
             out.append({
                 "shape": tuple(shape),
                 "dtype": dtype,
                 "schedule": schedule,
                 "variant": variant,
-                "threads": threads,
                 "count": len(reps),
                 "best_s": lat[0],
                 "p50_s": percentile(lat, 0.50),

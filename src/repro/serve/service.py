@@ -23,8 +23,8 @@ sets any of the three spec arguments still pins a schedule, with
 
 A single scheduler thread drains the queue and **coalesces same-plan
 FMM requests**: the compiled-plan cache key (:mod:`repro.core.compile`)
-plus the thread count form the coalescing key, and matching jobs that
-arrive within the batch window are stacked into one batched execution
+is the coalescing key, and matching jobs that arrive within the batch
+window are stacked into one batched execution
 through :func:`repro.core.runtime.execute_plan` — the same amortization
 :func:`repro.multiply_batched` gives a caller who already holds a stack,
 earned here across callers who do not know about each other.  Batched
@@ -83,7 +83,6 @@ from repro.core.spec import (
     effective_serve_max_batch,
     normalize_fusion,
     normalize_overload_policy,
-    normalize_threads,
 )
 from repro.model.perfmodel import predict_workspace_bytes
 from repro.obs import metrics as obs_metrics
@@ -246,14 +245,14 @@ class JobHandle:
     """
 
     __slots__ = (
-        "id", "_service", "_key", "_cplan", "_blas", "_A", "_B", "_threads",
-        "_shape", "_dtype", "_cost_bytes", "_submitted_at",
+        "id", "_service", "_key", "_cplan", "_blas", "_A", "_B", "_shape",
+        "_dtype", "_cost_bytes", "_submitted_at",
         "_status", "_result", "_exc", "_batch_size", "_done",
         "__weakref__",
     )
 
-    def __init__(self, service, key, cplan, blas, A, B, threads, shape,
-                 dtype, cost_bytes, submitted_at) -> None:
+    def __init__(self, service, key, cplan, blas, A, B, shape, dtype,
+                 cost_bytes, submitted_at) -> None:
         self.id = f"job-{next(_job_ids)}"
         self._service = service
         self._key = key            # coalescing key; None for a BLAS job
@@ -261,7 +260,6 @@ class JobHandle:
         self._blas = blas          # a BLAS job's constant report fields
         self._A = A
         self._B = B
-        self._threads = threads
         self._shape = shape
         self._dtype = dtype
         self._cost_bytes = cost_bytes
@@ -368,13 +366,13 @@ def execute_batch(jobs: list[JobHandle]):
     m, k, n = cplan.shape
     if len(jobs) == 1:
         C = np.zeros((m, n), dtype=cplan.dtype)
-        runtime.execute_plan(cplan, lead._A, lead._B, C, threads=lead._threads)
+        runtime.execute_plan(cplan, lead._A, lead._B, C)
         results = [C]
     else:
         A3 = np.stack([j._A for j in jobs])
         B3 = np.stack([j._B for j in jobs])
         C3 = np.zeros((len(jobs), m, n), dtype=cplan.dtype)
-        runtime.execute_plan(cplan, A3, B3, C3, threads=lead._threads)
+        runtime.execute_plan(cplan, A3, B3, C3)
         results = [C.copy() for C in C3]
     return results, runtime.last_report()
 
@@ -400,10 +398,6 @@ class MultiplyService:
         Over-budget behavior: ``"queue"`` | ``"reject"`` | ``"serial"``
         (see :data:`repro.core.spec.OVERLOAD_POLICIES`).  Default
         ``"reject"``.
-    threads:
-        Worker count for jobs that do not specify their own (default:
-        serial; a default job resolves like ``multiply(engine="auto")``
-        without ``threads``).
     clock, executor:
         Test seams (see module docstring).  ``executor(jobs)`` must
         return ``(results, report_or_None)`` aligned with ``jobs``.
@@ -422,7 +416,6 @@ class MultiplyService:
         max_batch: int | None = None,
         byte_budget: int | None = None,
         policy: str | None = None,
-        threads: int | None = None,
         clock=None,
         executor=None,
     ) -> None:
@@ -437,9 +430,6 @@ class MultiplyService:
         if self._byte_budget is not None and self._byte_budget < 0:
             raise ValueError("byte_budget must be >= 0")
         self._policy = normalize_overload_policy(policy)
-        # None keeps auto's own thread class for default jobs, exactly
-        # as multiply(engine="auto") without threads.
-        self._threads = normalize_threads(threads)
         self._clock = clock if clock is not None else MonotonicClock()
         self._executor = executor if executor is not None else execute_batch
 
@@ -512,7 +502,7 @@ class MultiplyService:
     # ------------------------------------------------------------------ #
     # Submission + admission control
     # ------------------------------------------------------------------ #
-    def _price(self, cplan, threads, dt, m, k, n) -> int:
+    def _price(self, cplan, dt, m, k, n) -> int:
         """Bytes one queued job is charged for: the model's predicted
         peak workspace for its plan (the arena's byte-accounting twin)
         plus its operand and result slabs.
@@ -532,7 +522,7 @@ class MultiplyService:
         if cplan is None:
             return operands
         workspace = predict_workspace_bytes(
-            m, k, n, cplan.ml, fusion=cplan.fusion, threads=threads, dtype=dt
+            m, k, n, cplan.ml, fusion=cplan.fusion, dtype=dt
         )
         if cplan.fusion == "tiled":
             return workspace
@@ -548,16 +538,15 @@ class MultiplyService:
         variant: str | None = None,
         dtype=None,
         fusion: str = "auto",
-        threads: int | None = None,
     ) -> JobHandle:
         """Queue ``C = A @ B`` and return its :class:`JobHandle`.
 
         A job that sets none of ``algorithm``, ``levels`` and ``variant``
         gets ``engine="auto"``'s pick: it resolves through the same
         memoized route as ``multiply(A, B, engine="auto", dtype=dtype,
-        fusion=fusion, threads=threads)`` and returns bitwise what that
-        call returns.  A classical pick runs as its own BLAS call, never
-        stacked and never held for a batch window.  Setting any of the
+        fusion=fusion)`` and returns bitwise what that call returns.  A
+        classical pick runs as its own BLAS call, never stacked and never
+        held for a batch window.  Setting any of the
         three pins the schedule, with ``"strassen"``, 1 and ``"abc"`` for
         the ones left unset, so ``submit(A, B, levels=2)`` is
         ``strassen@2``; the accepted spec is the direct-engine multiply
@@ -565,9 +554,8 @@ class MultiplyService:
         this default, a bare ``submit(A, B)`` ran ``strassen@1``.
 
         Validation is synchronous: shape/spec errors raise here in the
-        caller, never inside the scheduler.  ``threads`` defaults to the
-        service-wide count.  Complex operands raise ``TypeError`` here,
-        like in :func:`repro.multiply`.
+        caller, never inside the scheduler.  Complex operands raise
+        ``TypeError`` here, like in :func:`repro.multiply`.
         """
         A = np.asarray(A)
         B = np.asarray(B)
@@ -579,21 +567,19 @@ class MultiplyService:
             )
         if A.shape[1] != B.shape[0]:
             raise ValueError(f"incompatible operand shapes {A.shape} x {B.shape}")
-        threads = normalize_threads(threads) or self._threads
         fusion = normalize_fusion(fusion)
         m, k, n = A.shape[0], A.shape[1], B.shape[1]
         cplan = blas = None
         if algorithm is None and levels is None and variant is None:
             A, B, route = _resolve(False, A, B, None, None, None, None,
-                                   "auto", threads, dtype, "readonly", fusion)
-            dt, threads = route.dt, route.threads
+                                   "auto", dtype, "readonly", fusion)
+            dt = route.dt
             if route.depth:
                 blas = route.report
             else:
                 algorithm, levels, variant, _ = route.config
         else:
             dt = _compute_dtype(A, B, dtype=dtype)
-            threads = threads or 1
             algorithm = "strassen" if algorithm is None else algorithm
             levels = 1 if levels is None else levels
             variant = "abc" if variant is None else variant
@@ -603,14 +589,13 @@ class MultiplyService:
             )
         A = _contig_operand(A, dt, "A")
         B = _contig_operand(B, dt, "B")
-        # The coalescing key of an FMM job: the compiled plan's cache key
-        # (shape, schedule, variant, dtype, resolved fusion) extended with
-        # the thread count a batch must share.  A BLAS job has none: it
-        # always runs alone.
-        key = None if cplan is None else (cplan.key, threads)
-        cost = self._price(cplan, threads, dt, m, k, n)
-        job = JobHandle(self, key, cplan, blas, A, B, threads, (m, k, n), dt,
-                        cost, self._clock.now())
+        # The coalescing key of an FMM job is the compiled plan's cache
+        # key (shape, schedule, variant, dtype, resolved fusion).  A BLAS
+        # job has none: it always runs alone.
+        key = None if cplan is None else cplan.key
+        cost = self._price(cplan, dt, m, k, n)
+        job = JobHandle(self, key, cplan, blas, A, B, (m, k, n), dt, cost,
+                        self._clock.now())
 
         degraded = False
         with self._cond:

@@ -3,11 +3,11 @@
 The paper measures its top-2 model picks because fringe effects are
 invisible to the model (§4.4); this module is the measuring instrument.
 One measurement runs a real :class:`~repro.core.compile.CompiledPlan`
-through the PR-2 task-graph runtime (or the blocked substrate) exactly the
-way ``multiply`` would, with the standard noise-suppression tricks:
+through the lowering runtime (or the blocked substrate) exactly the way
+``multiply`` would, with the standard noise-suppression tricks:
 
-* **warmup** calls first, so plan compilation, arena growth and pool
-  spin-up stay out of the timings;
+* **warmup** calls first, so plan compilation and arena growth stay out
+  of the timings;
 * **GC pinning** — the collector is disabled around the timed region
   (and restored after), so a mid-measurement collection cannot poison a
   sample;
@@ -63,7 +63,6 @@ class Measurement:
     shape: tuple[int, int, int]
     label: str
     engine: str
-    threads: int
     dtype: str
     time_s: float            #: median of per-group minima — the verdict
     best_s: float            #: global minimum sample
@@ -77,15 +76,14 @@ class Measurement:
         return effective_gflops(m, k, n, self.time_s)
 
 
-def _runner(cplan: CompiledPlan, engine: str, threads: int, params, mode):
+def _runner(cplan: CompiledPlan, engine: str, params, mode):
     """Build the ``fn(A, B, C)`` the harness times, matching ``multiply``."""
     from repro.core.executor import BlockedEngine, DirectEngine
 
     if engine == "direct":
-        eng = DirectEngine(threads=threads)
+        eng = DirectEngine()
     elif engine == "blocked":
-        eng = BlockedEngine(params=params, variant=cplan.variant,
-                            threads=threads, mode=mode)
+        eng = BlockedEngine(params=params, variant=cplan.variant, mode=mode)
     else:
         raise ValueError(f"unknown engine {engine!r}")
     return lambda A, B, C: eng.execute(cplan, A, B, C)
@@ -95,7 +93,6 @@ def measure_plan(
     cplan: CompiledPlan,
     *,
     engine: str = "direct",
-    threads: int = 1,
     config: MeasureConfig | None = None,
     params=None,
     mode: str = "slab",
@@ -108,16 +105,13 @@ def measure_plan(
     the engines' contract), which is harmless for timing and avoids
     paying a re-zero inside the samples.
     """
-    from repro.core.spec import normalize_threads
-
     cfg = config or MeasureConfig()
-    threads = normalize_threads(threads) or 1  # fail before any warmup
     m, k, n = cplan.shape
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, k)).astype(cplan.dtype, copy=False)
     B = rng.standard_normal((k, n)).astype(cplan.dtype, copy=False)
     C = np.zeros((m, n), dtype=cplan.dtype)
-    fn = _runner(cplan, engine, threads, params, mode)
+    fn = _runner(cplan, engine, params, mode)
 
     deadline = None if cfg.budget_s is None else time.perf_counter() + cfg.budget_s
     for _ in range(cfg.warmup):
@@ -153,7 +147,6 @@ def measure_plan(
         shape=(m, k, n),
         label=label,
         engine=engine,
-        threads=int(threads),
         dtype=cplan.dtype.name,
         time_s=statistics.median(group_minima),
         best_s=min(group_minima),
@@ -172,7 +165,6 @@ def measure_candidate(
     variant: str = "abc",
     dtype=np.float64,
     engine: str = "direct",
-    threads: int = 1,
     config: MeasureConfig | None = None,
     seed: int = 0,
     fusion: str = "auto",
@@ -189,5 +181,4 @@ def measure_candidate(
     """
     cplan = plancache.compile((int(m), int(k), int(n)), algorithm, levels,
                               variant, dtype=dtype, fusion=fusion)
-    return measure_plan(cplan, engine=engine, threads=threads, config=config,
-                        seed=seed)
+    return measure_plan(cplan, engine=engine, config=config, seed=seed)

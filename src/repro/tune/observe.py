@@ -45,7 +45,7 @@ def observed_measurements(min_count: int = 1) -> list[dict]:
     """Per-configuration latency summaries from the live report history.
 
     Groups the retained ExecutionReports by ``(shape, dtype, schedule,
-    variant, threads)`` and summarizes each
+    variant)`` and summarizes each
     group's durations (``count``, ``best_s``, ``p50_s``, ``mean_s``).
     ``min_count`` drops groups with fewer samples — a single noisy call
     should not become wisdom.
@@ -75,7 +75,6 @@ def _config_from_observation(obs: dict) -> dict | None:
         "levels": len(ml.levels),
         "variant": obs["variant"],
         "engine": "direct",
-        "threads": int(obs["threads"]),
     }
 
 
@@ -104,7 +103,7 @@ def seed_wisdom_from_observations(
         if cfg is None:
             continue
         m, k, n = obs["shape"]
-        bucket = problem_bucket(m, k, n, obs["dtype"], None)
+        bucket = problem_bucket(m, k, n, obs["dtype"])
         prev = best.get(bucket)
         if prev is None or obs["best_s"] < prev[0]:
             best[bucket] = (obs["best_s"], {**obs, "config": cfg})
@@ -121,7 +120,6 @@ def seed_wisdom_from_observations(
             time_s=best_s,
             samples=obs["count"],
             dtype=np.dtype(obs["dtype"]),
-            threads=None,
             save=save,
         )
         written.append(bucket)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.selection import enumerate_candidates, rank_candidates
-from repro.core.spec import normalize_threads
 from repro.model.machines import MachineParams
 from repro.model.perfmodel import calibrate_lambda, effective_gflops
 from repro.obs.logcfg import get_logger
@@ -69,7 +68,6 @@ def tune_problem(
     n: int,
     *,
     dtype=np.float64,
-    threads: int | None = None,
     top: int = 3,
     max_levels: int = 2,
     machine: MachineParams | None = None,
@@ -86,9 +84,6 @@ def tune_problem(
         Problem size to tune for.
     dtype : dtype-like, optional
         Execution dtype of the measured multiplies.  Default float64.
-    threads : int or None, optional
-        Tune for an explicit worker count; ``None`` (default) measures
-        serial and buckets the verdict under the ``auto`` thread class.
     top : int, optional
         Model finalists to measure (the classical GEMM baseline is always
         measured in addition).  Default 3.
@@ -128,7 +123,6 @@ def tune_problem(
     calibrate_machine : back-fit the machine model this ranking prices with.
     """
     t_start = time.perf_counter()
-    threads = normalize_threads(threads)  # bad counts fail before measuring
     store = store if store is not None else default_store()
     machine = resolve_machine(store, machine)
     dt = np.dtype(dtype)
@@ -142,7 +136,6 @@ def tune_problem(
     finalists.append(("classical", 1, "abc"))
     model_rank1 = ranked[0].label if ranked else "classical/abc"
 
-    t = threads or 1
     base_cfg = measure_config or MeasureConfig()
     deadline = t_start + budget_s
     measured: list[tuple[Measurement, dict]] = []
@@ -151,7 +144,7 @@ def tune_problem(
         slice_s = remaining / (len(finalists) - i)
         meas = measure_candidate(
             m, k, n, spec, levels=levels, variant=variant, dtype=dt,
-            engine="direct", threads=t,
+            engine="direct",
             config=MeasureConfig(
                 warmup=base_cfg.warmup, repeats=base_cfg.repeats,
                 inner=base_cfg.inner, budget_s=slice_s, pin_gc=base_cfg.pin_gc,
@@ -164,7 +157,6 @@ def tune_problem(
             "levels": int(levels),
             "variant": variant,
             "engine": "direct",
-            "threads": int(t),
         }
         measured.append((meas, cfg_doc))
 
@@ -183,7 +175,6 @@ def tune_problem(
             time_s=winner.time_s,
             samples=winner.samples,
             dtype=dt,
-            threads=threads,
         )
 
     from repro.tune.wisdom import config_tuple
@@ -240,8 +231,8 @@ def tune_fused_group(
 ) -> int:
     """Measure the fused-pipeline group size on this host and record it.
 
-    The fused runtime streams products through per-worker buffer groups
-    of ``DEFAULT_FUSED_GROUP`` strips; the sweet spot is a cache
+    The fused runtime streams products through buffer groups of
+    ``DEFAULT_FUSED_GROUP`` strips; the sweet spot is a cache
     property, so it is a per-machine tunable, not a constant.  This
     times one representative fused multiply per candidate group size
     (via :func:`repro.core.spec.set_runtime_tunables`) and persists the
@@ -263,7 +254,7 @@ def tune_fused_group(
             set_runtime_tunables(fused_group=int(g))
             meas = measure_candidate(
                 m, k, n, algorithm, levels=levels, variant="abc",
-                dtype=dtype, engine="direct", threads=1, fusion="fused",
+                dtype=dtype, engine="direct", fusion="fused",
                 config=measure_config,
             )
             results.append((meas.time_s, int(g)))

@@ -3,7 +3,7 @@
 The ATLAS/FFTW tradition: empirical measurements are expensive, so their
 verdicts are written down.  A :class:`WisdomStore` is a small, versioned
 JSON database on disk mapping *problem-class buckets* (shape-ratio class +
-size bin + dtype + thread request — see :func:`problem_bucket`) to the
+size bin + dtype — see :func:`problem_bucket`) to the
 measured-best multiply configuration, scoped to a *machine fingerprint*
 (:func:`machine_fingerprint`: CPU count, arch, numpy/BLAS, repro version)
 so wisdom tuned on one machine never mis-steers another.
@@ -65,14 +65,16 @@ __all__ = [
     "set_default_store",
 ]
 
-#: Bump when the on-disk layout changes; older files degrade to empty.
-#: Version 2 dropped the ``backend`` and ``workers`` config fields.
-SCHEMA_VERSION = 2
+#: Bump when the on-disk layout changes; older files are set aside as
+#: ``.corrupt`` and the store starts empty.  Version 2 dropped the
+#: ``backend`` and ``workers`` config fields, version 3 the ``threads``
+#: config field and the bucket's thread class.
+SCHEMA_VERSION = 3
 
 #: Environment override for the default wisdom location.
 WISDOM_ENV = "REPRO_WISDOM"
 
-_CONFIG_KEYS = ("algorithm", "levels", "variant", "engine", "threads")
+_CONFIG_KEYS = ("algorithm", "levels", "variant", "engine")
 
 #: Optional per-fingerprint runtime tunables a wisdom file may carry
 #: (:func:`repro.core.spec.set_runtime_tunables` knobs): measured-best
@@ -131,23 +133,20 @@ def fingerprint_digest(fp: dict | None = None) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def problem_bucket(m: int, k: int, n: int, dtype="float64", threads=None) -> str:
-    """Problem-class bucket key: size bin x shape-ratio class x dtype x threads.
+def problem_bucket(m: int, k: int, n: int, dtype="float64") -> str:
+    """Problem-class bucket key: size bin x shape-ratio class x dtype.
 
     Sizes bin by the rounded log2 of the geometric-mean dimension; shape
     ratios by the rounded log2 of ``m/k`` and ``n/k``, so a 14400x480x14400
     rank-k update and a 12000^3 cube land in different classes while
-    nearby sizes share tuned verdicts.  ``threads=None`` (the "let the
-    tuner pick" request) buckets as ``auto``, distinct from explicit
-    thread counts.
+    nearby sizes share tuned verdicts.
     """
     if min(m, k, n) < 1:
         raise ValueError(f"invalid problem {(m, k, n)}")
     size_bin = round(math.log2((m * k * n) ** (1.0 / 3.0)))
     r1 = round(math.log2(m / k))
     r2 = round(math.log2(n / k))
-    t = "auto" if threads is None else str(int(threads))
-    return f"s{size_bin}|r{r1},{r2}|{dtype_name(dtype)}|t{t}"
+    return f"s{size_bin}|r{r1},{r2}|{dtype_name(dtype)}"
 
 
 def _validate_entry(entry) -> dict:
@@ -190,8 +189,8 @@ def _validate_config(cfg) -> dict:
         raise ValueError(f"malformed wisdom variant {cfg['variant']!r}")
     if cfg["engine"] not in ("direct", "blocked"):
         raise ValueError(f"malformed wisdom engine {cfg['engine']!r}")
-    if int(cfg["levels"]) < 1 or int(cfg["threads"]) < 1:
-        raise ValueError("wisdom levels/threads must be >= 1")
+    if int(cfg["levels"]) < 1:
+        raise ValueError("wisdom levels must be >= 1")
     return cfg
 
 
@@ -233,14 +232,12 @@ def config_signature(cfg: dict) -> str:
 
 
 def config_tuple(cfg: dict) -> tuple:
-    """Stored config -> ``(algorithm, levels, variant, engine, threads)``;
-    the first four are what :func:`repro.core.selection.auto_config`
-    replays."""
+    """Stored config -> ``(algorithm, levels, variant, engine)``, what
+    :func:`repro.core.selection.auto_config` replays."""
     algo = cfg["algorithm"]
     if algo != "classical":
         algo = tuple(tuple(int(x) for x in s) for s in algo)
-    return (algo, int(cfg["levels"]), cfg["variant"], cfg["engine"],
-            int(cfg["threads"]))
+    return (algo, int(cfg["levels"]), cfg["variant"], cfg["engine"])
 
 
 # ---------------------------------------------------------------------- #
@@ -443,18 +440,18 @@ class WisdomStore:
     # ------------------------------------------------------------------ #
     # Lookup / record
     # ------------------------------------------------------------------ #
-    def lookup(self, m: int, k: int, n: int, *, dtype="float64",
-               threads=None) -> dict | None:
+    def lookup(self, m: int, k: int, n: int, *,
+               dtype="float64") -> dict | None:
         """The tuned config for this problem class, or ``None``."""
-        bucket = problem_bucket(m, k, n, dtype, threads)
+        bucket = problem_bucket(m, k, n, dtype)
         with self._lock:
             entry = self._entries.get(bucket)
             return dict(entry["config"]) if entry is not None else None
 
-    def lookup_tuple(self, m: int, k: int, n: int, *, dtype="float64",
-                     threads=None) -> tuple | None:
+    def lookup_tuple(self, m: int, k: int, n: int, *,
+                     dtype="float64") -> tuple | None:
         """Like :meth:`lookup` but as a :func:`config_tuple`."""
-        cfg = self.lookup(m, k, n, dtype=dtype, threads=threads)
+        cfg = self.lookup(m, k, n, dtype=dtype)
         return None if cfg is None else config_tuple(cfg)
 
     def record(
@@ -468,7 +465,6 @@ class WisdomStore:
         time_s: float,
         samples: int,
         dtype="float64",
-        threads=None,
         save: bool = True,
     ) -> str:
         """Write one tuned verdict (last write per bucket wins) and persist.
@@ -482,7 +478,7 @@ class WisdomStore:
         config = dict(config)
         _validate_config(config)
         config["schedule"] = config_signature(config)
-        bucket = problem_bucket(m, k, n, dtype, threads)
+        bucket = problem_bucket(m, k, n, dtype)
         entry = {
             "config": config,
             "gflops": float(gflops),

@@ -56,11 +56,11 @@ def _assert_blas_report(shape, batch=1, dtype="float64"):
     rep = last_report()
     assert rep.core_path == "blas"
     assert rep.backend == "reference"
-    assert rep.worker_mode == "serial" and rep.n_workers == 1
+    assert rep.worker_mode == "serial" and rep.threads == 1
     assert rep.schedule == "classical@1"
     assert rep.shape == shape and rep.batch == batch
     assert rep.dtype == dtype
-    assert rep.n_tasks == 0 and rep.duration_s > 0.0
+    assert rep.duration_s > 0.0
     return rep
 
 
@@ -103,7 +103,7 @@ class TestAutoPick:
         store.record(
             256, 256, 256,
             config={"algorithm": "classical", "levels": 1, "variant": "abc",
-                    "engine": "direct", "threads": 2},
+                    "engine": "direct"},
             gflops=10.0, time_s=1e-3, samples=3,
         )
         set_default_store(store)
@@ -112,8 +112,7 @@ class TestAutoPick:
             C = multiply(A, B, engine="auto", tune="readonly")
         finally:
             set_default_store(None)
-        rep = _assert_blas_report((256, 256, 256))
-        assert rep.threads == 1  # auto replays the schedule, not threads
+        _assert_blas_report((256, 256, 256))
         _assert_same(C, _forced(A, B))
 
 
@@ -365,7 +364,7 @@ class TestBypass:
     def test_engine_execute_of_a_classical_plan(self, rng):
         A, B = _operands(rng, 40, 30, 20)
         cplan = plancache.compile((40, 30, 20), "classical")
-        eng = DirectEngine(threads=2)
+        eng = DirectEngine()
         C = eng.execute(cplan, A, B, np.zeros((40, 20)))
         assert eng.last_report is last_report()
         _assert_blas_report((40, 30, 20))
@@ -391,6 +390,7 @@ class TestBypass:
         ({"fusion": "sideways"}, "fusion"),
         ({"variant": "xyz"}, "variant"),
         ({"levels": 0}, "levels"),
+        ({"threads": 2}, "threads"),
     ])
     def test_knobs_still_validated(self, kwargs, match):
         A = np.ones((8, 8))

@@ -101,9 +101,12 @@ class TestBlockedEngine:
         B = rng.standard_normal((200, 300))
         C1 = np.zeros((300, 300))
         C2 = np.zeros((300, 300))
+        # threads drives the packed GEMM's 3rd (ic) loop: 100-row blocks
+        # split into two row bands at the default m_C of 96, each owned
+        # by one worker, so the result is the sequential one bit for bit.
         BlockedEngine(threads=1).multiply(A, B, C1, ml)
         BlockedEngine(threads=4).multiply(A, B, C2, ml)
-        assert np.allclose(C1, C2)
+        assert np.array_equal(C1, C2)
         assert np.abs(C1 - A @ B).max() < 1e-9
 
     def test_counters_populated(self, rng):

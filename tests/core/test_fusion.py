@@ -5,8 +5,9 @@ Covers the tentpole guarantees of the variant-aware pipeline:
 * exactness of every write-back variant x fusion mode x 1-2 levels
   (including a pairwise mixed-schedule sweep reusing the
   ``test_schedule.py`` harness shapes);
-* thread invariance — the fused pipeline's per-worker Cacc + deterministic
-  reduce must reproduce the serial result;
+* determinism — rerunning a plan reproduces its result bit for bit, and
+  the lowerings run their phases (``phase:<kind>`` spans) in order with
+  no reduce;
 * the workspace high-water regression: fused peak bytes < staged peak
   bytes at two levels, with the performance model's workspace twin
   agreeing byte-for-byte with the runtime's measured peaks;
@@ -33,6 +34,7 @@ from repro.core.spec import (
     resolve_fusion,
 )
 from repro.core.workspace import WorkspaceArena
+from repro.obs import trace
 
 
 @pytest.fixture(autouse=True)
@@ -84,68 +86,77 @@ class TestExactness:
         cplan = plancache.compile((24, 24, 24), "strassen", fusion=fusion)
         A = rng.standard_normal((9, 24, 24))
         B = rng.standard_normal((9, 24, 24))
-        C = runtime.execute_plan(cplan, A, B, np.zeros((9, 24, 24)), threads=2)
+        C = runtime.execute_plan(cplan, A, B, np.zeros((9, 24, 24)))
         assert np.abs(C - A @ B).max() < 1e-10
 
 
 class TestThreadInvariance:
-    @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("fusion", ["staged", "fused"])
-    def test_threads_reproduce_serial(self, rng, variant, fusion):
-        """Private Cacc slabs + deterministic reduce: threads agree with
-        serial to fp-reassociation precision for every mode."""
-        cplan = plancache.compile((48, 48, 48), "strassen", levels=2,
-                                  variant=variant, fusion=fusion)
-        A = rng.standard_normal((48, 48))
-        B = rng.standard_normal((48, 48))
-        C1 = runtime.execute_plan(cplan, A, B, np.zeros((48, 48)), threads=1)
-        for t in (2, 3, 5):
-            Ct = runtime.execute_plan(cplan, A, B, np.zeros((48, 48)), threads=t)
-            assert np.abs(Ct - C1).max() < 1e-10, (variant, fusion, t)
-
     def test_same_thread_count_is_deterministic(self, rng):
-        """The fused reduce folds worker slabs in slot order — bitwise
-        reproducible across runs for a fixed thread count."""
+        """One worker, a fixed phase order: reruns are bitwise equal."""
         cplan = plancache.compile((32, 32, 32), "strassen", fusion="fused")
         A = rng.standard_normal((32, 32))
         B = rng.standard_normal((32, 32))
         runs = [
-            runtime.execute_plan(cplan, A, B, np.zeros((32, 32)), threads=3)
+            runtime.execute_plan(cplan, A, B, np.zeros((32, 32)))
             for _ in range(3)
         ]
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(runs[1], runs[2])
 
 
+def _phases(run) -> list[str]:
+    """The ``phase:<kind>`` span names ``run()`` emits, in order."""
+    trace.enable()
+    trace.clear()
+    try:
+        run()
+        names = [r.name for r in trace.drain()]
+    finally:
+        trace.disable()
+    return [n[len("phase:"):] for n in names if n.startswith("phase:")]
+
+
 class TestFusedLowering:
-    def test_fused_phase_structure(self):
+    def test_fused_phase_structure(self, rng):
         cplan = plancache.compile((64, 64, 64), "strassen", levels=1)
-        g = runtime.lower_plan(cplan, workers=2, fusion="fused")
-        kinds = [p[0].kind for p in g.phases]
-        assert kinds == ["gather_a", "fproduct", "reduce"]
-        assert g.n_slots == 2
+        A = rng.standard_normal((64, 64))
+        kinds = _phases(lambda: runtime.execute_plan(
+            cplan, A, A, np.zeros((64, 64)), fusion="fused"))
+        assert kinds == ["gather_a", "gather_b", "fproduct"]
 
-    def test_serial_fused_has_no_reduce(self):
+    def test_serial_fused_has_no_reduce(self, rng):
+        """One worker accumulates straight into C: no lowering reduces."""
         cplan = plancache.compile((64, 64, 64), "strassen", levels=1)
-        g = runtime.lower_plan(cplan, workers=1, fusion="fused")
-        assert [p[0].kind for p in g.phases] == ["gather_a", "fproduct"]
+        A = rng.standard_normal((64, 64))
+        for fusion in ("staged", "fused", "tiled"):
+            kinds = _phases(lambda: runtime.execute_plan(
+                cplan, A, A, np.zeros((64, 64)), fusion=fusion))
+            assert "reduce" not in kinds, fusion
 
-    def test_ungathered_fused_skips_gather_phase(self):
-        cplan = plancache.compile((64, 64, 64), "strassen", levels=1)
-        g = runtime.lower_plan(cplan, workers=1, fusion="fused", gathered=False)
-        assert [p[0].kind for p in g.phases] == ["fproduct"]
+    def test_ungathered_fused_skips_gather_phase(self, rng):
+        """A leaf that packs its own operands (BLIS) streams straight
+        from the block views."""
+        A = rng.standard_normal((64, 64))
+        eng = BlockedEngine()
+        kinds = _phases(lambda: eng.multiply(
+            A, A, np.zeros((64, 64)),
+            plancache.compile((64, 64, 64), "strassen").ml))
+        assert kinds == ["fproduct"]
 
-    def test_fproduct_tasks_cover_all_products_once(self):
+    def test_fproduct_tasks_cover_all_products_once(self, rng):
+        """The fused phase hands every product step to the leaf once."""
+        seen = []
+
+        class RecordingLeaf(runtime.NumpyProductLeaf):
+            def product(self, step, *args):
+                seen.append(step)
+                super().product(step, *args)
+
         cplan = plancache.compile((96, 96, 96), "strassen", levels=2)
-        for workers in (1, 3, 8, 100):
-            g = runtime.lower_plan(cplan, workers, fusion="fused")
-            covered = sorted(
-                i for p in g.phases for t in p if t.kind == "fproduct"
-                for i in range(t.lo, t.hi)
-            )
-            assert covered == list(range(cplan.rank_total)), workers
-            slots = [t.slot for p in g.phases for t in p if t.kind == "fproduct"]
-            assert slots == list(range(len(slots)))  # one buffer set per task
+        A = rng.standard_normal((96, 96))
+        runtime.execute_plan(cplan, A, A, np.zeros((96, 96)),
+                             leaf=RecordingLeaf())
+        assert [id(s) for s in seen] == [id(s) for s in cplan.steps]
 
     def test_auto_resolution_variant_and_size(self):
         """naive always lowers staged; ab/abc lower fused past the slab
@@ -213,9 +224,7 @@ class TestWorkspaceHighWater:
             peaks[fusion] = runtime.last_report().peak_workspace_bytes
         assert 0 < peaks["fused"] < peaks["staged"]
 
-    @pytest.mark.parametrize("fusion,threads", [
-        ("staged", 1), ("fused", 1), ("fused", 2), ("fused", 4),
-    ])
+    @pytest.mark.parametrize("fusion,threads", [("staged", 1), ("fused", 1)])
     def test_model_and_runtime_agree_on_peak_bytes(self, rng, fusion, threads):
         """perfmodel.predict_workspace_bytes is the runtime's exact twin."""
         from repro.core.spec import resolve_levels
@@ -228,7 +237,7 @@ class TestWorkspaceHighWater:
         B = rng.standard_normal((k, n))
         runtime.execute_plan(cplan, A, B, np.zeros((m, n)), threads=threads)
         measured = runtime.last_report().peak_workspace_bytes
-        predicted = predict_workspace_bytes(m, k, n, ml, fusion, threads=threads)
+        predicted = predict_workspace_bytes(m, k, n, ml, fusion)
         assert measured == predicted
 
     def test_fusion_savings_priced_and_guarded(self):
@@ -265,8 +274,8 @@ class TestWorkspaceHighWater:
 
 class TestSharedRuntimeEntryPoint:
     def test_both_engines_execute_through_execute_plan(self, rng, monkeypatch):
-        """Acceptance: direct and blocked both run via ``lower_plan`` task
-        graphs — their execute() funnels into the one runtime entry."""
+        """Acceptance: direct and blocked both run the runtime's lowered
+        phases — their execute() funnels into the one runtime entry."""
         calls = []
         real = runtime.execute_plan
 
@@ -321,10 +330,13 @@ class TestValidationListings:
         with pytest.raises(ValueError):
             normalize_variant(bad)
 
-    def test_lower_plan_rejects_auto(self):
+    def test_lower_plan_rejects_auto(self, rng):
+        """Lowering takes a resolved mode; ``"auto"`` resolves at compile
+        time, so the runtime refuses it."""
         cplan = plancache.compile((8, 8, 8), "strassen")
+        A = rng.standard_normal((8, 8))
         with pytest.raises(ValueError, match="staged.*fused"):
-            runtime.lower_plan(cplan, 1, fusion="auto")
+            runtime.execute_plan(cplan, A, A, np.zeros((8, 8)), fusion="auto")
 
     def test_execute_plan_rejects_bad_fusion(self, rng):
         cplan = plancache.compile((8, 8, 8), "strassen")
@@ -346,9 +358,9 @@ class TestCustomLeaf:
             def __init__(self):
                 self.products = 0
 
-            def product(self, step, Av, Bv, Ct, S, T, M, slot):
+            def product(self, step, Av, Bv, Ct, S, T, M):
                 self.products += 1
-                super().product(step, Av, Bv, Ct, S, T, M, slot)
+                super().product(step, Av, Bv, Ct, S, T, M)
 
         leaf = CountingLeaf()
         cplan = plancache.compile((32, 32, 32), "strassen", levels=2)

@@ -1,9 +1,10 @@
 """Names the perf ledger (``benchmarks/ledger/workloads.py``) still calls.
 
 The worker-process runtime and the compiled leaf backends are gone, but
-the ledger imports ``shutdown_process_pools``, indexes the 7-tuple
-``auto_config`` result, passes ``backend="reference"`` /
-``workers="threads"`` and reads the report fields in
+the ledger imports ``shutdown_process_pools`` and the runtime's
+``shutdown_pools``, indexes the 7-tuple ``auto_config`` result, passes
+``threads=1`` / ``backend="reference"`` / ``workers="threads"`` and
+reads the report fields in
 :data:`LEDGER_FIELDS`.  These stay until the ledger stops using them: a
 missing or mistyped field kills the ledger's workload subprocess, and
 ``run.py`` then prints no result.
@@ -48,13 +49,17 @@ def _assert_ledger_fields(rep):
 
 def test_shutdown_process_pools_is_a_noop():
     from repro.core.procpool import shutdown_process_pools
+    from repro.core.runtime import shutdown_pools
 
     assert shutdown_process_pools() is None
+    assert shutdown_pools() is None
 
 
-@pytest.mark.parametrize("threads", [None, 2])
+@pytest.mark.parametrize("threads", [None])
 def test_auto_config_keeps_its_shape(threads):
-    cfg = repro.auto_config(1536, 1536, 1536, tune="off", threads=threads)
+    """The ledger indexes the 7-tuple.  Auto picks no thread count (the
+    ledger's call passes none), so ``[4]`` is 1."""
+    cfg = repro.auto_config(1536, 1536, 1536, tune="off")
     assert len(cfg) == 7
     assert cfg[4:] == (threads or 1, "reference", "threads")
 
@@ -69,12 +74,12 @@ def test_single_value_keywords_accepted(rng):
         repro.multiply_batched(A[None], B[None], **kw)[0], A @ B)
     cplan = plancache.compile((24, 24, 24), "strassen")
     C = np.zeros((24, 24))
-    execute_plan(cplan, A, B, C, threads=2, backend="reference",
+    execute_plan(cplan, A, B, C, threads=1, backend="reference",
                  workers="threads")
     np.testing.assert_allclose(C, A @ B)
     rep = last_report()
     assert rep.backend == "reference"
-    assert rep.worker_mode == "threads" and rep.threads == 2
+    assert rep.worker_mode == "serial" and rep.threads == 1
     assert rep.ipc_bytes == 0
 
 
@@ -82,6 +87,7 @@ def test_single_value_keywords_accepted(rng):
     ({"backend": "specialized"}, "backend"),
     ({"backend": "numba"}, "backend"),
     ({"workers": "processes"}, "workers"),
+    ({"threads": 2}, "threads"),
 ])
 def test_other_values_raise(rng, kwargs, match):
     A = rng.standard_normal((8, 8))

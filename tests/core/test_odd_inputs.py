@@ -12,6 +12,10 @@
   ``np.matmul`` of their C-contiguous compute-dtype copies, on a memo
   miss and on the hit that follows; the checks above still run when
   the shape is already memoized.
+* The same odd operands through pinned ``strassen@1`` on every
+  remaining lowering (staged, fused, tiled) stay within the catalog's
+  stability bound (``repro.model.stability``) of ``A @ B`` over their
+  float64 copies.
 * Non-finite inputs: the BLAS route reproduces ``A @ B``'s NaN and
   signed-Inf entries; FMM makes at least those outputs non-finite, and
   spreads them further (the ``multiply`` docstring's counts).
@@ -27,8 +31,13 @@ import pytest
 from repro.core import compile as plancache
 from repro.core.executor import multiply, multiply_batched
 from repro.core.runtime import last_report
-from repro.core.spec import invalidate_decisions
+from repro.core.spec import (
+    invalidate_decisions,
+    resolve_levels,
+    set_runtime_tunables,
+)
 from repro.core.workspace import arena_stats
+from repro.model.stability import estimate_forward_error
 from repro.obs import metrics, trace
 from repro.serve import MultiplyService
 from repro.tune import WisdomStore, set_default_store
@@ -223,6 +232,55 @@ class TestOddOperandsThroughAMemoHit:
             C = multiply_batched(A3, B, engine="auto", tune="off")
             assert last_report().core_path == "blas"
             assert np.array_equal(C, want)
+
+
+def _float64(X) -> np.ndarray:
+    return np.ascontiguousarray(np.asarray(X), dtype=np.float64)
+
+
+def _stability_bound(A, B) -> float:
+    """The normwise forward-error bound of ``strassen@1`` on ``SHAPE``."""
+    est = estimate_forward_error(resolve_levels("strassen", 1), SHAPE[1])
+    return est.absolute_bound(np.linalg.norm(A), np.linalg.norm(B))
+
+
+@pytest.mark.filterwarnings("ignore:the matrix subclass")
+class TestOddOperandsOnEveryLowering:
+    """Pinned FMM takes every operand the BLAS route takes, on each
+    remaining lowering; tiled streams 4-row strips."""
+
+    @pytest.fixture(autouse=True)
+    def _strips(self):
+        set_runtime_tunables(tile_rows=4)
+        yield
+        set_runtime_tunables()
+
+    @pytest.mark.parametrize("fusion", ["staged", "fused", "tiled"])
+    @pytest.mark.parametrize("kind", ODD_KINDS)
+    def test_multiply(self, rng, tmp_path, kind, fusion):
+        A, B = _odd_operands(kind, rng, tmp_path)
+        A64, B64 = _float64(A), _float64(B)
+        C = multiply(A, B, algorithm="strassen", levels=1, fusion=fusion)
+        rep = last_report()
+        assert (rep.fusion, rep.core_path) == (fusion, "graph")
+        assert type(C) is np.ndarray and C.dtype == np.float64
+        assert C.shape == (SHAPE[0], SHAPE[2])
+        assert np.abs(C - A64 @ B64).max() <= _stability_bound(A64, B64)
+
+    @pytest.mark.parametrize("fusion", ["staged", "fused", "tiled"])
+    @pytest.mark.parametrize("kind", ODD_KINDS)
+    def test_multiply_batched(self, rng, tmp_path, kind, fusion):
+        A, B = _odd_operands(kind, rng, tmp_path)
+        A3 = np.stack([np.asarray(A)] * 3)
+        A64, B64 = _float64(A), _float64(B)
+        C = multiply_batched(A3, B, algorithm="strassen", levels=1,
+                             fusion=fusion)
+        rep = last_report()
+        assert (rep.fusion, rep.core_path, rep.batch) == (fusion, "graph", 3)
+        assert C.dtype == np.float64 and C.shape == (3, SHAPE[0], SHAPE[2])
+        bound = _stability_bound(A64, B64)
+        for Ci in C:
+            assert np.abs(Ci - A64 @ B64).max() <= bound
 
 
 class TestChecksOnAWarmMemo:

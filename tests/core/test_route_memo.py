@@ -28,7 +28,7 @@ from repro.tune import WisdomStore, set_default_store, tuner
 
 #: A stored Strassen verdict; the generic model picks classical at 96^3.
 STRASSEN = {"algorithm": [[2, 2, 2]], "levels": 1, "variant": "abc",
-            "engine": "direct", "threads": 1}
+            "engine": "direct"}
 
 #: A machine whose model sends 96^3 to Strassen: flops are all it prices.
 FLOP_BOUND = MachineParams("flop-bound", peak_gflops_per_core=0.01,

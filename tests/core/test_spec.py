@@ -6,6 +6,7 @@ import pytest
 from repro.algorithms.strassen import strassen
 from repro.core.kronecker import MultiLevelFMM
 from repro.core.spec import (
+    check_threads,
     normalize_spec,
     normalize_threads,
     resolve_levels,
@@ -88,6 +89,18 @@ class TestNormalizeThreads:
         for bad in (0, -3):
             with pytest.raises(ValueError, match="threads"):
                 multiply(A, A, threads=bad)
+
+    def test_execution_api_takes_one_worker(self):
+        """BLAS threads the leaf products; the ``threads`` keyword the
+        ledger passes accepts only 1 (or None)."""
+        assert check_threads(None) is None
+        assert check_threads(1) is None
+        assert check_threads(np.int64(1)) is None
+        for bad in (2, 8):
+            with pytest.raises(ValueError, match="OPENBLAS_NUM_THREADS"):
+                check_threads(bad)
+        with pytest.raises(TypeError, match="threads"):
+            check_threads(1.0)
 
     def test_multiply_rejects_negative_levels_up_front(self):
         from repro.core.executor import multiply

@@ -116,24 +116,24 @@ class TestStripBounds:
 
 class TestResolution:
     def test_pick_solves_budget(self):
-        # window/row = n_slots*group*lead*bn*item = 2*4*1*16*8 = 1024 B
-        assert tiles.pick_tile_rows(4096, 64, 16, 2, 4) == 4
-        # scratch adds n_slots*lead*bn*item = 256 B/row -> 3 rows fit
-        assert tiles.pick_tile_rows(4096, 64, 16, 2, 4, has_scratch=True) == 3
+        # window/row = group*lead*bn*item = 8*1*16*8 = 1024 B
+        assert tiles.pick_tile_rows(4096, 64, 16, 8) == 4
+        # scratch adds lead*bn*item = 128 B/row -> 3 rows fit
+        assert tiles.pick_tile_rows(4096, 64, 16, 8, has_scratch=True) == 3
 
     def test_pick_clamps_to_safe_floor(self):
-        assert tiles.pick_tile_rows(0, 64, 16, 2, 4) == 2
-        assert tiles.pick_tile_rows(10**12, 64, 16, 2, 4) == 64
+        assert tiles.pick_tile_rows(0, 64, 16, 8) == 2
+        assert tiles.pick_tile_rows(10**12, 64, 16, 8) == 64
 
     def test_resolve_explicit_tunable_wins(self):
         spec.set_runtime_tunables(tile_rows=8, mem_budget_bytes=10**12)
-        assert tiles.resolve_tile_rows(64, 64, 64, 1, 8) == 8
+        assert tiles.resolve_tile_rows(64, 64, 64, 8) == 8
 
     def test_resolve_budget_else_full_block(self):
-        assert tiles.resolve_tile_rows(64, 64, 64, 1, 8) == 64
+        assert tiles.resolve_tile_rows(64, 64, 64, 8) == 64
         # per-row window = group(8) * bn(64) * 8 B = 4096 B; buy 8 rows
         spec.set_runtime_tunables(mem_budget_bytes=8 * 4096)
-        assert tiles.resolve_tile_rows(64, 64, 64, 1, 8, lead_elems=1) == 8
+        assert tiles.resolve_tile_rows(64, 64, 64, 8, lead_elems=1) == 8
 
     def test_mem_budget_env_parses_suffixes(self, monkeypatch):
         monkeypatch.setenv(spec.MEM_BUDGET_ENV, "64M")
@@ -147,7 +147,7 @@ class TestResolution:
         monkeypatch.setattr(tiles, "strip_split_is_exact",
                             lambda *a, **kw: False)
         spec.set_runtime_tunables(tile_rows=8)
-        assert tiles.resolve_tile_rows(64, 64, 64, 1, 8) == 64
+        assert tiles.resolve_tile_rows(64, 64, 64, 8) == 64
 
     def test_probe_accepts_stable_shapes(self):
         """32^3 blocks are split-stable at every height (measured)."""
@@ -202,13 +202,11 @@ class TestFusionPricing:
         ml = _ml((2, 2, 2), (2, 2, 2))
         A = rng.standard_normal((64, 64))
         B = rng.standard_normal((64, 64))
-        for threads in (1, 2):
-            spec.set_runtime_tunables(tile_rows=8)
-            multiply(A, B, algorithm="strassen", levels=2, variant="abc",
-                     fusion="tiled", threads=threads)
-            rep = last_report()
-            priced = predict_tile_window_bytes(64, 64, 64, ml,
-                                               threads=threads)
-            assert rep.tile_window_bytes == priced
-            assert rep.peak_workspace_bytes <= priced
-            assert rep.n_tiles > 0 and rep.io_bytes > 0
+        spec.set_runtime_tunables(tile_rows=8)
+        multiply(A, B, algorithm="strassen", levels=2, variant="abc",
+                 fusion="tiled")
+        rep = last_report()
+        priced = predict_tile_window_bytes(64, 64, 64, ml)
+        assert rep.tile_window_bytes == priced
+        assert rep.peak_workspace_bytes <= priced
+        assert rep.n_tiles > 0 and rep.io_bytes > 0

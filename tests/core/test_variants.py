@@ -65,16 +65,32 @@ class TestCostSignatures:
         # One-level Strassen: 7 products of (32)^3 blocks: 7 * 2 * 32^3.
         assert flops["abc"] == 7 * 2 * 32**3
 
-    def test_threaded_counters_match_serial(self, rng):
-        """Per-slot counter fan-out merges to the same totals as serial."""
+    def test_threaded_counters_match_serial(self, rng, monkeypatch):
+        """The 3rd-loop (``ic``) pool charges the same counters as the
+        sequential run: its bands never touch them."""
+        import repro.core.variants as variants
+
+        pools = []
+        real = variants.packed_gemm
+
+        def spy(*args, pool=None, **kwargs):
+            pools.append(pool)
+            return real(*args, pool=pool, **kwargs)
+
+        monkeypatch.setattr(variants, "packed_gemm", spy)
         ml = resolve_levels("strassen", 1)
-        A = rng.standard_normal((64, 64))
-        B = rng.standard_normal((64, 64))
+        # 128-row blocks: two row bands at the default m_C of 96.
+        A = rng.standard_normal((256, 256))
+        B = rng.standard_normal((256, 256))
         serial = BlockedEngine(variant="abc", threads=1)
-        serial.multiply(A, B, np.zeros((64, 64)), ml)
+        C1 = serial.multiply(A, B, np.zeros((256, 256)), ml)
+        assert pools and all(p is None for p in pools)
+        pools.clear()
         threaded = BlockedEngine(variant="abc", threads=3)
-        threaded.multiply(A, B, np.zeros((64, 64)), ml)
+        C3 = threaded.multiply(A, B, np.zeros((256, 256)), ml)
+        assert pools and all(p is not None for p in pools)
         assert threaded.counters.as_dict() == serial.counters.as_dict()
+        assert np.array_equal(C1, C3)
 
 
 class TestLeafValidation:
@@ -89,14 +105,14 @@ class TestLeafValidation:
     def test_leaf_capabilities(self):
         leaf = BlisProductLeaf()
         assert not leaf.supports_batch
-        assert not leaf.parallel_fringe
+        assert leaf.pool is None  # the engine passes its ic-loop pool
         assert leaf.needs_buffers == ()  # abc: fully fused, no buffers
 
 
 class TestNoStandaloneLoopNest:
     def test_run_fmm_blocked_is_gone(self):
         """The blocked loop nest is deleted: products iterate only in the
-        runtime's task graphs."""
+        runtime's fused phase."""
         import repro.core.variants as variants
 
         assert not hasattr(variants, "run_fmm_blocked")

@@ -36,17 +36,64 @@ class TestCommands:
         assert "counters" in capsys.readouterr().out
 
     def test_multiply_threads(self, capsys):
-        rc = main(["multiply", "-m", "32", "-k", "32", "-n", "32",
-                   "--threads", "2"])
-        assert rc == 0
-        assert "max |C - AB|" in capsys.readouterr().out
+        # There is no --threads: every multiply runs on one worker and
+        # BLAS threads the leaf products (OPENBLAS_NUM_THREADS).
+        with pytest.raises(SystemExit) as exc:
+            main(["multiply", "-m", "32", "-k", "32", "-n", "32",
+                  "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     @pytest.mark.parametrize("engine", ["direct", "blocked"])
     def test_multiply_rejects_zero_threads(self, engine):
-        # Both engine paths must honor the spec-level threads validation.
-        with pytest.raises(ValueError, match="threads"):
+        # Neither engine path takes a thread count from the command line.
+        with pytest.raises(SystemExit) as exc:
             main(["multiply", "-m", "8", "-k", "8", "-n", "8",
                   "--engine", engine, "--threads", "0"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("engine", ["direct", "blocked", "auto"])
+    @pytest.mark.parametrize("dims", [("0", "32", "32"), ("32", "32", "0"),
+                                      ("0", "0", "0")])
+    def test_multiply_empty_dimension_reports_zero_residual(
+            self, capsys, engine, dims):
+        """The library returns ``A @ B`` for an empty product; the
+        residual check must not crash reducing over zero entries."""
+        m, k, n = dims
+        rc = main(["multiply", "-m", m, "-k", k, "-n", n,
+                   "--engine", engine])
+        assert rc == 0
+        assert "max |C - AB| = 0.000e+00" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["-m", "-k", "-n"])
+    def test_multiply_rejects_negative_sizes(self, capsys, flag):
+        args = {"-m": "8", "-k": "8", "-n": "8", flag: "-3"}
+        with pytest.raises(SystemExit) as exc:
+            main(["multiply", *(x for kv in args.items() for x in kv)])
+        assert exc.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["select"], ["tune"]])
+    def test_empty_problem_is_a_usage_error_where_it_is_priced(
+            self, capsys, command):
+        """select and tune price or measure the problem; an empty one is
+        refused by the parser instead of failing inside the model."""
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "-m", "0", "-k", "8", "-n", "8"])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["multiply"], ["trace", "run"]])
+    @pytest.mark.parametrize("batch", ["0", "-3"])
+    def test_batch_below_one_is_a_usage_error(self, capsys, tmp_path,
+                                              command, batch):
+        """A batch below one is refused, not run as one 2-D multiply."""
+        out = ["-o", str(tmp_path / "t.json")] if command[0] == "trace" else []
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "-m", "8", "-k", "8", "-n", "8",
+                  "--batch", batch, *out])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_select(self, capsys):
         rc = main(["select", "-m", "4800", "-k", "480", "-n", "4800"])
@@ -188,7 +235,7 @@ class TestTuneAndWisdomCommands:
             "fingerprint": machine_fingerprint(),
             "entries": {"b": {"config": {
                 "algorithm": [[2, 2, 2]], "levels": 1, "variant": "abc",
-                "engine": "direct", "threads": 1,
+                "engine": "direct",
             }}},
         }))
         rc = main(["wisdom", "--store", str(p)])
@@ -196,10 +243,12 @@ class TestTuneAndWisdomCommands:
         assert "corrupt" in capsys.readouterr().out
 
     def test_tune_rejects_zero_threads(self, tmp_path):
-        with pytest.raises(ValueError, match="threads"):
+        # Tuning measures the one-worker runtime: no --threads at all.
+        with pytest.raises(SystemExit) as exc:
             main(["tune", "-m", "32", "-k", "32", "-n", "32",
                   "--threads", "0", "--no-calibrate",
                   *self._store_arg(tmp_path)])
+        assert exc.value.code == 2
 
     def test_multiply_auto_with_tune_off(self, capsys):
         rc = main(["multiply", "-m", "64", "-k", "64", "-n", "64",
@@ -256,7 +305,7 @@ class TestObservabilityCommands:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         snap = doc["metrics"]
-        for name in ("plan_cache", "workspace.arena", "pools.threads"):
+        for name in ("plan_cache", "workspace.arena"):
             assert name in snap["gauges"], name
         assert snap["counters"]["runtime.executions"] >= 1
         assert doc["reports"]  # the multiply above landed in the history

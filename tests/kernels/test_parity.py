@@ -43,13 +43,12 @@ def _operands(shape, dtype, batch=None, seed=7):
     return A, B, C
 
 
-def _run(backend, shape, spec, levels, variant, fusion, dtype, threads=1,
-         batch=None):
+def _run(backend, shape, spec, levels, variant, fusion, dtype, batch=None):
     cplan = plancache.compile(shape, spec, levels, variant,
                               dtype=dtype, fusion=fusion)
     A, B, C = _operands(shape, dtype, batch=batch)
     kw = {} if backend is None else {"backend": backend}
-    execute_plan(cplan, A, B, C, threads=threads, **kw)
+    execute_plan(cplan, A, B, C, **kw)
     return C, last_report()
 
 
@@ -125,15 +124,15 @@ class TestOperandLayouts:
     """Call shapes the interpreter serves directly."""
 
     def test_threads_stay_reproducible(self):
-        # The thread pool partitions phases statically, so threaded
-        # reruns stay bitwise equal.
+        # One worker runs the phases in a fixed order, so reruns stay
+        # bitwise equal.
         shape = (96, 96, 96)
         runs = []
         for _ in range(2):
             C, rep = _run("reference", shape, "strassen", 2,
-                          "abc", "fused", np.float64, threads=2)
+                          "abc", "fused", np.float64)
             assert rep.backend == "reference"
-            assert rep.worker_mode == "threads"
+            assert rep.worker_mode == "serial" and rep.threads == 1
             runs.append(C)
         np.testing.assert_array_equal(runs[0], runs[1])
 
@@ -182,20 +181,20 @@ class TestFloat32Scratch:
         from repro.model.perfmodel import predict_workspace_bytes
 
         # Runtime: smirnov333 (non-unit C coefficients) checks out a
-        # per-slot scratch strip; strassen (all +-1) does not.
+        # scratch strip; strassen (all +-1) does not.
         cplan = plancache.compile((96, 96, 96), "smirnov333", 1, "abc",
                                   fusion="fused")
-        spec = _grouped_workspace_spec(cplan, (), 32, 32, 32, 1, 8)
-        assert spec["scratch"][0] == (1, 32, 32)
+        spec = _grouped_workspace_spec(cplan, (), 32, 32, 32, 8)
+        assert spec["scratch"][0] == (32, 32)
         cplan_u = plancache.compile((96, 96, 96), "strassen", 1, "abc",
                                     fusion="fused")
         assert "scratch" not in _grouped_workspace_spec(
-            cplan_u, (), 48, 48, 48, 1, 8
+            cplan_u, (), 48, 48, 48, 8
         )
         # Model twin: the fused prediction prices exactly one extra
-        # bm*bn strip per slot for the non-unit-coefficient algorithm.
+        # bm*bn strip for the non-unit-coefficient algorithm.
         ml = resolve_levels("smirnov333", 1)
         base = predict_workspace_bytes(96, 96, 96, ml, fusion="fused")
         W = ml.W
         assert bool(((W != 0) & (W != 1) & (W != -1)).any())
-        assert base >= 32 * 32 * 8  # includes the slots * bm * bn strip
+        assert base >= 32 * 32 * 8  # includes the bm * bn strip

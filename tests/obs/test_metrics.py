@@ -90,8 +90,9 @@ def test_builtin_gauges_cover_core_stat_surfaces():
     import repro.core.runtime  # noqa: F401  (registers runtime metrics)
 
     snap = registry.snapshot()
-    for name in ("plan_cache", "workspace.arena", "pools.threads"):
+    for name in ("plan_cache", "workspace.arena"):
         assert name in snap["gauges"], name
+    assert "pools.threads" not in snap["gauges"]  # the runtime owns no pools
     assert {"hits", "misses", "maxsize", "currsize"} <= set(
         snap["gauges"]["plan_cache"])
     assert "runtime.executions" in snap["counters"]

@@ -12,7 +12,7 @@ def _report(duration_s=0.001, schedule="<2,2,2>@1", shape=(64, 64, 64),
             batch=1, **kw):
     defaults = dict(
         shape=shape, batch=batch, variant="abc", fusion="staged",
-        threads=1, core_path="graph", n_tasks=4,
+        core_path="graph",
         peak_workspace_bytes=1 << 20, schedule=schedule,
         dtype="float64", duration_s=duration_s,
     )
@@ -78,17 +78,18 @@ def test_observed_measurements_grouping_and_filters():
     h = ReportHistory()
     for ms in (3, 1, 2):
         h.record(_report(duration_s=ms / 1e3))
-    h.record(_report(duration_s=0.005, threads=4, worker_mode="threads"))
+    h.record(_report(duration_s=0.005, variant="ab"))
     h.record(_report(schedule="", duration_s=0.001))      # no signature
     h.record(_report(batch=8, duration_s=0.01))           # batched excluded
     obs = h.observed_measurements()
     assert len(obs) == 2
-    by_threads = {o["threads"]: o for o in obs}
-    assert by_threads[1]["count"] == 3
-    assert by_threads[1]["best_s"] == pytest.approx(0.001)
-    assert by_threads[1]["p50_s"] == pytest.approx(0.002)
-    assert by_threads[4]["count"] == 1
-    assert h.observed_measurements(min_count=2) == [by_threads[1]]
+    by_variant = {o["variant"]: o for o in obs}
+    assert by_variant["abc"]["count"] == 3
+    assert by_variant["abc"]["best_s"] == pytest.approx(0.001)
+    assert by_variant["abc"]["p50_s"] == pytest.approx(0.002)
+    assert by_variant["ab"]["count"] == 1
+    assert "threads" not in by_variant["abc"]
+    assert h.observed_measurements(min_count=2) == [by_variant["abc"]]
 
 
 def test_execute_publishes_into_global_history():

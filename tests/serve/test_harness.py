@@ -92,8 +92,10 @@ class TestCoalescingWindow:
     def test_execution_knobs_split_the_coalescing_key(self, rig, ops):
         svc, clock, ex = rig
         A, B = ops
-        h1 = svc.submit(A, B, algorithm="strassen", threads=1)
-        h2 = svc.submit(A, B, algorithm="strassen", threads=2)
+        # The lowering is part of the plan key, which is the coalescing
+        # key: a staged and a fused job never share a batch.
+        h1 = svc.submit(A, B, algorithm="strassen", fusion="staged")
+        h2 = svc.submit(A, B, algorithm="strassen", fusion="fused")
         clock.run_until(lambda: h1.done() and h2.done())
         assert {frozenset(c) for c in ex.calls} == {
             frozenset([h1.id]), frozenset([h2.id])}

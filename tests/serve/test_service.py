@@ -87,6 +87,21 @@ class TestJobLifecycle:
                 svc.submit(A, B, variant="bogus")
             assert svc.stats()["submitted"] == 0
 
+    def test_no_thread_count_anywhere(self, ops):
+        """Jobs run on one worker and BLAS threads their leaf products:
+        neither the service nor a submit takes a thread count."""
+        A, B = ops
+        with pytest.raises(TypeError, match="threads"):
+            MultiplyService(threads=2)
+        with MultiplyService() as svc:
+            with pytest.raises(TypeError, match="threads"):
+                svc.submit(A, B, threads=2)
+            assert svc.stats()["submitted"] == 0
+            h = svc.submit(A, B, algorithm="strassen")
+            np.testing.assert_array_equal(
+                h.result(timeout=30.0), multiply(A, B, algorithm="strassen"))
+            assert h.report().threads == 1
+
     def test_result_timeout_raises(self, ops):
         A, B = ops
         ex = FaultInjectingExecutor()

@@ -44,7 +44,7 @@ def test_sustained_load_leaks_nothing_and_drains(rng):
 
     handles = []
     submitted = 0
-    svc = MultiplyService(threads=2)
+    svc = MultiplyService()
     try:
         for idx in range(SOAK_JOBS):
             A, B, alg, lv = operands[idx % len(operands)]
@@ -91,7 +91,7 @@ def test_drain_false_discards_backlog_without_leaking(rng):
     cancelled, in-flight work completes, arenas come back empty."""
     A = rng.standard_normal((48, 48))
     B = rng.standard_normal((48, 48))
-    svc = MultiplyService(threads=2)
+    svc = MultiplyService()
     handles = [svc.submit(A, B) for _ in range(16)]
     svc.shutdown(drain=False, timeout=60.0)
     for h in handles:

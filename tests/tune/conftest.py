@@ -34,7 +34,6 @@ def sample_config():
             "levels": levels,
             "variant": "abc",
             "engine": "direct",
-            "threads": 1,
         }
 
     return make

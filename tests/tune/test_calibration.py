@@ -157,7 +157,7 @@ class TestNoProbe:
         WisdomStore(path).record(
             80, 72, 88,
             config={"algorithm": [[2, 2, 2]], "levels": 1, "variant": "abc",
-                    "engine": "direct", "threads": 1},
+                    "engine": "direct"},
             gflops=10.0, time_s=1e-3, samples=3,
         )
         before = path.read_bytes()

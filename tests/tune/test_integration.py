@@ -32,7 +32,7 @@ def _populate(store, m, k, n, **kw):
     store.record(
         m, k, n,
         config={"algorithm": [[2, 2, 2]], "levels": 1, "variant": "abc",
-                "engine": "direct", "threads": 1},
+                "engine": "direct"},
         gflops=10.0, time_s=1e-3, samples=3, **kw,
     )
 
@@ -75,14 +75,16 @@ class TestReadonlyHotPath:
         assert np.allclose(C, A @ B)
         assert model_counters["enumerate_candidates"] == 0
 
-    def test_explicit_threads_bypass_wisdom_bucket(self, default_wisdom):
-        # Wisdom tuned under the "auto" thread class does not answer an
-        # explicit-threads request; dispatch still works via the model.
+    def test_explicit_threads_bypass_wisdom_bucket(self, default_wisdom,
+                                                   model_counters):
+        # Buckets carry no thread class: the ledger's threads=1 request
+        # is answered by the same wisdom as the default call.
         _populate(default_wisdom, 80, 80, 80)
         rng = np.random.default_rng(0)
         A, B = rng.standard_normal((80, 80)), rng.standard_normal((80, 80))
         C = multiply(A, B, engine="auto", tune="readonly", threads=1)
         assert np.allclose(C, A @ B)
+        assert model_counters["enumerate_candidates"] == 0
 
 
 class TestTuneOn:
@@ -114,7 +116,7 @@ class TestProcessRestart:
         store.record(
             96, 96, 96,
             config={"algorithm": [[2, 2, 2]], "levels": 1, "variant": "abc",
-                    "engine": "direct", "threads": 1},
+                    "engine": "direct"},
             gflops=10.0, time_s=1e-3, samples=3,
         )
         src_dir = str(Path(repro.__file__).parents[1])

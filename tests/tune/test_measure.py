@@ -16,7 +16,7 @@ class TestMeasureCandidate:
         )
         assert meas.shape == (64, 64, 64)
         assert meas.label.endswith("/abc")
-        assert meas.engine == "direct" and meas.threads == 1
+        assert meas.engine == "direct"
         assert meas.dtype == "float64"
         assert 0 < meas.best_s <= meas.time_s
         assert meas.samples == 3 * 2

@@ -48,14 +48,19 @@ class TestTuneProblem:
         assert rep.elapsed_s < 5.0
 
     def test_explicit_threads_scope_bucket(self, store):
-        tune_problem(64, 64, 64, store=store, threads=1, budget_s=1.0,
-                     measure_config=FAST)
-        assert store.lookup(64, 64, 64, threads=1) is not None
-        assert store.lookup(64, 64, 64, threads=None) is None
+        """One bucket per shape class and dtype: the verdict carries no
+        thread count."""
+        rep = tune_problem(64, 64, 64, store=store, budget_s=1.0,
+                           measure_config=FAST)
+        cfg = store.lookup(64, 64, 64)
+        assert cfg is not None and "threads" not in cfg
+        assert rep.bucket == "s6|r0,0|float64"
 
     def test_bad_threads_fail_before_measuring(self, store):
-        with pytest.raises(ValueError, match="threads"):
-            tune_problem(64, 64, 64, store=store, threads=0, budget_s=1.0)
+        """Tuning measures the one-worker runtime; it takes no thread
+        count."""
+        with pytest.raises(TypeError, match="threads"):
+            tune_problem(64, 64, 64, store=store, threads=2, budget_s=1.0)
         assert len(store) == 0
 
     def test_float32(self, store):
@@ -68,8 +73,8 @@ class TestTuneProblem:
     def test_config_is_auto_config_shaped(self, store):
         rep = tune_problem(64, 64, 64, store=store, budget_s=1.0,
                            measure_config=FAST)
-        algo, levels, variant, engine, threads = rep.config
-        assert engine == "direct" and threads == 1
+        algo, levels, variant, engine = rep.config
+        assert engine == "direct"
         assert variant in ("naive", "ab", "abc")
         assert algo == "classical" or isinstance(algo, tuple)
 

@@ -33,9 +33,11 @@ class TestProblemBucket:
         assert problem_bucket(96, 96, 96) == problem_bucket(100, 100, 100)
 
     def test_dtype_and_threads_scope(self):
-        base = problem_bucket(96, 96, 96, "float64", None)
-        assert problem_bucket(96, 96, 96, "float32", None) != base
-        assert problem_bucket(96, 96, 96, "float64", 4) != base
+        """dtype scopes a bucket; thread counts do not (schema 3: every
+        execution runs on one worker, BLAS threads the leaf products)."""
+        base = problem_bucket(96, 96, 96, "float64")
+        assert problem_bucket(96, 96, 96, "float32") != base
+        assert base == "s7|r0,0|float64"
 
     def test_invalid_problem_raises(self):
         with pytest.raises(ValueError):
@@ -72,7 +74,7 @@ class TestRoundTrip:
         store.record(96, 96, 96, config=sample_config(2), gflops=5.0,
                      time_s=1e-3, samples=9)
         assert store.lookup_tuple(96, 96, 96) == (
-            ((2, 2, 2), (2, 2, 2)), 2, "abc", "direct", 1,
+            ((2, 2, 2), (2, 2, 2)), 2, "abc", "direct",
         )
 
     def test_survives_process_restart(self, store, sample_config):
@@ -91,7 +93,7 @@ class TestRoundTrip:
         cfg = dict(sample_config(), algorithm="classical")
         store.record(8, 8, 8, config=cfg, gflops=1.0, time_s=1e-3, samples=3)
         assert store.lookup_tuple(8, 8, 8) == (
-            "classical", 1, "abc", "direct", 1
+            "classical", 1, "abc", "direct"
         )
 
     def test_file_is_versioned_json(self, store, sample_config):
@@ -150,7 +152,7 @@ class TestCorruptionRecovery:
     def test_version_1_file_is_set_aside(self, tmp_path, sample_config):
         # Version 1 configs carried backend/workers fields; version 2
         # dropped them and reads old files as unsupported, not upgraded.
-        assert SCHEMA_VERSION == 2
+        assert SCHEMA_VERSION == 3
         path = tmp_path / "wisdom.json"
         cfg = {**sample_config(), "backend": "specialized",
                "workers": "processes"}
@@ -164,6 +166,24 @@ class TestCorruptionRecovery:
         s = WisdomStore(path)
         assert s.recovered_corrupt and len(s) == 0
         assert path.with_suffix(".json.corrupt").exists()
+        assert s.lookup(96, 96, 96) is None
+
+    def test_version_2_file_is_set_aside(self, tmp_path, sample_config):
+        # Version 2 configs and buckets carried a thread count; version 3
+        # dropped both and sets old files aside, with no upgrader.
+        path = tmp_path / "wisdom.json"
+        cfg = {**sample_config(), "threads": 1}
+        path.write_text(json.dumps({
+            "version": 2,
+            "fingerprint": machine_fingerprint(),
+            "entries": {"s7|r0,0|float64|tauto": {
+                "config": cfg, "problem": [96, 96, 96], "gflops": 5.0,
+                "time_s": 1e-3, "samples": 3, "dtype": "float64"}},
+        }))
+        s = WisdomStore(path)
+        assert s.recovered_corrupt and len(s) == 0
+        assert path.with_suffix(".json.corrupt").exists()
+        assert not path.exists()
         assert s.lookup(96, 96, 96) is None
 
     def test_malformed_entry_config(self, tmp_path):

@@ -165,9 +165,7 @@ def render_fusion_section() -> str:
     ml = resolve_levels("strassen", 2)
     mib = 2.0**20
     staged = predict_workspace_bytes(1024, 1024, 1024, ml, "staged") / mib
-    fused1 = predict_workspace_bytes(1024, 1024, 1024, ml, "fused") / mib
-    fused4 = predict_workspace_bytes(1024, 1024, 1024, ml, "fused",
-                                     threads=4) / mib
+    fused = predict_workspace_bytes(1024, 1024, 1024, ml, "fused") / mib
     lines = [
         FUSION_BEGIN,
         "",
@@ -179,10 +177,10 @@ def render_fusion_section() -> str:
         "| `naive` | staged | all R `S`/`T`/`M` slabs + scatter staging "
         "| explicit A/B-sum + `M_r` temporaries |",
         "| `ab` | fused (past threshold) | "
-        f"workers × {DEFAULT_FUSED_GROUP}-product groups "
+        f"one {DEFAULT_FUSED_GROUP}-product group "
         "| sums fused into packing, `M_r` materialized |",
         "| `abc` | fused (past threshold) | "
-        f"workers × {DEFAULT_FUSED_GROUP}-product groups "
+        f"one {DEFAULT_FUSED_GROUP}-product group "
         "| sums in packing **and** C-update in the macro-kernel |",
         "",
         "`fusion=\"auto\"` resolves per plan: `naive` always lowers staged;",
@@ -190,7 +188,9 @@ def render_fusion_section() -> str:
         f"`FUSED_AUTO_THRESHOLD` = 2^{FUSED_AUTO_THRESHOLD.bit_length() - 1}",
         "elements (below that, the staged pipeline's big batched matmuls",
         "win on kernel efficiency).  Explicit `fusion=\"staged\"` /",
-        "`\"fused\"` pins the mode.",
+        "`\"fused\"` pins the mode.  Every lowering runs on one worker:",
+        "BLAS threads each leaf product, so there are no per-worker",
+        "buffers or accumulators to price.",
         "",
         "Peak workspace on the reference 2-level 1024³ Strassen multiply",
         "(float64), as priced by `predict_workspace_bytes` and measured",
@@ -200,8 +200,7 @@ def render_fusion_section() -> str:
         "| pipeline | peak workspace |",
         "|----------|---------------:|",
         f"| staged | {staged:.1f} MiB |",
-        f"| fused, 1 worker | {fused1:.1f} MiB |",
-        f"| fused, 4 workers | {fused4:.1f} MiB |",
+        f"| fused | {fused:.1f} MiB |",
         "",
         FUSION_END,
     ]
@@ -234,33 +233,29 @@ def render_ooc_section() -> str:
     fused1 = predict_workspace_bytes(1024, 1024, 1024, ml, "fused") / mib
     rows = []
     for tr, label in ((256, "256 (full block)"), (32, "32"), (8, "8")):
-        w1 = predict_tile_window_bytes(1024, 1024, 1024, ml, threads=1,
-                                       tile_rows=tr)
-        w4 = predict_tile_window_bytes(1024, 1024, 1024, ml, threads=4,
-                                       tile_rows=tr)
-        rows.append(f"| {label} | {w1 / mib:.2f} MiB | {w4 / mib:.2f} MiB |")
+        w = predict_tile_window_bytes(1024, 1024, 1024, ml, tile_rows=tr)
+        rows.append(f"| {label} | {w / mib:.2f} MiB |")
     budget = 2**20
-    picked = pick_tile_rows(budget, 256, 256, 1, 8)
+    picked = pick_tile_rows(budget, 256, 256, 8)
     lines = [
         OOC_BEGIN,
         "",
         "`fusion=\"tiled\"` is the third lowering mode of the same",
-        "runtime: it executes the **same** `CompiledPlan` task graph as",
-        "the staged and fused pipelines, but streams the",
-        "gather → product → scatter of each product group through a",
+        "runtime: it executes the **same** `CompiledPlan` phases as the",
+        "fused pipeline, but streams the",
+        "product → scatter of each product group through a",
         "bounded RAM window, strip by strip, in Morton",
         "(recursive-block) order — `repro.core.tiles.TileMap` derives",
         "the windows from the same `recursive_to_rowmajor` permutation",
         "`CompiledPlan.block_views` uses, so the two layers cannot",
         "disagree on which bytes a block covers.  Operands may be",
         "`np.memmap`-backed (views read through the mapping lazily);",
-        "every slab-scale temporary — operand slabs, `S`/`T` group",
-        "buffers, the multi-worker `Cacc` accumulators — spills to",
-        "arena-recycled mmap files that do **not** count against the RAM",
-        "meter.  What stays in RAM is only the strip window: per slot,",
-        "one group of `M` strip buffers (`slots × group × batch ×",
-        "tile_rows × bn` elements), plus one scratch strip per slot for",
-        "plans with non-±1 scatter coefficients.",
+        "every slab-scale temporary — operand slabs and `S`/`T` group",
+        "buffers — spills to arena-recycled mmap files that do **not**",
+        "count against the RAM meter.  What stays in RAM is only the",
+        "strip window: one group of `M` strip buffers (`group × batch ×",
+        "tile_rows × bn` elements), plus one scratch strip for plans",
+        "with non-±1 scatter coefficients.",
         "",
         "`fusion=\"auto\"` goes out-of-core once the operand slabs alone",
         "exceed the configured memory budget (`mem_budget_bytes` tunable",
@@ -277,17 +272,16 @@ def render_ooc_section() -> str:
         "strip height — the execution report's `peak_workspace_bytes`",
         "equals the `tile_window_bytes` figure it was priced at:",
         "",
-        "| `tile_rows` | window, 1 worker | window, 4 workers |",
-        "|------------:|-----------------:|------------------:|",
+        "| `tile_rows` | RAM window |",
+        "|------------:|-----------:|",
         *rows,
         "",
         "Two guarantees shape the design:",
         "",
-        "- **Bitwise equality at equal worker counts.**  A tiled",
-        "  execution is bit-for-bit identical to the fused pipeline at",
-        "  the same worker count (and hence to staged at one worker) —",
-        "  grouped arithmetic, slot-ordered reduce and scatter order are",
-        "  unchanged; only *where* buffers live differs.",
+        "- **Bitwise equality with fused.**  A tiled execution is",
+        "  bit-for-bit identical to the fused pipeline — grouped",
+        "  arithmetic and scatter order are unchanged; only *where*",
+        "  buffers live differs.",
         "- **The BLAS row-split probe.**  Splitting a dgemm by rows can",
         "  switch the BLAS library's blocking/accumulation kernel and",
         "  change low-order bits (the PR-7 tail-kernel caveat);",
@@ -304,7 +298,7 @@ def render_ooc_section() -> str:
         "",
         "The execution report carries the spill accounting — `n_tiles`,",
         "`io_bytes` (bytes moved between the RAM window and spilled",
-        "storage, identical across worker counts) and",
+        "storage) and",
         "`tile_window_bytes`; `repro stats` aggregates them and the",
         "serve admission controller prices tiled jobs at the *window*,",
         "not the slab.  `benchmarks/bench_out_of_core.py`",
@@ -350,7 +344,7 @@ def render_obs_section() -> str:
         "- **Report history** (`repro.obs.reports`) — every",
         "  `ExecutionReport` lands in a bounded ring (default",
         f"  {REPORT_CAPACITY}) aggregated per plan key (p50/p95 latency,",
-        "  workspace high-water, worker-mode breakdowns);",
+        "  workspace high-water, core-path breakdowns);",
         "  `seed_wisdom_from_observations` turns it into autotuning",
         "  wisdom.",
         "",
@@ -414,8 +408,7 @@ def render_serve_section() -> str:
         "FMM jobs, pinned or picked, coalesce: the scheduler stacks",
         "same-plan requests into one batched `execute_plan` call — the",
         "compiled-plan cache key (shape, schedule, variant, dtype,",
-        "resolved fusion) extended with the thread count is the",
-        "coalescing key, so only jobs that",
+        "resolved fusion) is the coalescing key, so only jobs that",
         "would compile and run identically ever share a batch, and a",
         "`float32` request can never come back upcast.  The batched",
         "lowering is bitwise-equal to the per-request 2-D path, so",

@@ -37,7 +37,7 @@ def main() -> None:
     for _ in range(10):
         multiply(A, B, algorithm="strassen", levels=1)
     after = arena_stats()
-    print(f"arena: {after.allocations} workspaces allocated, "
+    print(f"arena: {after.allocations} blocks allocated, "
           f"{after.reuses - before.reuses} reuses over 10 calls")
 
     # 3. Auto-dispatch picks the schedule; BLAS picks the threads.

@@ -203,8 +203,7 @@ def cmd_stats(args) -> int:
                      if st.total_tiles else "")
             print(f"  {key}: n={st.count} p50={st.p50_s * 1e3:.2f}ms "
                   f"p95={st.p95_s * 1e3:.2f}ms best={st.best_s * 1e3:.2f}ms "
-                  f"peak {st.peak_bytes_hw / 2**20:.2f} MiB "
-                  f"modes={st.worker_modes}{tiled}")
+                  f"peak {st.peak_bytes_hw / 2**20:.2f} MiB{tiled}")
     else:
         print("report history: empty (nothing executed in this process)")
     return 0

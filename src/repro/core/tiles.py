@@ -4,7 +4,7 @@ The paper's recursive-block (Morton-like) operand storage (§3.3,
 :mod:`repro.core.morton`) orders submatrix blocks so multi-level FMM
 touches operands in locality-preserving order.  The out-of-core tiled
 lowering (``fusion="tiled"``) leans on exactly that property: operands
-may be ``np.memmap``-backed, slab-scale temporaries spill to mmap files,
+may be ``np.memmap``-backed, slab-scale temporaries spill to an mmap block,
 and the runtime streams the product/scatter phase through a bounded RAM
 window strip by strip — every access walking the Morton block order, so
 the page working set stays as small as the window.

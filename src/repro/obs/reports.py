@@ -61,7 +61,6 @@ class PlanStats:
     total_batch: int
     total_io_bytes: int = 0     # tiled-lowering spill traffic (logical)
     total_tiles: int = 0
-    worker_modes: dict = field(default_factory=dict)
     core_paths: dict = field(default_factory=dict)
 
 
@@ -144,10 +143,8 @@ class ReportHistory:
         out: dict[str, PlanStats] = {}
         for key, reps in groups.items():
             lat = sorted(r.duration_s for r in reps)
-            modes: dict[str, int] = {}
             paths: dict[str, int] = {}
             for r in reps:
-                modes[r.worker_mode] = modes.get(r.worker_mode, 0) + 1
                 paths[r.core_path] = paths.get(r.core_path, 0) + 1
             out[key] = PlanStats(
                 key=key,
@@ -160,7 +157,6 @@ class ReportHistory:
                 total_batch=sum(r.batch for r in reps),
                 total_io_bytes=sum(getattr(r, "io_bytes", 0) for r in reps),
                 total_tiles=sum(getattr(r, "n_tiles", 0) for r in reps),
-                worker_modes=modes,
                 core_paths=paths,
             )
         return out

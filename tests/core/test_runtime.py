@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import compile as plancache
-from repro.core import runtime
+from repro.core import runtime, spec
 from repro.core.runtime import execute_plan
 from repro.core.workspace import WorkspaceArena
 from repro.obs import trace
@@ -192,6 +192,61 @@ class TestArenaIntegration:
             A = rng.standard_normal((size, size))
             execute_plan(cplan, A, A, np.zeros((size, size)), arena=arena)
         assert arena.stats().allocations == 2
+
+
+class TestCrossPlanReuse:
+    PLANS = [
+        ("strassen", 1, (64, 64, 64)),
+        ("strassen", 2, (96, 96, 96)),
+        ("<3,2,3>", 1, (90, 64, 72)),
+        ("strassen+<3,3,3>", 1, (100, 104, 96)),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def _capped_budget(self):
+        # Tiled executions stream through small strip windows.
+        spec.set_runtime_tunables(mem_budget_bytes=256 * 1024)
+        yield
+        spec.set_runtime_tunables()
+
+    def test_shuffled_plans_on_one_arena_match_fresh_arenas(self, rng):
+        """Blocks carry bytes from one plan into the next: on an arena
+        whose blocks start as all-ones bytes (NaN in float32 and
+        float64), every output and peak_workspace_bytes equals a
+        fresh-arena run of the same call bit for bit."""
+        arena = WorkspaceArena()
+        fill = arena.acquire(("nan",), lambda: {
+            "ram": ((8 << 20,), np.uint8),
+            "disk": ((8 << 20,), np.uint8, "mmap"),
+        })
+        for buf in fill.buffers.values():
+            buf.fill(0xFF)
+        arena.release(fill)
+        cases = [(p, fusion, dt, batch)
+                 for p in self.PLANS
+                 for fusion in ("staged", "fused", "tiled")
+                 for dt in (np.float32, np.float64)
+                 for batch in (0, 3)]
+        for i in np.concatenate([rng.permutation(len(cases))] * 2):
+            (algo, levels, (m, k, n)), fusion, dt, batch = cases[i]
+            lead = (batch,) if batch else ()
+            A = rng.standard_normal(lead + (m, k)).astype(dt)
+            B = rng.standard_normal(lead + (k, n)).astype(dt)
+            C0 = rng.standard_normal(lead + (m, n)).astype(dt)
+            cplan = plancache.compile((m, k, n), algo, levels, dtype=dt,
+                                      fusion=fusion)
+            got = execute_plan(cplan, A, B, C0.copy(), arena=arena)
+            rep = runtime.last_report()
+            assert (rep.core_path, rep.fusion) == ("graph", fusion)
+            got_peak = rep.peak_workspace_bytes
+            want = execute_plan(cplan, A, B, C0.copy(),
+                                arena=WorkspaceArena())
+            want_peak = runtime.last_report().peak_workspace_bytes
+            assert got.tobytes() == want.tobytes(), cases[i]
+            assert got_peak == want_peak, cases[i]
+        # Every execution ran on the two pre-filled blocks.
+        st = arena.stats()
+        assert st.allocations == 2 and st.free == 2
 
 
 class TestPools:

@@ -41,7 +41,7 @@ def test_aggregate_groups_by_plan_key():
     for ms in (1, 2, 3, 4):
         h.record(_report(duration_s=ms / 1e3))
     h.record(_report(shape=(128, 128, 128), duration_s=0.01,
-                     worker_mode="threads"))
+                     core_path="steps"))
     agg = h.aggregate()
     assert len(agg) == 2
     small = agg["64x64x64 float64 <2,2,2>@1/abc"]
@@ -50,10 +50,10 @@ def test_aggregate_groups_by_plan_key():
     assert small.p50_s == pytest.approx(0.0025)
     assert small.mean_s == pytest.approx(0.0025)
     assert small.peak_bytes_hw == 1 << 20
-    assert small.worker_modes == {"serial": 4}
+    assert small.core_paths == {"graph": 4}
     big = agg["128x128x128 float64 <2,2,2>@1/abc"]
     assert big.count == 1
-    assert big.worker_modes == {"threads": 1}
+    assert big.core_paths == {"steps": 1}
 
 
 def test_stats_for_matches_plan_key():

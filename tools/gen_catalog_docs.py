@@ -251,8 +251,9 @@ def render_ooc_section() -> str:
         "disagree on which bytes a block covers.  Operands may be",
         "`np.memmap`-backed (views read through the mapping lazily);",
         "every slab-scale temporary — operand slabs and `S`/`T` group",
-        "buffers — spills to arena-recycled mmap files that do **not**",
-        "count against the RAM meter.  What stays in RAM is only the",
+        "buffers — is carved from one arena-recycled mmap block that",
+        "does **not** count against the RAM meter.  What stays in RAM",
+        "is only the",
         "strip window: one group of `M` strip buffers (`group × batch ×",
         "tile_rows × bn` elements), plus one scratch strip for plans",
         "with non-±1 scatter coefficients.",

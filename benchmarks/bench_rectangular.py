@@ -30,18 +30,36 @@ _REPEATS = 5
 
 
 def _best_time(m, k, n, algorithm, levels=1, repeats=_REPEATS) -> float:
-    """Wall-clock of one config via the shared tune harness (GC-pinned).
+    """Best wall-clock of ``repeats`` calls of one config, GC disabled.
 
-    One group of ``repeats`` calls, min taken — best-case timing, robust
-    to background noise on shared runners.
+    One untimed call first compiles the plan; the minimum is best-case
+    timing, robust to background noise on shared runners.
     """
-    from repro.tune.measure import MeasureConfig, measure_candidate
+    import gc
 
-    meas = measure_candidate(
-        m, k, n, algorithm, levels=levels, variant="abc", engine="direct",
-        config=MeasureConfig(warmup=1, repeats=1, inner=repeats),
-    )
-    return meas.time_s
+    from repro.core.executor import multiply
+
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((m, k))
+    B = rng.standard_normal((k, n))
+    C = np.zeros((m, n))
+
+    def run():
+        multiply(A, B, C, algorithm=algorithm, levels=levels, variant="abc")
+
+    run()
+    best = float("inf")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            run()
+            best = min(best, time.perf_counter() - t0)
+    finally:
+        if enabled:
+            gc.enable()
+    return best
 
 
 def _auto_pick(m, k, n):

@@ -39,13 +39,13 @@ Public surface
   (:mod:`repro.core.parallel`).
 * :func:`predict_fmm` / :func:`predict_gemm` — the Fig.-5 performance model.
 * :func:`select` — model-guided poly-algorithm selection (Fig. 8).
-* :func:`tune_problem` / :func:`tune_sweep` / :class:`WisdomStore` —
-  empirical autotuning with persistent wisdom (:mod:`repro.tune`);
-  ``multiply(engine="auto", tune="readonly")`` dispatches on it.
-* :func:`set_runtime_tunables` / :func:`runtime_tunables` — per-machine
+* :func:`calibrate_machine` / :class:`WisdomStore` — the host's
+  back-fit machine model and the file that persists it
+  (:mod:`repro.tune`); ``multiply(engine="auto", tune="readonly")``
+  prices the model with it, measuring the host on first use.
+* :func:`set_runtime_tunables` / :func:`runtime_tunables` — in-process
   runtime knobs (fused group size, auto-fusion threshold, serve
-  coalescing window/batch cap); wisdom files carry measured overrides
-  (:func:`tune_fused_group`).
+  coalescing window/batch cap, tiled strip height and memory budget).
 * :class:`MultiplyService` / :class:`JobHandle` — the async serving
   layer (:mod:`repro.serve`): ``submit(A, B, **spec)`` returns a job
   handle, a scheduler thread coalesces same-plan requests into batched
@@ -59,8 +59,7 @@ Public surface
   with per-plan aggregation (:func:`report_history` /
   :func:`report_stats`), and namespaced stdlib logging
   (``REPRO_LOG_LEVEL`` attaches a stderr handler).  ``repro trace run``
-  and ``repro stats`` surface it from the shell;
-  :func:`seed_wisdom_from_observations` turns the history into wisdom.
+  and ``repro stats`` surface it from the shell.
 * :func:`build_plan` / :func:`generate_source` — the code generator.
 """
 
@@ -136,19 +135,10 @@ from repro.serve import (
     ServiceOverloadedError,
 )
 from repro.tune import (
-    MeasureConfig,
-    Measurement,
-    TuneReport,
     WisdomStore,
     calibrate_machine,
     default_store,
-    measure_candidate,
-    observed_measurements,
-    seed_wisdom_from_observations,
     set_default_store,
-    tune_fused_group,
-    tune_problem,
-    tune_sweep,
 )
 
 __version__ = "1.0.0"
@@ -207,23 +197,14 @@ __all__ = [
     "calibrate_lambda",
     "select",
     "Candidate",
-    "MeasureConfig",
-    "Measurement",
-    "measure_candidate",
     "WisdomStore",
     "default_store",
     "set_default_store",
-    "TuneReport",
-    "tune_problem",
-    "tune_sweep",
-    "tune_fused_group",
     "calibrate_machine",
     "trace",
     "metrics_snapshot",
     "report_history",
     "report_stats",
-    "observed_measurements",
-    "seed_wisdom_from_observations",
     "runtime_tunables",
     "set_runtime_tunables",
     "MultiplyService",

@@ -5,8 +5,8 @@ Commands
 ``catalog``   Print the Fig.-2 family with achieved vs. paper ranks.
 ``multiply``  Multiply random matrices with a chosen algorithm and verify.
 ``select``    Model-guided implementation selection for a problem size.
-``tune``      Measure the model's favorites; persist the winner as wisdom.
-``wisdom``    Inspect or clear the persistent autotuning wisdom store.
+``tune``      Re-measure the machine model ``engine="auto"`` prices with.
+``wisdom``    Inspect or clear the persistent machine-calibration store.
 ``trace``     Record a multiply under the span tracer; write a Chrome trace.
 ``stats``     Print the process-wide metrics snapshot and report history.
 ``serve``     Drive the async MultiplyService under synthetic load.
@@ -39,7 +39,7 @@ def _int_at_least(low: int):
 
 
 def _add_shape(p: argparse.ArgumentParser, low: int = 0) -> None:
-    """``-m/-k/-n``; commands that price or tune a problem need ``low=1``."""
+    """``-m/-k/-n``; commands that price a problem need ``low=1``."""
     for dim in ("-m", "-k", "-n"):
         p.add_argument(dim, type=_int_at_least(low), default=1024)
 
@@ -394,126 +394,45 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _parse_budget(text: str) -> float:
-    """Parse a tuning budget: plain seconds, or with an s/ms suffix."""
-    t = text.strip().lower()
-    try:
-        if t.endswith("ms"):
-            val = float(t[:-2]) / 1e3
-        elif t.endswith("s"):
-            val = float(t[:-1])
-        else:
-            val = float(t)
-    except ValueError:
-        raise SystemExit(f"invalid --budget {text!r} (try 5, 5s or 500ms)")
-    if val <= 0:
-        raise SystemExit(f"--budget must be positive, got {text!r}")
-    return val
-
-
 def _wisdom_store(args):
     from repro.tune.wisdom import WisdomStore, default_store
 
     return WisdomStore(args.store) if args.store else default_store()
 
 
-#: Problem classes covered by ``repro tune --sweep small`` — one square,
-#: one rank-k and one outer-panel class at serve-friendly sizes.
-SWEEP_PRESETS = {
-    "small": [(64, 64, 64), (128, 128, 128), (256, 256, 256),
-              (256, 32, 256), (96, 384, 96)],
-}
-
-
 def cmd_tune(args) -> int:
-    from repro.model.machines import generic_laptop
-    from repro.tune.tuner import (
-        calibrate_machine,
-        resolve_machine,
-        tune_problem,
-        tune_sweep,
-    )
+    from repro.tune.tuner import calibrate_machine
+    from repro.tune.wisdom import machine_doc
 
     store = _wisdom_store(args)
-    budget = _parse_budget(args.budget)
-    dtype = np.float32 if args.dtype == "float32" else np.float64
-
-    recorded = store.machine_params()
-    if args.no_calibrate and not args.calibrate:
-        mp = recorded or generic_laptop()
-    else:
-        mp = (calibrate_machine(store=store) if args.calibrate
-              else resolve_machine(store))
-        if (args.calibrate or recorded is None) and not args.json:
-            print(f"calibrated machine: {mp.name} "
-                  f"(peak {mp.peak_gflops_per_core:.1f} GF/core, "
-                  f"bw {mp.bandwidth_gbs:.1f} GB/s, lambda {mp.lam:.2f})")
-
-    if args.sweep:
-        problems = SWEEP_PRESETS[args.sweep]
-        reports = tune_sweep(problems, budget_s=budget, dtype=dtype,
-                             top=args.top, store=store, machine=mp)
-    else:
-        reports = [tune_problem(args.m, args.k, args.n, dtype=dtype,
-                                top=args.top, store=store, budget_s=budget,
-                                machine=mp)]
-
+    mp = calibrate_machine(store=store)
     if args.json:
-        print(json.dumps([
-            {
-                "problem": list(r.problem),
-                "dtype": r.dtype,
-                "winner": r.winner.label,
-                "gflops": r.winner.gflops,
-                "time_s": r.winner.time_s,
-                "beat_model": r.beat_model,
-                "bucket": r.bucket,
-                "measured": [
-                    {"label": ms.label,
-                     "time_s": ms.time_s, "gflops": ms.gflops,
-                     "samples": ms.samples}
-                    for ms in r.measurements
-                ],
-            }
-            for r in reports
-        ], indent=2))
+        print(json.dumps({"path": str(store.path),
+                          "machine": machine_doc(mp)}, indent=2))
         return 0
-    for r in reports:
-        m, k, n = r.problem
-        note = " (overturned the model's pick)" if r.beat_model else ""
-        print(f"{m}x{k}x{n} [{r.dtype}]: winner {r.winner.label} "
-              f"{r.winner.gflops:.2f} GF over {len(r.measurements)} "
-              f"finalists in {r.elapsed_s:.2f}s{note}")
-    print(f"wisdom: {len(store)} entr{'y' if len(store) == 1 else 'ies'} "
-          f"at {store.path}")
+    print(f"calibrated machine: {mp.name} "
+          f"(peak {mp.peak_gflops_per_core:.1f} GF/core, "
+          f"bw {mp.bandwidth_gbs:.1f} GB/s, lambda {mp.lam:.2f})")
+    print(f"recorded in {store.path}")
     return 0
 
 
 def cmd_wisdom(args) -> int:
+    from repro.tune.wisdom import machine_doc
+
     store = _wisdom_store(args)
     if args.action == "path":
         print(store.path)
         return 0
     if args.action == "clear":
-        n = len(store)
         store.clear()
-        print(f"cleared {n} entr{'y' if n == 1 else 'ies'} from {store.path}")
+        print(f"cleared the machine record from {store.path}")
         return 0
-    entries = store.entries()
     mp = store.machine_params()
-    tunables = store.tunables()
     if args.json:
         print(json.dumps({
             "path": str(store.path),
-            "entries": entries,
-            "machine": None if mp is None else {
-                "name": mp.name,
-                "peak_gflops_per_core": mp.peak_gflops_per_core,
-                "bandwidth_gbs": mp.bandwidth_gbs,
-                "cores": mp.cores,
-                "lam": mp.lam,
-            },
-            "tunables": tunables,
+            "machine": None if mp is None else machine_doc(mp),
             "recovered_corrupt": store.recovered_corrupt,
             "ignored_stale": store.ignored_stale,
         }, indent=2))
@@ -522,32 +441,13 @@ def cmd_wisdom(args) -> int:
     if store.recovered_corrupt:
         print("  (previous file was corrupt; set aside as *.corrupt)")
     if store.ignored_stale:
-        print("  (file was tuned on a different machine; entries ignored)")
-    if mp is not None:
-        print(f"  machine: {mp.name} peak {mp.peak_gflops_per_core:.1f} GF/core"
-              f" bw {mp.bandwidth_gbs:.1f} GB/s lambda {mp.lam:.2f}")
-    if tunables:
-        from repro.core.spec import TUNABLE_DEFAULTS
-
-        knobs = ", ".join(
-            f"{key}={val} (default {TUNABLE_DEFAULTS[key]})"
-            for key, val in sorted(tunables.items())
-        )
-        print(f"  tunables: {knobs}")
-    if not entries:
-        print("  (no tuned entries; run `repro tune`)")
+        print("  (file was calibrated on a different machine; record ignored)")
+    if mp is None:
+        print("  (no machine record; the next engine=auto call measures "
+              "the host, or run `repro tune --calibrate`)")
         return 0
-    for bucket, e in sorted(entries.items()):
-        cfg = e["config"]
-        algo = cfg["algorithm"]
-        label = cfg.get("schedule") or (
-            algo if algo == "classical" else "+".join(
-                "<%d,%d,%d>" % tuple(s) for s in algo
-            )
-        )
-        m, k, n = e["problem"]
-        print(f"  {bucket:<32} {label}/{cfg['variant']}"
-              f" {e['gflops']:.2f} GF (tuned at {m}x{k}x{n})")
+    print(f"  machine: {mp.name} peak {mp.peak_gflops_per_core:.1f} GF/core"
+          f" bw {mp.bandwidth_gbs:.1f} GB/s lambda {mp.lam:.2f}")
     return 0
 
 
@@ -620,11 +520,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=_int_at_least(1), default=1,
                    help="multiply a stack of N same-shape problems "
                         "through one compiled plan (1: one 2-D multiply)")
-    p.add_argument("--tune", choices=("off", "readonly", "on"),
+    p.add_argument("--tune", choices=("off", "readonly"),
                    default="readonly",
-                   help="autotuning-wisdom use under --engine auto "
-                        "(default: readonly; a wisdom miss measures the host "
-                        "once per store; off never touches the store)")
+                   help="machine calibration under --engine auto "
+                        "(default: readonly; the first model-path call "
+                        "measures the host once per store; off never "
+                        "touches the store)")
     p.add_argument("--fusion", choices=("auto", "staged", "fused", "tiled"),
                    default="auto",
                    help="runtime lowering: staged slabs (O(R) product "
@@ -644,25 +545,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the selection as machine-readable JSON")
 
-    p = sub.add_parser("tune", help="measure candidates, persist wisdom")
-    _add_shape(p, low=1)
-    p.add_argument("--budget", default="2s",
-                   help="wall-clock budget, e.g. 5, 5s or 500ms (default 2s)")
-    p.add_argument("--top", type=int, default=3,
-                   help="model finalists to measure (plus the GEMM baseline)")
-    p.add_argument("--dtype", choices=("float32", "float64"), default="float64")
+    p = sub.add_parser("tune", help="re-measure the machine model")
+    p.add_argument("--calibrate", action="store_true", required=True,
+                   help="measure this host and record the machine model "
+                        "back-fit (the command's one mode)")
     p.add_argument("--store", default=None,
                    help="wisdom file (default: $REPRO_WISDOM or "
                         "~/.cache/repro/wisdom.json)")
-    p.add_argument("--sweep", choices=sorted(SWEEP_PRESETS), default=None,
-                   help="tune a preset problem sweep instead of one shape")
-    p.add_argument("--calibrate", action="store_true",
-                   help="force re-measuring the machine model back-fit")
-    p.add_argument("--no-calibrate", action="store_true",
-                   help="skip machine calibration even on first tune")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("wisdom", help="inspect the autotuning wisdom store")
+    p = sub.add_parser("wisdom", help="inspect the machine-calibration store")
     p.add_argument("action", nargs="?", choices=("show", "clear", "path"),
                    default="show")
     p.add_argument("--store", default=None,

@@ -581,8 +581,8 @@ def multiply(
     engine : {"direct", "blocked", "auto"}, optional
         ``"direct"`` runs the lowering runtime (fast NumPy path);
         ``"blocked"`` the instrumented simulated-BLIS substrate;
-        ``"auto"`` picks schedule, variant and engine from wisdom + the
-        §4.4 performance model, falling back to classical GEMM when FMM
+        ``"auto"`` picks schedule, variant and engine from the §4.4
+        performance model, falling back to classical GEMM when FMM
         will not pay off.  A classical pick (or
         ``algorithm="classical"`` on the direct engine) runs as one BLAS
         call — no plan compile, lowering or arena; ``fusion`` is still
@@ -591,8 +591,8 @@ def multiply(
         or a caller's ``C`` under ``"auto"`` past the memory budget.  Auto
         resolves each call signature (operand shapes and dtypes, ``C``'s
         shape and dtype, the knobs) once per process and memoizes the
-        route until wisdom, the machine record, the tunables or the
-        default store change; a repeat classical call is then one
+        route until the machine record, the tunables or the default
+        store change; a repeat classical call is then one
         ``np.matmul`` and one report.
     params : BlockingParams, optional
         Cache/register blocking for the blocked engine.
@@ -607,16 +607,14 @@ def multiply(
         Force float32 or float64 execution; by default float32/float64
         operands are preserved end-to-end and other real types promote
         to float64.
-    tune : {"readonly", "on", "off"}, optional
-        Autotuning-wisdom use under ``engine="auto"`` (:mod:`repro.tune`):
-        ``"readonly"`` (default) dispatches on the measured-best config
-        when one is stored, ``"on"`` additionally tunes on a miss,
-        ``"off"`` never touches the store (the pure model on a generic
-        machine).  Under ``"readonly"`` and ``"on"`` a miss prices the
-        model with this host's machine: the first such call per wisdom
-        store measures the host (about 40 ms) and records the fit;
-        ``repro tune --calibrate`` re-measures.  Ignored for explicit
-        engines.
+    tune : {"readonly", "off"}, optional
+        Machine-calibration use under ``engine="auto"``
+        (:mod:`repro.tune`): ``"readonly"`` (default) prices the model
+        with this host's machine — the first model-path call per wisdom
+        store measures the host (about 40 ms) and records the fit, and
+        ``repro tune --calibrate`` re-measures; ``"off"`` never touches
+        the store (the pure model on a generic machine).  Ignored for
+        explicit engines.
     fusion : {"auto", "staged", "fused", "tiled"}, optional
         Runtime lowering mode: ``"staged"`` materializes every
         gather/product/scatter slab (O(R) live product buffers);

@@ -581,7 +581,7 @@ class ExecutionReport:
         The plan's schedule signature (e.g. ``"<2,2,2>@2"``; the
         classical schedule signs ``"classical@1"`` whether it ran on the
         BLAS route or through the lowering) — the key the report history
-        and wisdom seeding aggregate on.  Empty for reports built
+        aggregates on.  Empty for reports built
         without a plan.
     dtype:
         The plan compute dtype name (``"float64"``, ...).

@@ -96,7 +96,7 @@ class Candidate:
 
     @property
     def signature(self) -> str:
-        """Canonical schedule string, e.g. ``"<2,2,2>@2"`` (wisdom key form)."""
+        """Canonical schedule string, e.g. ``"<2,2,2>@2"`` (plan-key form)."""
         return self.schedule.signature
 
     @property
@@ -265,8 +265,7 @@ def _model_config(
     instrumented blocked substrate ask for it explicitly.
 
     Decisions are memoized per ``(m, k, n, machine, max_levels)``, so the
-    enumeration cost is paid once per problem shape *per process* — the
-    wisdom store is what survives restarts.
+    enumeration cost is paid once per problem shape *per process*.
     """
     from repro.model.machines import generic_laptop
 
@@ -288,25 +287,23 @@ def auto_config(
     dtype="float64",
     tune: str = "readonly",
 ) -> tuple:
-    """Configuration for ``multiply(engine="auto")``: wisdom first, model second.
+    """Configuration for ``multiply(engine="auto")``: the §4.4 model's pick.
 
-    With ``tune="readonly"`` (the default) the persistent wisdom store
-    (:mod:`repro.tune.wisdom`) is consulted for this problem class —
-    a hit returns the *measured-best* schedule in a dict probe, without
-    enumerating or pricing a single candidate.  On a miss the model path
-    runs (:func:`_model_config`) priced with this host's machine model
-    unless an explicit ``machine`` was given: the one the store recorded,
-    or — on the first miss against a store without one — a calibration
+    Ranks the generated family with the performance model
+    (:func:`_model_config`).  With ``tune="readonly"`` (the default) and
+    no explicit ``machine`` the model prices with this host's machine
+    model: the one the wisdom store (:mod:`repro.tune.wisdom`) recorded,
+    or — on the first call against a store without one — a calibration
     taken then (about 40 ms, once per store) and recorded
     (:func:`repro.tune.tuner.resolve_machine`).  ``repro tune
-    --calibrate`` re-measures.  ``tune="on"`` additionally runs a short
-    budgeted tuning pass on a miss and returns (and records) its winner;
-    ``tune="off"`` never touches the store: it is the pure cold-model
-    path on :func:`~repro.model.machines.generic_laptop` (or ``machine``).
-    An empty problem (any dimension 0) is the classical config and never
+    --calibrate`` re-measures.  ``tune="off"`` never touches the store:
+    it is the pure cold-model path on
+    :func:`~repro.model.machines.generic_laptop` (or ``machine``).  An
+    empty problem (any dimension 0) is the classical config and never
     touches the store either.
 
-    ``dtype`` scopes the wisdom bucket.
+    ``dtype`` is accepted for the callers' signature; the model prices
+    every dtype alike.
 
     Returns the 7-tuple ``(algorithm, levels, variant, engine, threads,
     backend, workers)``.  Auto picks no thread count, leaf backend or
@@ -320,30 +317,17 @@ def auto_config(
     tune = normalize_tune(tune)
     if min(m, k, n) < 1:
         schedule = _CLASSICAL
-    elif tune == "off":
-        schedule = _model_config(m, k, n, machine, max_levels)
     else:
-        from repro.tune.wisdom import default_store
+        if machine is None and tune == "readonly":
+            from repro.tune.wisdom import default_store
 
-        store = default_store()
-        hit = store.lookup_tuple(m, k, n, dtype=dtype)
-        if hit is not None:
-            schedule = hit
-        elif tune == "on":
-            from repro.tune.tuner import tune_problem
+            store = default_store()
+            machine = store.machine_params()
+            if machine is None:  # first model-path call on this store
+                from repro.tune.tuner import resolve_machine
 
-            schedule = tune_problem(
-                m, k, n, dtype=dtype,
-                max_levels=max_levels, machine=machine, store=store,
-            ).config
-        else:
-            if machine is None:
-                machine = store.machine_params()
-                if machine is None:  # first model-path miss on this store
-                    from repro.tune.tuner import resolve_machine
-
-                    machine = resolve_machine(store)
-            schedule = _model_config(m, k, n, machine, max_levels)
+                machine = resolve_machine(store)
+        schedule = _model_config(m, k, n, machine, max_levels)
     return (*schedule, 1, "reference", "threads")
 
 

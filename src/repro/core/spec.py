@@ -27,22 +27,22 @@ spec form                             meaning
 :func:`normalize_spec` returns the flat per-level atom tuple;
 :class:`Schedule` wraps that tuple as the first-class *schedule* object —
 the heterogeneous per-level algorithm list every layer above the spec
-grammar passes around (compiler keys, selection candidates, wisdom
-records); :func:`resolve_levels` materializes a spec as a
+grammar passes around (compiler keys, selection candidates, execution
+reports); :func:`resolve_levels` materializes a spec as a
 :class:`MultiLevelFMM`; :func:`spec_key` derives the hashable cache key
 the plan cache is keyed on; :func:`check_threads` validates the
 ``threads`` keyword of the execution API (1 only: BLAS threads the leaf
 products), :func:`normalize_threads` a positive worker count (the
 simulated-BLIS engine's 3rd-loop pool), :func:`normalize_tune` the
-autotuning-wisdom knob, :func:`normalize_variant` the §4.1 write-back variant and
+machine-calibration knob, :func:`normalize_variant` the §4.1 write-back variant and
 :func:`normalize_fusion`/:func:`resolve_fusion` the runtime's
 staged-vs-fused lowering mode, so bad values fail here, up front, rather
 than deep inside the runtime.
 
 :func:`invalidate_decisions` / :func:`decision_generation` are the one
 invalidation signal for memoized ``engine="auto"`` routes: every event
-that can change how a call resolves (wisdom, the machine record, the
-runtime tunables, the default store) bumps the generation.
+that can change how a call resolves (the machine record, the runtime
+tunables, the default store) bumps the generation.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ __all__ = [
 ]
 
 #: Accepted values of the ``tune`` knob on the auto-dispatch path.
-TUNE_MODES = ("off", "readonly", "on")
+TUNE_MODES = ("off", "readonly")
 
 #: The paper's §4.1 write-back variants (operand-sum / C-update fusion).
 VARIANTS = ("naive", "ab", "abc")
@@ -161,12 +161,11 @@ DEFAULT_MEM_BUDGET_BYTES = 0
 #: plain byte count or a ``K``/``M``/``G`` suffixed size (``"256M"``).
 MEM_BUDGET_ENV = "REPRO_MEM_BUDGET"
 
-#: The machine-tunable runtime constants and their shipped defaults.  The
-#: wisdom store may install per-machine-fingerprint overrides via
-#: :func:`set_runtime_tunables` (ROADMAP's group-size autotuning item);
-#: every consumer reads through the ``effective_*`` accessors so an
-#: override reaches the runtime, the workspace model, ``fusion="auto"``
-#: resolution and the serving scheduler alike.
+#: The runtime constants :func:`set_runtime_tunables` can override in
+#: this process, and their shipped defaults.  Every consumer reads
+#: through the ``effective_*`` accessors so an override reaches the
+#: runtime, the workspace model, ``fusion="auto"`` resolution and the
+#: serving scheduler alike.
 TUNABLE_DEFAULTS = {
     "fused_group": DEFAULT_FUSED_GROUP,
     "fused_auto_threshold": FUSED_AUTO_THRESHOLD,
@@ -195,8 +194,8 @@ def invalidate_decisions() -> None:
     """Retire every memoized ``engine="auto"`` route.
 
     Called after each event that can change how a call resolves: a
-    wisdom record, load, merge or clear, a machine record, a tunables
-    record or change, and a swap of the default store.  The changed
+    machine record, a store load or clear, a runtime-tunables change,
+    and a swap of the default store.  The changed
     state must be in place before the call, so a route resolved against
     the old state, even concurrently, is never served afterwards.
     """
@@ -221,13 +220,12 @@ def set_runtime_tunables(
     tile_rows=None,
     mem_budget_bytes=None,
 ) -> dict:
-    """Install machine-tuned overrides of the runtime lowering constants.
+    """Install in-process overrides of the runtime lowering constants.
 
     Each call specifies the complete override state: a ``None`` argument
     restores that constant's shipped default, so ``set_runtime_tunables()``
     resets everything.  Returns the effective tunables after the update.
-    The wisdom store calls this when it loads a fingerprint carrying tuned
-    values (see ``repro.tune.wisdom``).
+    Overrides live for the process only; nothing persists them.
     """
     global _tunables
     t = dict(TUNABLE_DEFAULTS)
@@ -332,8 +330,8 @@ def _parse_mem_budget(text: str) -> int:
 def effective_mem_budget_bytes() -> int:
     """The out-of-core memory budget in bytes (0 = unlimited).
 
-    A ``mem_budget_bytes`` tunable override (wisdom or
-    :func:`set_runtime_tunables`) wins; otherwise the
+    A ``mem_budget_bytes`` override (:func:`set_runtime_tunables`)
+    wins; otherwise the
     :envvar:`REPRO_MEM_BUDGET` environment variable supplies a
     process-wide budget.
     """
@@ -653,16 +651,25 @@ def resolve_fusion(
 def normalize_tune(tune) -> str:
     """Validate the ``tune`` knob of the auto-dispatch path.
 
-    ``"off"`` never touches the wisdom store (pure model dispatch);
-    ``"readonly"`` consults persisted wisdom and falls back to the model;
-    ``"on"`` additionally runs a budgeted tuning pass on a wisdom miss.
-    Anything else raises here, at spec-normalization time.
+    ``"readonly"`` prices the model with this host's calibrated machine
+    (the wisdom store's record, measured on its first use); ``"off"``
+    never touches the store and prices with the generic machine.
+    ``"on"`` was the measuring tuner, which is gone: it raises with a
+    pointer to ``repro tune --calibrate``, as anything else not in
+    :data:`TUNE_MODES` raises, here at spec-normalization time.
     """
-    if not isinstance(tune, str) or tune.lower() not in TUNE_MODES:
+    mode = tune.lower() if isinstance(tune, str) else None
+    if mode == "on":
+        raise ValueError(
+            "tune='on' was removed with the measuring tuner: engine='auto' "
+            "prices the model with this host's calibrated machine under "
+            "tune='readonly' (run `repro tune --calibrate` to re-measure)"
+        )
+    if mode not in TUNE_MODES:
         raise ValueError(
             f"tune must be one of {TUNE_MODES}, got {tune!r}"
         )
-    return tune.lower()
+    return mode
 
 
 def resolve_levels(algorithm, levels: int = 1) -> MultiLevelFMM:
@@ -737,7 +744,7 @@ class Schedule:
     plan applies, outermost level first — e.g. ``[<3,3,3>, <2,2,2>,
     <2,2,2>]`` instead of "one algorithm x ``levels``".  Schedules are
     what the plan compiler keys on, what selection candidates carry, and
-    what the wisdom store serializes (via :attr:`signature`).
+    what execution reports name (via :attr:`signature`).
 
     Parameters
     ----------

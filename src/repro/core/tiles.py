@@ -253,8 +253,8 @@ def resolve_tile_rows(
 ) -> int:
     """The strip height one tiled execution uses, tunables applied.
 
-    An explicit ``tile_rows`` tunable (wisdom or
-    :func:`repro.core.spec.set_runtime_tunables`) wins, clamped to the
+    An explicit ``tile_rows`` tunable
+    (:func:`repro.core.spec.set_runtime_tunables`) wins, clamped to the
     block height; otherwise the height is solved from the effective
     memory budget via :func:`pick_tile_rows`; with neither configured
     the full block is one strip.  Any height that would actually split

@@ -9,7 +9,7 @@ Three cooperating layers, each usable alone:
   registry absorbing the core's scattered stat surfaces behind one
   ``snapshot()``.
 * :mod:`repro.obs.reports` — a bounded ExecutionReport history with
-  per-plan aggregation; ``observed_measurements()`` feeds the tuner.
+  per-plan aggregation.
 
 CLI: ``repro trace run ... -o trace.json`` and ``repro stats [--json]``.
 """

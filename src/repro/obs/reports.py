@@ -7,14 +7,6 @@ the workspace peak go" — by keeping every published
 :class:`~repro.core.runtime.ExecutionReport` in a bounded ring and
 aggregating per plan key.
 
-The history is also the bridge from serving traffic back into the
-tuner: :func:`observed_measurements` groups reports by their full
-execution configuration (shape, dtype, schedule, variant) and
-summarizes latency, which
-``repro.tune.observe.seed_wisdom_from_observations`` converts into
-wisdom records — measurements for free, from traffic the process was
-serving anyway.
-
 The runtime publishes into the global :data:`history` from
 ``_publish_report``; nothing here imports the core, so the dependency
 stays one-way.
@@ -35,7 +27,6 @@ __all__ = [
     "aggregate",
     "clear",
     "history",
-    "observed_measurements",
     "record",
     "record_job",
     "recent",
@@ -165,40 +156,6 @@ class ReportHistory:
         """The aggregate for the plan key ``report`` belongs to."""
         return self.aggregate().get(_plan_key(report))
 
-    def observed_measurements(self, min_count: int = 1) -> list[dict]:
-        """Latency summaries grouped by full execution configuration.
-
-        Unlike :meth:`aggregate` (display granularity), groups carry
-        every field the tuner needs to reconstruct a wisdom config:
-        shape, dtype, schedule signature and variant.  Reports
-        without a schedule signature (legacy constructors) are skipped;
-        ``min_count`` filters out one-off shapes that would seed wisdom
-        from a single noisy sample.
-        """
-        groups: dict[tuple, list] = {}
-        for rep in self.recent():
-            if not rep.schedule or rep.batch != 1:
-                continue  # batched latency is not a per-multiply measurement
-            key = (rep.shape, rep.dtype, rep.schedule, rep.variant)
-            groups.setdefault(key, []).append(rep)
-        out = []
-        for key, reps in sorted(groups.items(), key=lambda kv: repr(kv[0])):
-            if len(reps) < min_count:
-                continue
-            lat = sorted(r.duration_s for r in reps)
-            shape, dtype, schedule, variant = key
-            out.append({
-                "shape": tuple(shape),
-                "dtype": dtype,
-                "schedule": schedule,
-                "variant": variant,
-                "count": len(reps),
-                "best_s": lat[0],
-                "p50_s": percentile(lat, 0.50),
-                "mean_s": sum(lat) / len(lat),
-            })
-        return out
-
 
 #: The process-wide history the runtime publishes into.
 history = ReportHistory()
@@ -226,10 +183,6 @@ def aggregate() -> dict[str, PlanStats]:
 
 def stats_for(report) -> PlanStats | None:
     return history.stats_for(report)
-
-
-def observed_measurements(min_count: int = 1) -> list[dict]:
-    return history.observed_measurements(min_count)
 
 
 def clear() -> None:

@@ -32,7 +32,7 @@ execution is bitwise-equal to per-request 2-D execution under the same
 plan (the batch folds into the task slabs; the per-element accumulation
 order is unchanged), so coalescing is invisible to results, and every
 job gets an array of its own.  The window and batch cap default from
-the wisdom-tunable constants
+the runtime-tunable constants
 (:func:`repro.core.spec.effective_serve_batch_window_us` /
 :func:`effective_serve_max_batch`), like ``DEFAULT_FUSED_GROUP`` before
 them.
@@ -384,12 +384,12 @@ class MultiplyService:
     ----------
     batch_window_s:
         Seconds the scheduler holds a batch open for same-plan arrivals
-        after claiming its first job.  Default: the wisdom-tunable
+        after claiming its first job.  Default: the runtime-tunable
         ``serve_batch_window_us`` (resolved per batch, so a tunable
         update reaches a running service).
     max_batch:
         Most jobs coalesced into one execution.  Default: the
-        wisdom-tunable ``serve_max_batch``.
+        runtime-tunable ``serve_max_batch``.
     byte_budget:
         Admission budget in bytes: the sum over queued jobs of predicted
         workspace + operand/result bytes may not exceed it.  ``None``

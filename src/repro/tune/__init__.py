@@ -1,35 +1,17 @@
-"""repro.tune — empirical autotuning with persistent wisdom.
+"""repro.tune — the machine calibration ``engine="auto"`` prices with.
 
-The layer between the machine model and the runtime: measure real
-compiled plans (:mod:`repro.tune.measure`), persist the verdicts in a
-machine-fingerprinted wisdom database (:mod:`repro.tune.wisdom`), and
-drive budgeted tuning loops that also back-fit the machine model itself
-(:mod:`repro.tune.tuner`).  ``multiply(engine="auto", tune="readonly")``
-consults this wisdom before falling back to the cold model; ``tune="on"``
-fills it on first miss; the ``repro tune`` / ``repro wisdom`` CLI manage
-it from the shell.  :mod:`repro.tune.observe` closes the loop from the
-other side: it seeds wisdom from the observability layer's ExecutionReport
-history, so live serving traffic becomes measurements for free.
+The selector ranks the generated family with the paper's §4.4
+performance model; this layer gives that model this host's constants.
+:mod:`repro.tune.tuner` measures the host and back-fits a
+:class:`~repro.model.machines.MachineParams`, and
+:mod:`repro.tune.wisdom` persists the fit in a machine-fingerprinted
+JSON store, so the first model-path ``multiply(engine="auto")`` call per
+store pays the probe and every later one, in any process sharing the
+store, reads the record.  ``repro tune --calibrate`` re-measures and
+``repro wisdom`` inspects or clears the store from the shell.
 """
 
-from repro.tune.measure import (
-    Measurement,
-    MeasureConfig,
-    measure_candidate,
-    measure_plan,
-)
-from repro.tune.observe import (
-    observed_measurements,
-    seed_wisdom_from_observations,
-)
-from repro.tune.tuner import (
-    TuneReport,
-    calibrate_machine,
-    fit_machine_params,
-    tune_fused_group,
-    tune_problem,
-    tune_sweep,
-)
+from repro.tune.tuner import calibrate_machine, fit_machine_params
 from repro.tune.wisdom import (
     SCHEMA_VERSION,
     WisdomStore,
@@ -37,29 +19,17 @@ from repro.tune.wisdom import (
     default_wisdom_path,
     fingerprint_digest,
     machine_fingerprint,
-    problem_bucket,
     set_default_store,
 )
 
 __all__ = [
-    "MeasureConfig",
-    "Measurement",
-    "measure_plan",
-    "measure_candidate",
     "WisdomStore",
     "SCHEMA_VERSION",
     "machine_fingerprint",
     "fingerprint_digest",
-    "problem_bucket",
     "default_store",
     "default_wisdom_path",
     "set_default_store",
-    "TuneReport",
-    "tune_problem",
-    "tune_sweep",
-    "tune_fused_group",
     "calibrate_machine",
     "fit_machine_params",
-    "observed_measurements",
-    "seed_wisdom_from_observations",
 ]

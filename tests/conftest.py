@@ -6,17 +6,22 @@ import numpy as np
 import pytest
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a long-running test (it still runs by default)")
+
+
 @pytest.fixture(autouse=True, scope="session")
 def _isolated_wisdom(tmp_path_factory):
     """Keep the whole suite away from the developer's real wisdom store.
 
     ``multiply(engine="auto")`` defaults to ``tune="readonly"``, so any
-    auto-dispatch test would otherwise consult ``~/.cache/repro`` and a
-    previously tuned machine could flip model-path assertions.  Pointing
-    ``REPRO_WISDOM`` at a session temp file isolates even code that
-    resets the default store mid-test (it re-resolves from the env).
+    auto-dispatch test would otherwise read ``~/.cache/repro`` and a
+    machine calibrated there earlier could flip model-path assertions.
+    Pointing ``REPRO_WISDOM`` at a session temp file isolates even code
+    that resets the default store mid-test (it re-resolves from the env).
     The session store still calibrates this host on its first model-path
-    miss, so a test asserting what the *model* picks pins it with
+    call, so a test asserting what the *model* picks pins it with
     ``tune="off"`` or an explicit ``machine``.
     """
     from repro.tune import set_default_store

@@ -93,19 +93,18 @@ class TestAutoPick:
         _assert_same(C, _forced(A, B))
         assert np.array_equal(C, (A @ B).astype(np.float64))
 
-    def test_wisdom_hit_classical_config(self, tmp_path, rng):
+    def test_recorded_machine_classical_pick(self, tmp_path, rng):
+        from repro.model.machines import MachineParams
         from repro.tune import WisdomStore, set_default_store
 
-        # The model sends this size to Strassen; a stored classical
-        # verdict must flip it onto the BLAS route.
+        # The generic model sends this size to Strassen; a recorded
+        # machine whose model picks classical must flip it onto the BLAS
+        # route.
         assert auto_config(256, 256, 256, tune="off")[0] != "classical"
         store = WisdomStore(tmp_path / "wisdom.json")
-        store.record(
-            256, 256, 256,
-            config={"algorithm": "classical", "levels": 1, "variant": "abc",
-                    "engine": "direct"},
-            gflops=10.0, time_s=1e-3, samples=3,
-        )
+        store.record_machine(MachineParams(
+            "bandwidth-bound", peak_gflops_per_core=100.0,
+            bandwidth_gbs=10.0, cores=2, lam=1.0))
         set_default_store(store)
         try:
             A, B = _operands(rng, 256, 256, 256)
@@ -318,33 +317,6 @@ class TestMemoryBudget:
         A, B = _operands(rng, 64, 48, 40)
         C = multiply(A, B, algorithm="classical")
         assert last_report().core_path == "blas"
-        _assert_same(C, _forced(A, B))
-
-
-class TestObservedWisdom:
-    def test_seeded_classical_verdict_replays(self, tmp_path, rng):
-        from repro.tune import (
-            WisdomStore,
-            seed_wisdom_from_observations,
-            set_default_store,
-        )
-
-        assert auto_config(96, 96, 96, tune="off")[0] == "classical"
-        A, B = _operands(rng, 96, 96, 96)
-        obs_reports.clear()
-        for _ in range(3):
-            multiply(A, B, engine="auto", tune="off")
-        store = WisdomStore(tmp_path / "wisdom.json")
-        assert seed_wisdom_from_observations(store, min_count=3)
-        cfg = store.lookup(96, 96, 96, dtype=np.float64)
-        assert cfg["algorithm"] == "classical" and cfg["levels"] == 1
-        set_default_store(store)
-        try:
-            assert auto_config(96, 96, 96, tune="readonly")[0] == "classical"
-            C = multiply(A, B, engine="auto", tune="readonly")
-        finally:
-            set_default_store(None)
-        _assert_blas_report((96, 96, 96))
         _assert_same(C, _forced(A, B))
 
 

@@ -240,7 +240,7 @@ class TestAutoDispatch:
         from repro.core.selection import auto_config
 
         # A claim about the model, not this host: pin the generic machine
-        # (a wisdom miss would price with this host's calibration).
+        # (tune="readonly" would price with this host's calibration).
         algorithm, levels, variant, engine, threads, backend, workers = (
             auto_config(1536, 1536, 1536, tune="off")
         )

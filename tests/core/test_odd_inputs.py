@@ -2,7 +2,7 @@
 
 * Empty dimensions under ``engine="auto"`` return ``A @ B`` (zeros or an
   empty array) through the BLAS route, without touching the wisdom
-  store, in every ``tune`` mode.
+  store, under either ``tune`` mode.
 * Complex operands raise ``TypeError`` naming the dtype: every path
   computes in a real dtype, so a cast would drop the imaginary part.
 * A caller's ``C`` that cannot hold the compute dtype raises
@@ -16,6 +16,10 @@
   remaining lowering (staged, fused, tiled) stay within the catalog's
   stability bound (``repro.model.stability``) of ``A @ B`` over their
   float64 copies.
+* A caller's odd ``C`` on those lowerings (F-order, a strided view of a
+  larger array, the other float dtype) is updated in place and
+  returned: it holds ``C0 + A @ B``, and the rest of the larger array is
+  untouched.
 * Non-finite inputs: the BLAS route reproduces ``A @ B``'s NaN and
   signed-Inf entries; FMM makes at least those outputs non-finite, and
   spreads them further (the ``multiply`` docstring's counts).
@@ -60,7 +64,7 @@ EMPTY = [(0, 5, 6), (4, 0, 5), (4, 5, 0)]
 
 
 class TestEmptyDimensionsUnderAuto:
-    @pytest.mark.parametrize("tune", ["off", "readonly", "on"])
+    @pytest.mark.parametrize("tune", ["off", "readonly"])
     @pytest.mark.parametrize("mkn", EMPTY)
     def test_multiply(self, fresh_store, rng, mkn, tune):
         m, k, n = mkn
@@ -72,7 +76,7 @@ class TestEmptyDimensionsUnderAuto:
         assert last_report().core_path == "blas"
         assert not fresh_store.path.exists()
 
-    @pytest.mark.parametrize("tune", ["off", "readonly", "on"])
+    @pytest.mark.parametrize("tune", ["off", "readonly"])
     @pytest.mark.parametrize("mkn", EMPTY)
     def test_multiply_batched(self, fresh_store, rng, mkn, tune):
         m, k, n = mkn
@@ -281,6 +285,38 @@ class TestOddOperandsOnEveryLowering:
         bound = _stability_bound(A64, B64)
         for Ci in C:
             assert np.abs(Ci - A64 @ B64).max() <= bound
+
+    @pytest.mark.parametrize("fusion", ["staged", "fused", "tiled"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_kind", ["f_order", "strided", "other_dtype"])
+    def test_callers_c(self, rng, c_kind, dtype, fusion):
+        m, k, n = SHAPE
+        A = rng.standard_normal((m, k)).astype(dtype)
+        B = rng.standard_normal((k, n)).astype(dtype)
+        big = rng.standard_normal((m, 2 * n)).astype(dtype)
+        if c_kind == "f_order":
+            C = np.asfortranarray(big[:, :n])
+        elif c_kind == "strided":
+            C = big[:, ::2]
+        else:
+            other = np.float64 if dtype == np.float32 else np.float32
+            C = np.ascontiguousarray(big[:, :n], dtype=other)
+        big0, C0 = big.copy(), np.array(C, dtype=np.float64)
+        out = multiply(A, B, C, algorithm="strassen", levels=1,
+                       fusion=fusion)
+        assert last_report().fusion == fusion
+        assert out is C
+        if c_kind == "strided":
+            np.testing.assert_array_equal(big[:, 1::2], big0[:, 1::2])
+        else:
+            np.testing.assert_array_equal(big, big0)
+        A64, B64 = _float64(A), _float64(B)
+        want = C0 + A64 @ B64
+        err = np.abs(_float64(C) - want).max()
+        if dtype == np.float64 and C.dtype == np.float64:
+            assert err <= _stability_bound(A64, B64)
+        else:  # the ledger's float32 tolerance, relative to the result
+            assert err <= 1e-4 * np.abs(want).max()
 
 
 class TestChecksOnAWarmMemo:

@@ -73,11 +73,11 @@ class TestCommands:
         assert exc.value.code == 2
         assert "must be >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["select"], ["tune"]])
+    @pytest.mark.parametrize("command", [["select"]])
     def test_empty_problem_is_a_usage_error_where_it_is_priced(
             self, capsys, command):
-        """select and tune price or measure the problem; an empty one is
-        refused by the parser instead of failing inside the model."""
+        """select prices the problem; an empty one is refused by the
+        parser instead of failing inside the model."""
         with pytest.raises(SystemExit) as exc:
             main([*command, "-m", "0", "-k", "8", "-n", "8"])
         assert exc.value.code == 2
@@ -148,83 +148,91 @@ class TestTuneAndWisdomCommands:
     def _store_arg(self, tmp_path):
         return ["--store", str(tmp_path / "wisdom.json")]
 
-    def test_tune_records_wisdom(self, tmp_path, capsys):
-        rc = main(["tune", "-m", "64", "-k", "64", "-n", "64",
-                   "--budget", "500ms", "--top", "1", "--no-calibrate",
-                   *self._store_arg(tmp_path)])
+    @pytest.fixture
+    def fake_probes(self, monkeypatch):
+        """Calibration with fixed probe timings instead of host timing."""
+        from repro.tune import tuner
+
+        monkeypatch.setattr(tuner, "_time_matmuls",
+                            lambda shapes, rounds=10: [1e-3] * len(shapes))
+
+    def test_tune_calibrate_records_the_machine(self, tmp_path, capsys,
+                                                fake_probes):
+        from repro.tune import WisdomStore
+
+        rc = main(["tune", "--calibrate", *self._store_arg(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "winner" in out and "wisdom: 1 entry" in out
-        assert (tmp_path / "wisdom.json").exists()
+        assert "calibrated machine: tuned-" in out
+        assert WisdomStore(tmp_path / "wisdom.json").machine_params()
 
-    def test_tune_json(self, tmp_path, capsys):
+    def test_tune_json(self, tmp_path, capsys, fake_probes):
         import json
 
-        rc = main(["tune", "-m", "64", "-k", "64", "-n", "64",
-                   "--budget", "500ms", "--top", "1", "--no-calibrate",
-                   "--json", *self._store_arg(tmp_path)])
+        rc = main(["tune", "--calibrate", "--json",
+                   *self._store_arg(tmp_path)])
         assert rc == 0
-        docs = json.loads(capsys.readouterr().out)
-        assert docs[0]["problem"] == [64, 64, 64]
-        assert docs[0]["gflops"] > 0
-        # top-1 + the classical baseline.
-        labels = [ms["label"] for ms in docs[0]["measured"]]
-        assert len(labels) == 2
-        assert labels[-1] == "classical<1,1,1>/abc"
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["path"] == str(tmp_path / "wisdom.json")
+        assert doc["machine"]["name"].startswith("tuned-")
+        assert doc["machine"]["peak_gflops_per_core"] > 0
 
-    def test_tune_budget_suffixes(self, tmp_path):
-        for budget in ("1", "1s", "1000ms"):
-            rc = main(["tune", "-m", "32", "-k", "32", "-n", "32",
-                       "--budget", budget, "--top", "1", "--no-calibrate",
-                       *self._store_arg(tmp_path)])
-            assert rc == 0
+    def test_tune_without_calibrate_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", *self._store_arg(tmp_path)])
+        assert exc.value.code == 2
+        assert "--calibrate" in capsys.readouterr().err
+        assert not (tmp_path / "wisdom.json").exists()
 
-    def test_tune_bad_budget_exits(self, tmp_path):
-        import pytest
-
-        with pytest.raises(SystemExit):
-            main(["tune", "-m", "32", "-k", "32", "-n", "32",
-                  "--budget", "soon", *self._store_arg(tmp_path)])
+    @pytest.mark.parametrize("flag", [
+        ["-m", "64"], ["--budget", "1s"], ["--top", "1"], ["--dtype",
+        "float32"], ["--sweep", "small"], ["--no-calibrate"],
+        ["--threads", "0"],
+    ])
+    def test_tune_rejects_the_measuring_options(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["tune", "--calibrate", *flag, *self._store_arg(tmp_path)])
+        assert exc.value.code == 2
+        assert not (tmp_path / "wisdom.json").exists()
 
     def test_wisdom_show_empty(self, tmp_path, capsys):
         rc = main(["wisdom", *self._store_arg(tmp_path)])
         assert rc == 0
-        assert "no tuned entries" in capsys.readouterr().out
+        assert "no machine record" in capsys.readouterr().out
 
-    def test_wisdom_show_after_tune(self, tmp_path, capsys):
-        main(["tune", "-m", "64", "-k", "64", "-n", "64", "--budget", "500ms",
-              "--top", "1", "--no-calibrate", *self._store_arg(tmp_path)])
+    def test_wisdom_show_after_calibrate(self, tmp_path, capsys, fake_probes):
+        main(["tune", "--calibrate", *self._store_arg(tmp_path)])
         capsys.readouterr()
         rc = main(["wisdom", *self._store_arg(tmp_path)])
         assert rc == 0
-        assert "float64" in capsys.readouterr().out
+        assert "machine: tuned-" in capsys.readouterr().out
 
-    def test_wisdom_json(self, tmp_path, capsys):
+    def test_wisdom_json(self, tmp_path, capsys, fake_probes):
         import json
 
-        main(["tune", "-m", "64", "-k", "64", "-n", "64", "--budget", "500ms",
-              "--top", "1", "--no-calibrate", *self._store_arg(tmp_path)])
+        main(["tune", "--calibrate", *self._store_arg(tmp_path)])
         capsys.readouterr()
         rc = main(["wisdom", "--json", *self._store_arg(tmp_path)])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        assert len(doc["entries"]) == 1
+        assert set(doc) == {"path", "machine", "recovered_corrupt",
+                            "ignored_stale"}
+        assert doc["machine"]["name"].startswith("tuned-")
         assert not doc["recovered_corrupt"]
 
-    def test_wisdom_clear_and_path(self, tmp_path, capsys):
-        main(["tune", "-m", "64", "-k", "64", "-n", "64", "--budget", "500ms",
-              "--top", "1", "--no-calibrate", *self._store_arg(tmp_path)])
+    def test_wisdom_clear_and_path(self, tmp_path, capsys, fake_probes):
+        main(["tune", "--calibrate", *self._store_arg(tmp_path)])
         rc = main(["wisdom", "clear", *self._store_arg(tmp_path)])
         assert rc == 0
         rc = main(["wisdom", "path", *self._store_arg(tmp_path)])
         assert rc == 0
         capsys.readouterr()
         rc = main(["wisdom", *self._store_arg(tmp_path)])
-        assert "no tuned entries" in capsys.readouterr().out
+        assert "no machine record" in capsys.readouterr().out
 
-    def test_wisdom_show_survives_partial_entries(self, tmp_path, capsys):
-        # Valid config but missing problem/gflops metadata: the store must
-        # treat the file as corrupt and the CLI must not traceback.
+    def test_wisdom_show_survives_a_malformed_record(self, tmp_path, capsys):
+        # A machine record with a junk field: the store must treat the
+        # file as corrupt and the CLI must not traceback.
         import json
 
         from repro.tune.wisdom import SCHEMA_VERSION, machine_fingerprint
@@ -233,28 +241,23 @@ class TestTuneAndWisdomCommands:
         p.write_text(json.dumps({
             "version": SCHEMA_VERSION,
             "fingerprint": machine_fingerprint(),
-            "entries": {"b": {"config": {
-                "algorithm": [[2, 2, 2]], "levels": 1, "variant": "abc",
-                "engine": "direct",
-            }}},
+            "machine": {"name": "tuned-x", "peak_gflops_per_core": "fast"},
         }))
         rc = main(["wisdom", "--store", str(p)])
         assert rc == 0
         assert "corrupt" in capsys.readouterr().out
-
-    def test_tune_rejects_zero_threads(self, tmp_path):
-        # Tuning measures the one-worker runtime: no --threads at all.
-        with pytest.raises(SystemExit) as exc:
-            main(["tune", "-m", "32", "-k", "32", "-n", "32",
-                  "--threads", "0", "--no-calibrate",
-                  *self._store_arg(tmp_path)])
-        assert exc.value.code == 2
 
     def test_multiply_auto_with_tune_off(self, capsys):
         rc = main(["multiply", "-m", "64", "-k", "64", "-n", "64",
                    "--engine", "auto", "--tune", "off"])
         assert rc == 0
         assert "max |C - AB|" in capsys.readouterr().out
+
+    def test_multiply_tune_on_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["multiply", "-m", "8", "-k", "8", "-n", "8",
+                  "--engine", "auto", "--tune", "on"])
+        assert exc.value.code == 2
 
 
 class TestObservabilityCommands:

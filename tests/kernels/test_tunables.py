@@ -1,4 +1,4 @@
-"""Runtime tunables: spec knobs, wisdom persistence, tuner helper."""
+"""Runtime tunables: the in-process spec knobs and their live effect."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.core.spec import (
     runtime_tunables,
     set_runtime_tunables,
 )
-from repro.tune.wisdom import WisdomStore, set_default_store
 
 
 @pytest.fixture(autouse=True)
@@ -84,71 +83,3 @@ class TestSpecKnobs:
         rep = repro.last_report()
         assert rep.fusion == "fused"
         np.testing.assert_allclose(C, A @ B, atol=1e-10)
-
-
-class TestWisdomTunables:
-    def test_round_trip(self, tmp_path):
-        store = WisdomStore(tmp_path / "w.json")
-        store.record_tunables(fused_group=16)
-        store.record_tunables(fused_auto_threshold=4096)  # merges
-        assert store.tunables() == {
-            "fused_group": 16, "fused_auto_threshold": 4096,
-        }
-        reborn = WisdomStore(store.path)
-        assert reborn.tunables() == store.tunables()
-
-    def test_clear_section(self, tmp_path):
-        store = WisdomStore(tmp_path / "w.json")
-        store.record_tunables(fused_group=16)
-        store.record_tunables()  # both None -> clears
-        assert store.tunables() == {}
-
-    def test_malformed_tunables_set_file_aside(self, tmp_path):
-        import json
-
-        store = WisdomStore(tmp_path / "w.json")
-        store.record_tunables(fused_group=16)
-        doc = json.loads(store.path.read_text())
-        doc["tunables"] = {"fused_group": "huge"}
-        store.path.write_text(json.dumps(doc))
-        reborn = WisdomStore(store.path)
-        assert reborn.recovered_corrupt
-        assert reborn.tunables() == {}
-
-    def test_default_store_applies_tunables(self, tmp_path):
-        store = WisdomStore(tmp_path / "w.json")
-        store.record_tunables(fused_group=24)
-        set_default_store(store)
-        try:
-            assert effective_fused_group() == 24
-        finally:
-            set_default_store(None)
-        assert effective_fused_group() == DEFAULT_FUSED_GROUP
-
-    def test_validation_rejects_bad_knobs(self, tmp_path):
-        store = WisdomStore(tmp_path / "w.json")
-        with pytest.raises(ValueError):
-            store.record_tunables(fused_group=0)
-
-
-class TestTuneFusedGroup:
-    def test_measures_records_and_applies(self, tmp_path):
-        from repro.tune.measure import MeasureConfig
-        from repro.tune.tuner import tune_fused_group
-
-        store = WisdomStore(tmp_path / "w.json")
-        fast = MeasureConfig(warmup=1, repeats=1, inner=1, budget_s=0.5)
-        best = tune_fused_group(
-            64, 64, 64, algorithm="strassen", levels=1,
-            candidates=(4, 8), store=store, measure_config=fast,
-        )
-        assert best in (4, 8)
-        assert store.tunables()["fused_group"] == best
-        assert effective_fused_group() == best
-
-    def test_no_candidates_rejected(self, tmp_path):
-        from repro.tune.tuner import tune_fused_group
-
-        with pytest.raises(ValueError):
-            tune_fused_group(candidates=(),
-                             store=WisdomStore(tmp_path / "w.json"))

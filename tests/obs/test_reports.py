@@ -74,24 +74,6 @@ def test_batched_key_is_distinct():
     assert agg["64x64x64[b16] float64 <2,2,2>@1/abc"].total_batch == 16
 
 
-def test_observed_measurements_grouping_and_filters():
-    h = ReportHistory()
-    for ms in (3, 1, 2):
-        h.record(_report(duration_s=ms / 1e3))
-    h.record(_report(duration_s=0.005, variant="ab"))
-    h.record(_report(schedule="", duration_s=0.001))      # no signature
-    h.record(_report(batch=8, duration_s=0.01))           # batched excluded
-    obs = h.observed_measurements()
-    assert len(obs) == 2
-    by_variant = {o["variant"]: o for o in obs}
-    assert by_variant["abc"]["count"] == 3
-    assert by_variant["abc"]["best_s"] == pytest.approx(0.001)
-    assert by_variant["abc"]["p50_s"] == pytest.approx(0.002)
-    assert by_variant["ab"]["count"] == 1
-    assert "threads" not in by_variant["abc"]
-    assert h.observed_measurements(min_count=2) == [by_variant["abc"]]
-
-
 def test_execute_publishes_into_global_history():
     from repro.core.executor import multiply
 
@@ -135,44 +117,3 @@ def test_batched_call_publishes_one_aggregated_report():
     rep = last_report()
     assert rep.n_chunks > 1
     assert rep.batch == batch
-
-
-def test_seed_wisdom_from_observations(tmp_path):
-    from repro.tune import seed_wisdom_from_observations
-    from repro.tune.wisdom import WisdomStore
-
-    # Three observations of the same configuration -> one seeded bucket.
-    for ms in (3, 2, 4):
-        reports.record(_report(duration_s=ms / 1e3, schedule="strassen@1"))
-    store = WisdomStore(path=tmp_path / "wisdom.json")
-    written = seed_wisdom_from_observations(store, min_count=3)
-    assert len(written) == 1
-    cfg = store.lookup(64, 64, 64, dtype=np.float64)  # returns the config
-    assert cfg is not None
-    assert cfg["engine"] == "direct"
-    assert cfg["algorithm"] == [[2, 2, 2]]
-    (entry,) = store.entries().values()
-    assert entry["samples"] == 3
-    assert entry["time_s"] == pytest.approx(0.002)
-
-    # A second seeding never overwrites the existing verdict...
-    reports.record(_report(duration_s=1e-6, schedule="strassen@1"))
-    assert seed_wisdom_from_observations(store, min_count=3) == []
-    (entry,) = store.entries().values()
-    assert entry["time_s"] == pytest.approx(0.002)
-    # ...unless asked to.
-    written = seed_wisdom_from_observations(store, min_count=3,
-                                            overwrite=True)
-    assert len(written) == 1
-    (entry,) = store.entries().values()
-    assert entry["time_s"] == pytest.approx(1e-6)
-
-
-def test_seed_skips_unparseable_schedules(tmp_path):
-    from repro.tune import seed_wisdom_from_observations
-    from repro.tune.wisdom import WisdomStore
-
-    for _ in range(3):
-        reports.record(_report(schedule="not-a-real-algorithm@1"))
-    store = WisdomStore(path=tmp_path / "wisdom.json")
-    assert seed_wisdom_from_observations(store, min_count=3) == []

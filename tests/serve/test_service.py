@@ -351,33 +351,6 @@ class TestTunableDefaults:
             set_runtime_tunables()
             svc.shutdown()
 
-    def test_wisdom_store_round_trips_serve_tunables(self, tmp_path):
-        from repro.core.spec import runtime_tunables, set_runtime_tunables
-        from repro.tune.wisdom import WisdomStore
-
-        path = tmp_path / "wisdom.json"
-        store = WisdomStore(path=path)
-        store.record_tunables(serve_batch_window_us=12345, serve_max_batch=9)
-        loaded = WisdomStore(path=path)
-        assert loaded.tunables() == {
-            "serve_batch_window_us": 12345, "serve_max_batch": 9}
-        try:
-            loaded.apply_tunables()
-            eff = runtime_tunables()
-            assert eff["serve_batch_window_us"] == 12345
-            assert eff["serve_max_batch"] == 9
-        finally:
-            set_runtime_tunables()
-
-    def test_wisdom_rejects_malformed_serve_tunables(self, tmp_path):
-        from repro.tune.wisdom import WisdomStore
-
-        store = WisdomStore(path=tmp_path / "wisdom.json")
-        with pytest.raises(ValueError):
-            store.record_tunables(serve_max_batch=0)
-        with pytest.raises(ValueError):
-            store.record_tunables(serve_batch_window_us=-1)
-
 
 class TestCoalescingAcceptance:
     """The ISSUE acceptance criterion, end to end."""

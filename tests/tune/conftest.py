@@ -1,4 +1,4 @@
-"""Fixtures for the autotuning subsystem tests: isolated wisdom stores."""
+"""Fixtures for the machine-calibration tests: isolated wisdom stores."""
 
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ def default_wisdom(tmp_path):
 
 @pytest.fixture
 def sample_config():
-    """Factory for a valid stored-config document (Strassen, serial direct)."""
+    """Factory for a stored config of the older (v1-v3) schemas."""
 
     def make(levels: int = 1) -> dict:
         return {

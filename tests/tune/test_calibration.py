@@ -1,4 +1,4 @@
-"""First-miss calibration: auto prices with this host's machine model."""
+"""First-call calibration: auto prices with this host's machine model."""
 
 import logging
 import sys
@@ -9,10 +9,9 @@ import pytest
 
 from repro.core import selection
 from repro.core.executor import multiply
-from repro.tune import MeasureConfig, WisdomStore, set_default_store
+from repro.model.machines import generic_laptop
+from repro.tune import WisdomStore, set_default_store
 from repro.tune import tuner
-
-FAST = MeasureConfig(warmup=0, repeats=1, inner=1)
 
 
 @pytest.fixture
@@ -20,7 +19,7 @@ def probes(monkeypatch):
     """Record each calibration's probe call; the fake returns fixed timings.
 
     The short sleep releases the GIL inside the probe, the window in
-    which concurrent first misses would all start calibrating.
+    which concurrent first calls would all start calibrating.
     """
     calls = []
 
@@ -52,7 +51,7 @@ class TestFirstMiss:
         recorded = default_wisdom.machine_params()
         assert recorded is not None and recorded.name.startswith("tuned-")
         multiply(A, B, engine="auto")
-        # Later misses price with the recorded machine, not a new probe.
+        # Later calls price with the recorded machine, not a new probe.
         assert selection.auto_config(300, 200, 100)[:4] == (
             selection._model_config(300, 200, 100, recorded, 2))
         assert len(probes) == 1
@@ -62,27 +61,18 @@ class TestFirstMiss:
         assert tuner.resolve_machine(reborn) == recorded
         assert len(probes) == 1
 
-    def test_tuner_resolves_through_the_same_record(self, default_wisdom,
-                                                    probes):
-        for size in (32, 48):
-            tuner.tune_problem(size, size, size, store=default_wisdom,
-                               top=1, budget_s=0.2, measure_config=FAST)
-        assert len(probes) == 1
-        assert default_wisdom.machine_params() is not None
-
-    def test_cli_tune_calibrates_once_and_recalibrates_on_request(
-            self, tmp_path, probes):
+    def test_cli_tune_calibrate_re_records_the_machine(self, tmp_path,
+                                                       probes):
         from repro.cli import main
 
-        args = ["tune", "-m", "32", "-k", "32", "-n", "32", "--budget",
-                "200ms", "--top", "1", "--store", str(tmp_path / "w.json")]
-        assert main(args) == 0
-        assert main(args) == 0
-        assert len(probes) == 1
-        assert main(args + ["--calibrate"]) == 0
-        assert len(probes) == 2
-        assert main(args + ["--no-calibrate"]) == 0
-        assert len(probes) == 2
+        path = tmp_path / "w.json"
+        WisdomStore(path).record_machine(generic_laptop())
+        store_arg = ["--store", str(path)]
+        for runs in (1, 2):
+            assert main(["tune", "--calibrate", *store_arg]) == 0
+            assert len(probes) == runs  # re-measures every time
+        recorded = WisdomStore(path).machine_params()
+        assert recorded.name.startswith("tuned-")  # the fit replaced it
 
     def test_concurrent_first_misses_calibrate_once(self, default_wisdom,
                                                     probes, operands):
@@ -151,31 +141,7 @@ class TestNoProbe:
         assert default_wisdom.machine_params() is None
         assert not default_wisdom.path.exists()
 
-    def test_wisdom_hit_never_calibrates(self, tmp_path, probes, operands):
-        # A hit is answered from the file alone; the store is not rewritten.
-        path = tmp_path / "wisdom.json"
-        WisdomStore(path).record(
-            80, 72, 88,
-            config={"algorithm": [[2, 2, 2]], "levels": 1, "variant": "abc",
-                    "engine": "direct"},
-            gflops=10.0, time_s=1e-3, samples=3,
-        )
-        before = path.read_bytes()
-        store = WisdomStore(path)
-        set_default_store(store)
-        A, B = operands
-        try:
-            C = multiply(A, B, engine="auto")
-        finally:
-            set_default_store(None)
-        assert np.allclose(C, A @ B)
-        assert probes == []
-        assert store.machine_params() is None
-        assert path.read_bytes() == before
-
     def test_explicit_machine_skips_calibration(self, default_wisdom, probes):
-        from repro.model.machines import generic_laptop
-
         selection.auto_config(200, 200, 200, machine=generic_laptop())
         assert probes == []
         assert default_wisdom.machine_params() is None

@@ -1,4 +1,4 @@
-"""Wisdom-driven auto-dispatch: the hot path skips the model entirely."""
+"""Auto-dispatch through the calibrated model: tune modes, restarts, degradation."""
 
 import numpy as np
 import pytest
@@ -28,106 +28,40 @@ def model_counters(monkeypatch):
     selection._model_config.cache_clear()
 
 
-def _populate(store, m, k, n, **kw):
-    store.record(
-        m, k, n,
-        config={"algorithm": [[2, 2, 2]], "levels": 1, "variant": "abc",
-                "engine": "direct"},
-        gflops=10.0, time_s=1e-3, samples=3, **kw,
-    )
-
-
-class TestReadonlyHotPath:
-    def test_wisdom_hit_never_touches_model(self, default_wisdom,
+class TestReadonly:
+    def test_readonly_prices_with_the_model(self, default_wisdom,
                                             model_counters):
-        # Acceptance: with a populated store, auto-dispatch must not call
-        # enumerate_candidates / predict_fmm / predict_gemm at all.
-        _populate(default_wisdom, 80, 80, 80)
-        rng = np.random.default_rng(0)
-        A, B = rng.standard_normal((80, 80)), rng.standard_normal((80, 80))
-        C = multiply(A, B, engine="auto", tune="readonly")
-        assert np.allclose(C, A @ B)
-        assert model_counters == {
-            "enumerate_candidates": 0, "predict_fmm": 0, "predict_gemm": 0,
-        }
-
-    def test_wisdom_miss_falls_back_to_model(self, default_wisdom,
-                                             model_counters):
         rng = np.random.default_rng(0)
         A, B = rng.standard_normal((80, 80)), rng.standard_normal((80, 80))
         C = multiply(A, B, engine="auto", tune="readonly")
         assert np.allclose(C, A @ B)
         assert model_counters["enumerate_candidates"] >= 1
-
-    def test_tune_off_ignores_wisdom(self, default_wisdom, model_counters):
-        _populate(default_wisdom, 80, 80, 80)
-        rng = np.random.default_rng(0)
-        A, B = rng.standard_normal((80, 80)), rng.standard_normal((80, 80))
-        multiply(A, B, engine="auto", tune="off")
-        assert model_counters["enumerate_candidates"] >= 1
-
-    def test_batched_auto_uses_wisdom(self, default_wisdom, model_counters):
-        _populate(default_wisdom, 64, 64, 64)
-        rng = np.random.default_rng(1)
-        A = rng.standard_normal((3, 64, 64))
-        B = rng.standard_normal((3, 64, 64))
-        C = multiply_batched(A, B, engine="auto", tune="readonly")
-        assert np.allclose(C, A @ B)
-        assert model_counters["enumerate_candidates"] == 0
-
-    def test_explicit_threads_bypass_wisdom_bucket(self, default_wisdom,
-                                                   model_counters):
-        # Buckets carry no thread class: the ledger's threads=1 request
-        # is answered by the same wisdom as the default call.
-        _populate(default_wisdom, 80, 80, 80)
-        rng = np.random.default_rng(0)
-        A, B = rng.standard_normal((80, 80)), rng.standard_normal((80, 80))
-        C = multiply(A, B, engine="auto", tune="readonly", threads=1)
-        assert np.allclose(C, A @ B)
-        assert model_counters["enumerate_candidates"] == 0
-
-
-class TestTuneOn:
-    def test_miss_tunes_then_dispatches(self, default_wisdom):
-        assert len(default_wisdom) == 0
-        rng = np.random.default_rng(0)
-        A, B = rng.standard_normal((64, 64)), rng.standard_normal((64, 64))
-        C = multiply(A, B, engine="auto", tune="on")
-        assert np.allclose(C, A @ B)
-        assert len(default_wisdom) == 1  # the miss was tuned and recorded
-        # Second call hits the freshly-written wisdom.
-        assert default_wisdom.lookup(64, 64, 64) is not None
-        C2 = multiply(A, B, engine="auto", tune="on")
-        assert np.allclose(C2, A @ B)
 
 
 class TestProcessRestart:
-    def test_wisdom_survives_a_real_process_restart(self, tmp_path):
+    def test_machine_record_survives_a_real_process_restart(self, tmp_path):
         import os
         import subprocess
         import sys
         from pathlib import Path
 
         import repro
+        from repro.model.machines import generic_laptop
         from repro.tune import WisdomStore
 
         path = tmp_path / "wisdom.json"
-        store = WisdomStore(path)
-        store.record(
-            96, 96, 96,
-            config={"algorithm": [[2, 2, 2]], "levels": 1, "variant": "abc",
-                    "engine": "direct"},
-            gflops=10.0, time_s=1e-3, samples=3,
-        )
+        WisdomStore(path).record_machine(generic_laptop(2))
+        before = path.read_bytes()
         src_dir = str(Path(repro.__file__).parents[1])
         env = dict(os.environ, REPRO_WISDOM=str(path))
         env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
         code = (
-            "import sys, numpy as np\n"
+            "import numpy as np\n"
+            "from repro.model.machines import generic_laptop\n"
             "from repro.tune import default_store\n"
             "from repro import multiply\n"
-            "cfg = default_store().lookup_tuple(96, 96, 96)\n"
-            "assert cfg is not None, 'wisdom did not survive the restart'\n"
+            "mp = default_store().machine_params()\n"
+            "assert mp == generic_laptop(2), 'the record did not survive'\n"
             "A = np.ones((96, 96)); B = np.ones((96, 96))\n"
             "C = multiply(A, B, engine='auto', tune='readonly')\n"
             "assert np.allclose(C, A @ B)\n"
@@ -137,6 +71,7 @@ class TestProcessRestart:
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+        assert path.read_bytes() == before  # read, not re-measured
 
 
 class TestDegradation:
@@ -153,6 +88,24 @@ class TestDegradation:
             assert np.allclose(C, A @ B)
         finally:
             set_default_store(None)
+
+    def test_tune_on_raises_naming_the_removal(self, default_wisdom):
+        from repro.core.spec import normalize_tune
+
+        A = np.ones((8, 8))
+        calls = [
+            lambda: normalize_tune("on"),
+            lambda: selection.auto_config(8, 8, 8, tune="on"),
+            lambda: multiply(A, A, engine="auto", tune="on"),
+            lambda: multiply_batched(A[None], A[None], engine="auto",
+                                     tune="ON"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="removed") as exc:
+                call()
+            assert "repro tune --calibrate" in str(exc.value)
+        assert default_wisdom.machine_params() is None
+        assert not default_wisdom.path.exists()
 
     def test_bad_tune_value_raises_up_front(self):
         A = np.ones((8, 8))

@@ -266,7 +266,8 @@ def render_ooc_section() -> str:
         f"any budget below that streams.  The strip height is solved",
         "from the budget by `pick_tile_rows` — e.g. a 1 MiB budget buys",
         f"{picked}-row strips here — or pinned with the `tile_rows`",
-        "tunable; both ride the per-machine wisdom channel.",
+        "tunable; both are in-process runtime tunables",
+        "(`set_runtime_tunables`).",
         "",
         "Priced RAM window (`predict_tile_window_bytes`, the byte-exact",
         "twin of the tiled arena spec) for that reference problem, by",
@@ -345,9 +346,8 @@ def render_obs_section() -> str:
         "- **Report history** (`repro.obs.reports`) — every",
         "  `ExecutionReport` lands in a bounded ring (default",
         f"  {REPORT_CAPACITY}) aggregated per plan key (p50/p95 latency,",
-        "  workspace high-water, core-path breakdowns);",
-        "  `seed_wisdom_from_observations` turns it into autotuning",
-        "  wisdom.",
+        "  workspace high-water, core-path breakdowns), which",
+        "  `repro stats` and `report_stats()` print.",
         "",
         f"Set `{ENV_VAR}=DEBUG` (or any stdlib level) to attach a stderr",
         "handler to the namespaced `repro.*` loggers; the library itself",
@@ -436,12 +436,11 @@ def render_serve_section() -> str:
         lines.append(f"- **{policy}** — {policy_notes[policy]}")
     lines += [
         "",
-        "The batching tunables ride the same per-machine wisdom channel",
-        "as the fusion knobs (`record_tunables` /",
-        "`set_runtime_tunables`), with compiled-in defaults",
+        "The batching knobs are runtime tunables like the fusion knobs",
+        "(`set_runtime_tunables`), with compiled-in defaults",
         f"`serve_batch_window_us={SERVE_BATCH_WINDOW_US}` and",
         f"`serve_max_batch={SERVE_MAX_BATCH}`; constructor arguments",
-        "win over wisdom, wisdom wins over the defaults, and live",
+        "win over the tunables, and live",
         "overrides apply to running services.  Queue depth, priced",
         "bytes, batch sizes, coalesce ratio and per-job latency all",
         "publish into the metrics registry (the `serve.*` rows in the",

@@ -288,7 +288,8 @@ class TestOddOperandsOnEveryLowering:
 
     @pytest.mark.parametrize("fusion", ["staged", "fused", "tiled"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("c_kind", ["f_order", "strided", "other_dtype"])
+    @pytest.mark.parametrize("c_kind", ["f_order", "strided", "reversed",
+                                        "other_dtype"])
     def test_callers_c(self, rng, c_kind, dtype, fusion):
         m, k, n = SHAPE
         A = rng.standard_normal((m, k)).astype(dtype)
@@ -298,6 +299,8 @@ class TestOddOperandsOnEveryLowering:
             C = np.asfortranarray(big[:, :n])
         elif c_kind == "strided":
             C = big[:, ::2]
+        elif c_kind == "reversed":  # negative row stride
+            C = big[::-1, :n]
         else:
             other = np.float64 if dtype == np.float32 else np.float32
             C = np.ascontiguousarray(big[:, :n], dtype=other)
@@ -308,6 +311,8 @@ class TestOddOperandsOnEveryLowering:
         assert out is C
         if c_kind == "strided":
             np.testing.assert_array_equal(big[:, 1::2], big0[:, 1::2])
+        elif c_kind == "reversed":
+            np.testing.assert_array_equal(big[:, n:], big0[:, n:])
         else:
             np.testing.assert_array_equal(big, big0)
         A64, B64 = _float64(A), _float64(B)

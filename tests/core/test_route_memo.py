@@ -24,7 +24,7 @@ from repro.core.spec import (
     set_runtime_tunables,
 )
 from repro.model.machines import MachineParams, generic_laptop
-from repro.tune import WisdomStore, set_default_store, tuner
+from repro.tune import WisdomStore, default_store, set_default_store, tuner
 
 #: A machine whose model sends 96^3 to Strassen: flops are all it prices.
 #: The generic machine picks classical there.
@@ -132,6 +132,22 @@ class TestMemo:
         for _ in range(2):
             with pytest.raises(ValueError, match="unsupported dtype"):
                 _auto(*operands, dtype=[("a", "f8")])
+
+    def test_reads_and_saves_keep_the_route(self, store, decisions,
+                                            operands):
+        # Only the events in TestInvalidation move the generation: after
+        # a save, a read of the record and a call under the other tune
+        # mode, the readonly route is still served from the memo.
+        A, B = operands
+        _auto(A, B)
+        generation = decision_generation()
+        store.save()
+        store.machine_params()
+        default_store()
+        _auto(A, B, tune="off")
+        assert decision_generation() == generation
+        _auto(A, B)
+        assert len(decisions) == 2  # the first call and the tune="off" one
 
     def test_tune_off_touches_no_store(self, tmp_path, operands):
         s = WisdomStore(tmp_path / "never.json")

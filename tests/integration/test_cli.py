@@ -230,6 +230,21 @@ class TestTuneAndWisdomCommands:
         rc = main(["wisdom", *self._store_arg(tmp_path)])
         assert "no machine record" in capsys.readouterr().out
 
+    def test_wisdom_path_prints_the_store(self, tmp_path, capsys):
+        rc = main(["wisdom", "path", *self._store_arg(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == str(tmp_path / "wisdom.json")
+        assert not (tmp_path / "wisdom.json").exists()
+
+    def test_wisdom_json_on_an_empty_store(self, tmp_path, capsys):
+        import json
+
+        rc = main(["wisdom", "--json", *self._store_arg(tmp_path)])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "path": str(tmp_path / "wisdom.json"), "machine": None,
+            "recovered_corrupt": False, "ignored_stale": False}
+
     def test_wisdom_show_survives_a_malformed_record(self, tmp_path, capsys):
         # A machine record with a junk field: the store must treat the
         # file as corrupt and the CLI must not traceback.

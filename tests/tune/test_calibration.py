@@ -141,6 +141,25 @@ class TestNoProbe:
         assert default_wisdom.machine_params() is None
         assert not default_wisdom.path.exists()
 
+    def test_recorded_machine_never_calibrates(self, tmp_path, probes,
+                                               operands):
+        # A record on disk answers every call; the file is not rewritten.
+        path = tmp_path / "wisdom.json"
+        WisdomStore(path).record_machine(generic_laptop())
+        before = path.read_bytes()
+        store = WisdomStore(path)
+        set_default_store(store)
+        A, B = operands
+        try:
+            C = multiply(A, B, engine="auto")
+            selection.auto_config(1536, 1536, 1536)
+        finally:
+            set_default_store(None)
+        assert np.allclose(C, A @ B)
+        assert probes == []
+        assert store.machine_params() == generic_laptop()
+        assert path.read_bytes() == before
+
     def test_explicit_machine_skips_calibration(self, default_wisdom, probes):
         selection.auto_config(200, 200, 200, machine=generic_laptop())
         assert probes == []

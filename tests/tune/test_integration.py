@@ -5,6 +5,14 @@ import pytest
 
 from repro.core import selection
 from repro.core.executor import multiply, multiply_batched
+from repro.core.runtime import last_report
+from repro.core.spec import normalize_tune
+from repro.model.machines import MachineParams
+
+#: A machine whose model sends 96^3 to Strassen: flops are all it prices.
+#: The generic machine picks classical there.
+FLOP_BOUND = MachineParams("flop-bound", peak_gflops_per_core=0.01,
+                           bandwidth_gbs=1e5, cores=1, lam=0.5)
 
 
 @pytest.fixture
@@ -36,6 +44,43 @@ class TestReadonly:
         C = multiply(A, B, engine="auto", tune="readonly")
         assert np.allclose(C, A @ B)
         assert model_counters["enumerate_candidates"] >= 1
+
+
+class TestReadonlyHotPath:
+    """Readonly prices with the store's record; off never reads it."""
+
+    @pytest.fixture
+    def operands(self, rng):
+        return rng.standard_normal((96, 96)), rng.standard_normal((96, 96))
+
+    def test_tune_off_ignores_wisdom(self, default_wisdom, operands):
+        A, B = operands
+        default_wisdom.record_machine(FLOP_BOUND)
+        C = multiply(A, B, engine="auto", tune="off")
+        assert last_report().core_path == "blas"  # the generic pick
+        assert np.array_equal(C, A @ B)
+        C = multiply(A, B, engine="auto", tune="readonly")
+        assert last_report().schedule == "<2,2,2>@1"  # the record's pick
+        np.testing.assert_allclose(C, A @ B, rtol=1e-12, atol=1e-12)
+
+    def test_batched_auto_uses_wisdom(self, default_wisdom, rng):
+        A = rng.standard_normal((3, 96, 96))
+        B = rng.standard_normal((96, 96))
+        default_wisdom.record_machine(FLOP_BOUND)
+        C = multiply_batched(A, B, engine="auto", tune="readonly")
+        rep = last_report()
+        assert (rep.schedule, rep.batch) == ("<2,2,2>@1", 3)
+        np.testing.assert_allclose(C, np.matmul(A, B), rtol=1e-12,
+                                   atol=1e-12)
+
+    def test_explicit_threads_price_with_the_same_record(self, default_wisdom,
+                                                         operands):
+        # The ledger passes threads=1; it is the default call's route.
+        A, B = operands
+        default_wisdom.record_machine(FLOP_BOUND)
+        C = multiply(A, B, engine="auto", tune="readonly", threads=1)
+        assert last_report().schedule == "<2,2,2>@1"
+        np.testing.assert_allclose(C, A @ B, rtol=1e-12, atol=1e-12)
 
 
 class TestProcessRestart:
@@ -90,8 +135,6 @@ class TestDegradation:
             set_default_store(None)
 
     def test_tune_on_raises_naming_the_removal(self, default_wisdom):
-        from repro.core.spec import normalize_tune
-
         A = np.ones((8, 8))
         calls = [
             lambda: normalize_tune("on"),
@@ -106,6 +149,24 @@ class TestDegradation:
             assert "repro tune --calibrate" in str(exc.value)
         assert default_wisdom.machine_params() is None
         assert not default_wisdom.path.exists()
+
+    @pytest.mark.parametrize("engine", ["direct", "blocked", "auto"])
+    @pytest.mark.parametrize("batched", [False, True], ids=["2d", "batched"])
+    def test_tune_on_raises_whatever_the_engine(self, default_wisdom, engine,
+                                                batched):
+        A = np.ones((2, 8, 8)) if batched else np.ones((8, 8))
+        call = multiply_batched if batched else multiply
+        with pytest.raises(ValueError, match="removed"):
+            call(A, A, engine=engine, tune="on")
+        assert default_wisdom.machine_params() is None  # nothing measured
+        assert not default_wisdom.path.exists()
+
+    @pytest.mark.parametrize("given,mode", [
+        ("off", "off"), ("OFF", "off"),
+        ("readonly", "readonly"), ("ReadOnly", "readonly"),
+    ])
+    def test_remaining_modes_normalize(self, given, mode):
+        assert normalize_tune(given) == mode
 
     def test_bad_tune_value_raises_up_front(self):
         A = np.ones((8, 8))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.tune import tuner
 from repro.tune.tuner import calibrate_machine, fit_machine_params
 
 
@@ -23,6 +24,27 @@ class TestMachineBackfit:
         mp = calibrate_machine(store=store, size=128)
         assert store.machine_params() == mp
         assert mp.peak_gflops_per_core > 0 and mp.bandwidth_gbs > 0
+
+    def test_calibrate_without_record_leaves_the_store_empty(
+            self, store, monkeypatch):
+        monkeypatch.setattr(tuner, "_time_matmuls",
+                            lambda shapes, rounds=10: [1e-3] * len(shapes))
+        mp = calibrate_machine(store=store, size=64, record=False)
+        assert mp.name.startswith("tuned-")
+        assert store.machine_params() is None
+        assert not store.path.exists()
+
+    @pytest.mark.parametrize("t_stream,bandwidth", [(1e-12, 512.0),
+                                                    (1e3, 1.0)],
+                             ids=["cache-resident", "stalled"])
+    def test_probe_bandwidth_is_clamped(self, store, monkeypatch, t_stream,
+                                        bandwidth):
+        # The rank-k probe's rate is kept in [1, 512] GB/s so the fit
+        # stays physical whatever one noisy probe reads.
+        monkeypatch.setattr(tuner, "_time_matmuls",
+                            lambda shapes, rounds=10: [1e-3, t_stream])
+        mp = calibrate_machine(store=store, size=64, record=False)
+        assert mp.bandwidth_gbs == bandwidth
 
     def test_model_fallback_uses_calibrated_machine(self, default_wisdom):
         # After calibration, auto_config prices candidates with the

@@ -44,12 +44,12 @@ Public surface
   (:mod:`repro.tune`); ``multiply(engine="auto", tune="readonly")``
   prices the model with it, measuring the host on first use.
 * :func:`set_runtime_tunables` / :func:`runtime_tunables` — in-process
-  runtime knobs (fused group size, auto-fusion threshold, serve
-  coalescing window/batch cap, tiled strip height and memory budget).
+  runtime knobs (fused group size, auto-fusion threshold, tiled strip
+  height and memory budget).
 * :class:`MultiplyService` / :class:`JobHandle` — the async serving
   layer (:mod:`repro.serve`): ``submit(A, B, **spec)`` returns a job
-  handle, a scheduler thread coalesces same-plan requests into batched
-  executions, and a byte budget provides admission control
+  handle, a scheduler thread runs the queued jobs one at a time, first
+  in first out, and a byte budget provides admission control
   (:class:`ServiceOverloadedError`; policy knob ``queue`` / ``reject``
   / ``serial``).  ``repro serve`` / ``repro jobs`` drive it from the
   shell.

@@ -20,28 +20,30 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 
-def _int_at_least(low: int):
-    """An argparse ``type`` for integers ``>= low``: anything else is a
-    usage error (exit 2), not a traceback from deep inside a command."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
+def _at_least(low, kind=int):
+    """An argparse ``type`` for ``kind`` numbers ``>= low``: anything else
+    is a usage error (exit 2), not a traceback from deep inside a
+    command.  A float nan or infinity is refused too."""
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value < math.inf:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in its messages
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
     return parse
 
 
 def _add_shape(p: argparse.ArgumentParser, low: int = 0) -> None:
     """``-m/-k/-n``; commands that price a problem need ``low=1``."""
     for dim in ("-m", "-k", "-n"):
-        p.add_argument(dim, type=_int_at_least(low), default=1024)
+        p.add_argument(dim, type=_at_least(low), default=1024)
 
 
 def _parse_algorithm(spec: str, levels: int):
@@ -144,13 +146,12 @@ def cmd_trace(args) -> int:
     else:
         ml = _parse_algorithm(args.algorithm, args.levels)
     call = multiply_batched if args.batch > 1 else multiply
-    repeat = max(args.repeat, 1)
     trace.enable(args.capacity)
     trace.clear()
     try:
         # Run at least twice by default: the cold call records the plan
         # compile, the warm one the plan-cache hit + steady-state phases.
-        for _ in range(repeat):
+        for _ in range(args.repeat):
             call(A, B, algorithm=ml if ml is not None else "strassen",
                  variant=args.variant, engine=args.engine, tune="off",
                  fusion=args.fusion)
@@ -164,7 +165,7 @@ def cmd_trace(args) -> int:
         cats[ev["cat"]] = cats.get(ev["cat"], 0) + 1
         pids.add(ev["pid"])
     print(f"wrote {args.out}: {len(events)} events from {len(pids)} "
-          f"process(es) over {repeat} run(s) "
+          f"process(es) over {args.repeat} run(s) "
           f"(open in chrome://tracing or Perfetto)")
     for cat in sorted(cats):
         print(f"  {cat:8s} {cats[cat]:6d} events")
@@ -210,9 +211,9 @@ def cmd_stats(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    """Spin a MultiplyService, fire a burst of same-plan jobs at it from
+    """Spin a MultiplyService, fire a burst of same-spec jobs at it from
     concurrent submitter threads, verify a sample, and print what the
-    coalescing scheduler made of the load."""
+    scheduler made of the load."""
     import threading
 
     from repro.core.executor import multiply
@@ -225,9 +226,6 @@ def cmd_serve(args) -> int:
     B = rng.standard_normal((args.k, args.n)).astype(dtype)
 
     svc = MultiplyService(
-        batch_window_s=(None if args.window_us is None
-                        else args.window_us / 1e6),
-        max_batch=args.max_batch,
         byte_budget=(None if args.byte_budget_mb is None
                      else int(args.byte_budget_mb * 2**20)),
         policy=args.policy,
@@ -249,7 +247,7 @@ def cmd_serve(args) -> int:
                 with lock:
                     handles.append(h)
 
-    n_sub = max(1, args.submitters)
+    n_sub = args.submitters
     per = [args.jobs // n_sub + (1 if i < args.jobs % n_sub else 0)
            for i in range(n_sub)]
     ts = [threading.Thread(target=submitter, args=(c,)) for c in per if c]
@@ -292,9 +290,7 @@ def cmd_serve(args) -> int:
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True, default=str))
         return 0
-    print(f"served {st['completed']} jobs in {st['batches']} batched runs "
-          f"(coalesce ratio {st['coalesce_ratio']:.1f}x, "
-          f"max batch {svc.max_batch}, window {svc.batch_window_s * 1e3:.1f}ms)")
+    print(f"served {st['completed']} jobs")
     print(f"  policy={svc.policy} rejected={st['rejected']} "
           f"degraded={st['degraded_serial']} cancelled={st['cancelled']} "
           f"errors={st['errors']}")
@@ -322,7 +318,7 @@ def cmd_jobs(args) -> int:
     ]
     ex = FaultInjectingExecutor()
     svc = MultiplyService(executor=ex)
-    gate = ex.push_block()  # hold batch #1 so the table shows a cancel
+    gate = ex.push_block()  # hold job #1 so the table shows a cancel
     handles = []
     for m, k, n, dt, algo, lv in specs:
         A = rng.standard_normal((m, k)).astype(dt)
@@ -340,18 +336,16 @@ def cmd_jobs(args) -> int:
     svc.shutdown(drain=True)
 
     print(f"{'job':8s} {'shape':14s} {'dtype':8s} {'status':10s} "
-          f"{'batch':5s} {'duration':>10s}  report")
+          f"{'duration':>10s}  report")
     for h in handles:
         m, k, n = h.shape
         rep = h.report()
         dur = f"{rep.duration_s * 1e3:9.2f}ms" if rep else f"{'-':>11s}"
         via = rep.worker_mode if rep else "-"
         print(f"{h.id:8s} {m}x{k}x{n:<8d} {h.dtype.name:8s} {h.status:10s} "
-              f"{h.batch_size or '-':<5} {dur}  {via}")
+              f"{dur}  {via}")
     st = svc.stats()
-    print(f"\n{st['completed']} complete, {st['cancelled']} cancelled, "
-          f"{st['batches']} batched runs "
-          f"(coalesce ratio {st['coalesce_ratio']:.1f}x)")
+    print(f"\n{st['completed']} complete, {st['cancelled']} cancelled")
     return 0
 
 
@@ -517,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="direct")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dtype", choices=("float32", "float64"), default="float64")
-    p.add_argument("--batch", type=_int_at_least(1), default=1,
+    p.add_argument("--batch", type=_at_least(1), default=1,
                    help="multiply a stack of N same-shape problems "
                         "through one compiled plan (1: one 2-D multiply)")
     p.add_argument("--tune", choices=("off", "readonly"),
@@ -573,10 +567,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dtype", choices=("float32", "float64"),
                    default="float64")
-    p.add_argument("--batch", type=_int_at_least(1), default=1)
+    p.add_argument("--batch", type=_at_least(1), default=1)
     p.add_argument("--fusion", choices=("auto", "staged", "fused", "tiled"),
                    default="auto")
-    p.add_argument("--repeat", type=int, default=2,
+    p.add_argument("--repeat", type=_at_least(1), default=2,
                    help="runs to record; the first shows the plan compile, "
                         "later ones the cached steady state (default 2)")
     p.add_argument("--capacity", type=int, default=None,
@@ -603,17 +597,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pin the variant (default abc once pinned)")
     p.add_argument("--dtype", choices=("float32", "float64"),
                    default="float64")
-    p.add_argument("--jobs", type=int, default=64,
+    p.add_argument("--jobs", type=_at_least(1), default=64,
                    help="multiply requests to submit (default 64)")
-    p.add_argument("--submitters", type=int, default=4,
+    p.add_argument("--submitters", type=_at_least(1), default=4,
                    help="concurrent submitter threads (default 4)")
-    p.add_argument("--window-us", type=int, default=None,
-                   help="coalescing window in microseconds "
-                        "(default: the serve_batch_window_us tunable)")
-    p.add_argument("--max-batch", type=int, default=None,
-                   help="coalesced batch cap (default: the serve_max_batch "
-                        "tunable)")
-    p.add_argument("--byte-budget-mb", type=float, default=None,
+    p.add_argument("--byte-budget-mb", type=_at_least(0, float), default=None,
                    help="admission byte budget in MiB (default: unlimited)")
     p.add_argument("--policy", choices=("queue", "reject", "serial"),
                    default=None,

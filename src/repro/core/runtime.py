@@ -547,8 +547,8 @@ class ExecutionReport:
     Every execution builds one, so the class is a plain dataclass: a
     frozen one sets each field through ``object.__setattr__``, about
     5 µs per report against 1 µs.  A published report is shared (the
-    history, the service's job index, every job of a coalesced batch),
-    so treat it as read-only.
+    thread-local, the history and the service's job index), so treat it
+    as read-only.
 
     Attributes
     ----------
@@ -634,7 +634,7 @@ _report_tls = threading.local()
 
 def last_report() -> ExecutionReport | None:
     """The :class:`ExecutionReport` of this thread's most recent
-    ``execute_plan``.
+    execution (``execute_plan`` or ``run_blas``).
 
     Thread-local on purpose: concurrent executions each read back their
     own report, never a neighbor's.  That same property makes it the

@@ -22,7 +22,6 @@ from repro.core.spec import Schedule
 from repro.model.machines import MachineParams
 from repro.model.perfmodel import (
     ModelPrediction,
-    effective_gflops,
     predict_fmm,
     predict_gemm,
 )
@@ -329,17 +328,3 @@ def auto_config(
                 machine = resolve_machine(store)
         schedule = _model_config(m, k, n, machine, max_levels)
     return (*schedule, 1, "reference", "threads")
-
-
-def best_gflops_series(
-    sweep: Iterable[tuple[int, int, int]],
-    machine: MachineParams,
-    **kwargs,
-) -> list[tuple[tuple[int, int, int], Candidate, float]]:
-    """Convenience for Fig.-8 style curves: winner + simulated GFLOPS per point."""
-    out = []
-    for (m, k, n) in sweep:
-        winner, _ = select(m, k, n, machine, **kwargs)
-        t = simulate_time(m, k, n, winner.multilevel(), winner.variant, machine)
-        out.append(((m, k, n), winner, effective_gflops(m, k, n, t)))
-    return out

@@ -66,8 +66,6 @@ __all__ = [
     "FUSED_AUTO_THRESHOLD",
     "MEM_BUDGET_ENV",
     "OVERLOAD_POLICIES",
-    "SERVE_BATCH_WINDOW_US",
-    "SERVE_MAX_BATCH",
     "TUNE_MODES",
     "VARIANTS",
     "Schedule",
@@ -79,8 +77,6 @@ __all__ = [
     "effective_fused_auto_threshold",
     "effective_fused_group",
     "effective_mem_budget_bytes",
-    "effective_serve_batch_window_us",
-    "effective_serve_max_batch",
     "effective_tile_rows",
     "invalidate_decisions",
     "normalize_fusion",
@@ -112,10 +108,11 @@ FUSION_MODES = ("auto", "staged", "fused", "tiled")
 
 #: Accepted values of the serving layer's over-budget admission policy
 #: (:class:`repro.serve.MultiplyService`): ``"queue"`` blocks the
-#: submitter until queued bytes drain below the budget, ``"reject"``
-#: raises a typed ``ServiceOverloadedError``, ``"serial"`` degrades the
-#: submission to a synchronous in-caller multiply that never enters the
-#: queue.
+#: submitter until the scheduler has claimed enough queued jobs for this
+#: one to fit the budget, ``"reject"`` raises a typed
+#: ``ServiceOverloadedError``, ``"serial"`` degrades the submission to a
+#: synchronous multiply in the submitter's thread that never enters the
+#: queue (the one case where a submitter runs a job).
 OVERLOAD_POLICIES = ("queue", "reject", "serial")
 
 #: Stacked-intermediate size (elements across all R products' S/T/M slabs)
@@ -131,18 +128,6 @@ FUSED_AUTO_THRESHOLD = 1 << 23
 #: strip height.  Large enough to amortize kernel dispatch, small enough
 #: that a group's S/T/M buffers stay cache-resident.
 DEFAULT_FUSED_GROUP = 8
-
-#: Coalescing window of the serving layer's scheduler, in microseconds:
-#: after the first job of a plan key arrives, the scheduler holds the
-#: batch open this long for same-key requests before executing.  Long
-#: enough to catch a burst, short enough to stay invisible next to a
-#: small multiply's latency.
-SERVE_BATCH_WINDOW_US = 2000
-
-#: Most multiply jobs the serving scheduler folds into one coalesced
-#: batched execution.  Caps the stacked operand slab (and the latency of
-#: the jobs that ride at the back of the batch).
-SERVE_MAX_BATCH = 32
 
 #: Tile-strip height (rows of stacked products per streamed strip) of the
 #: out-of-core tiled lowering.  ``0`` means "auto": the runtime solves the
@@ -164,13 +149,10 @@ MEM_BUDGET_ENV = "REPRO_MEM_BUDGET"
 #: The runtime constants :func:`set_runtime_tunables` can override in
 #: this process, and their shipped defaults.  Every consumer reads
 #: through the ``effective_*`` accessors so an override reaches the
-#: runtime, the workspace model, ``fusion="auto"`` resolution and the
-#: serving scheduler alike.
+#: runtime, the workspace model and ``fusion="auto"`` resolution alike.
 TUNABLE_DEFAULTS = {
     "fused_group": DEFAULT_FUSED_GROUP,
     "fused_auto_threshold": FUSED_AUTO_THRESHOLD,
-    "serve_batch_window_us": SERVE_BATCH_WINDOW_US,
-    "serve_max_batch": SERVE_MAX_BATCH,
     "tile_rows": DEFAULT_TILE_ROWS,
     "mem_budget_bytes": DEFAULT_MEM_BUDGET_BYTES,
 }
@@ -215,8 +197,6 @@ def dtype_name(dtype) -> str:
 def set_runtime_tunables(
     fused_group=None,
     fused_auto_threshold=None,
-    serve_batch_window_us=None,
-    serve_max_batch=None,
     tile_rows=None,
     mem_budget_bytes=None,
 ) -> dict:
@@ -241,20 +221,6 @@ def set_runtime_tunables(
                 f"fused_auto_threshold must be >= 0, got {fused_auto_threshold!r}"
             )
         t["fused_auto_threshold"] = th
-    if serve_batch_window_us is not None:
-        win = int(serve_batch_window_us)
-        if win < 0:
-            raise ValueError(
-                f"serve_batch_window_us must be >= 0, got {serve_batch_window_us!r}"
-            )
-        t["serve_batch_window_us"] = win
-    if serve_max_batch is not None:
-        mb = int(serve_max_batch)
-        if mb < 1:
-            raise ValueError(
-                f"serve_max_batch must be >= 1, got {serve_max_batch!r}"
-            )
-        t["serve_max_batch"] = mb
     if tile_rows is not None:
         tr = int(tile_rows)
         if tr < 0:
@@ -286,16 +252,6 @@ def effective_fused_group() -> int:
 def effective_fused_auto_threshold() -> int:
     """The ``fusion="auto"`` staged-slab threshold, tunable overrides applied."""
     return _tunables["fused_auto_threshold"]
-
-
-def effective_serve_batch_window_us() -> int:
-    """The serving coalescing window (µs), tunable overrides applied."""
-    return _tunables["serve_batch_window_us"]
-
-
-def effective_serve_max_batch() -> int:
-    """The serving max coalesced batch size, tunable overrides applied."""
-    return _tunables["serve_max_batch"]
 
 
 def effective_tile_rows() -> int:

@@ -92,9 +92,8 @@ class ReportHistory:
     def record_job(self, job_id: str, report) -> None:
         """Attribute ``report`` to ``job_id`` (service per-job lookup).
 
-        A coalesced batch shares one execution, so several job ids may
-        map to the same report object.  Does *not* append to the ring —
-        the runtime already published the execution there.
+        Does *not* append to the ring — the runtime already published
+        the execution there.
         """
         with self._lock:
             self._by_job[str(job_id)] = report

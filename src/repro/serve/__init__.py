@@ -1,33 +1,31 @@
-"""The serving layer: async multiply submission with coalescing.
+"""The serving layer: async multiply submission, one job at a time.
 
 Public surface: :class:`MultiplyService` (``submit`` -> job handle;
 a job that names no schedule runs ``engine="auto"``'s pick, a classical
-one as its own BLAS call; same-plan FMM jobs coalesce; byte-budget
-admission control),
+one as one BLAS call; one scheduler thread runs the queue first in first
+out; byte-budget admission control),
 :class:`JobHandle`, and the typed service errors.  The deterministic
-test seams live in :mod:`repro.serve.testing`.
+test seam lives in :mod:`repro.serve.testing`.
 """
 
 from repro.serve.service import (
     JOB_STATUSES,
     JobCancelledError,
     JobHandle,
-    MonotonicClock,
     MultiplyService,
     ServiceClosedError,
     ServiceError,
     ServiceOverloadedError,
-    execute_batch,
+    execute_job,
 )
 
 __all__ = [
     "JOB_STATUSES",
     "JobCancelledError",
     "JobHandle",
-    "MonotonicClock",
     "MultiplyService",
     "ServiceClosedError",
     "ServiceError",
     "ServiceOverloadedError",
-    "execute_batch",
+    "execute_job",
 ]

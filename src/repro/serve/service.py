@@ -15,27 +15,17 @@ memoized route as ``multiply(A, B, engine="auto")``
 (:func:`repro.core.executor._resolve`), so it returns bitwise what that
 call returns.  Wherever FMM does not pay off (the paper's §4.4
 poly-algorithm), that route is classical, and the scheduler runs the job
-as its own BLAS call (:func:`repro.core.runtime.run_blas`): no stacking,
-no plan, no batch window, since one ``np.matmul`` has nothing to
-amortize.  Before this default, every job ran ``strassen@1``; a job that
-sets any of the three spec arguments still pins a schedule, with
-``strassen``, 1 and ``"abc"`` for the ones it leaves out.
+as one BLAS call (:func:`repro.core.runtime.run_blas`).  Before this
+default, every job ran ``strassen@1``; a job that sets any of the three
+spec arguments still pins a schedule, with ``strassen``, 1 and ``"abc"``
+for the ones it leaves out, and runs as one 2-D
+:func:`repro.core.runtime.execute_plan` call.
 
-A single scheduler thread drains the queue and **coalesces same-plan
-FMM requests**: the compiled-plan cache key (:mod:`repro.core.compile`)
-is the coalescing key, and matching jobs that arrive within the batch
-window are stacked into one batched execution
-through :func:`repro.core.runtime.execute_plan` — the same amortization
-:func:`repro.multiply_batched` gives a caller who already holds a stack,
-earned here across callers who do not know about each other.  Batched
-execution is bitwise-equal to per-request 2-D execution under the same
-plan (the batch folds into the task slabs; the per-element accumulation
-order is unchanged), so coalescing is invisible to results, and every
-job gets an array of its own.  The window and batch cap default from
-the runtime-tunable constants
-(:func:`repro.core.spec.effective_serve_batch_window_us` /
-:func:`effective_serve_max_batch`), like ``DEFAULT_FUSED_GROUP`` before
-them.
+A single scheduler thread claims queued jobs one at a time, first in
+first out, and runs each alone.  ``submit`` only enqueues, so a caller
+that submits on a schedule (an open-loop load generator) never waits for
+a job's arithmetic; only the ``"serial"`` overload policy below runs a
+job in the caller.
 
 **Admission control** prices each job off the arena's byte accounting:
 :func:`repro.model.perfmodel.predict_workspace_bytes` (the model twin of
@@ -49,20 +39,18 @@ queue drains, ``"reject"`` raises :class:`ServiceOverloadedError`,
 ``"serial"`` degrades the call to a synchronous in-caller multiply that
 never enters the queue.
 
-Job state, queue depth, coalesce ratio and per-job latency publish into
-the PR-8 observability layer — the :mod:`repro.obs.metrics` registry and
+Job state, queue depth and per-job latency publish into the
+observability layer — the :mod:`repro.obs.metrics` registry and
 :mod:`repro.obs.reports` history — not a parallel record.  Per-job
 ExecutionReports in particular route through
 ``repro.obs.reports.record_job`` keyed by job id, because
 ``runtime.last_report()`` is thread-local and therefore racy for anyone
 but the executing thread (see its docstring).
 
-The scheduler's clock and batch executor are injectable constructor
-seams (``clock=``, ``executor=``): :mod:`repro.serve.testing` provides a
-manual :class:`~repro.serve.testing.ServiceTestClock` and a
-fault-injecting executor so coalescing windows, cancellation races and
-error propagation are tested without wall-clock sleeps.  A BLAS job
-reaches the executor too, as a batch of one.
+The scheduler's job executor is an injectable constructor seam
+(``executor=``): :mod:`repro.serve.testing` provides a fault-injecting
+executor so cancellation races and error propagation are tested without
+wall-clock sleeps.
 """
 
 from __future__ import annotations
@@ -78,12 +66,7 @@ import numpy as np
 from repro.core import compile as plancache
 from repro.core import runtime
 from repro.core.executor import _compute_dtype, _contig_operand, _resolve
-from repro.core.spec import (
-    effective_serve_batch_window_us,
-    effective_serve_max_batch,
-    normalize_fusion,
-    normalize_overload_policy,
-)
+from repro.core.spec import normalize_fusion, normalize_overload_policy
 from repro.model.perfmodel import predict_workspace_bytes
 from repro.obs import metrics as obs_metrics
 from repro.obs import reports as obs_reports
@@ -93,11 +76,10 @@ __all__ = [
     "JobCancelledError",
     "JobHandle",
     "MultiplyService",
-    "MonotonicClock",
     "ServiceClosedError",
     "ServiceError",
     "ServiceOverloadedError",
-    "execute_batch",
+    "execute_job",
 ]
 
 #: The job lifecycle. ``pending`` jobs sit in the queue (cancellable);
@@ -134,22 +116,6 @@ class JobCancelledError(ServiceError):
     """``result()`` on a job that was cancelled before it ran."""
 
 
-class MonotonicClock:
-    """The default scheduler clock: real monotonic time + condition wait.
-
-    The service never calls ``time`` APIs directly — everything temporal
-    goes through this two-method seam so tests can substitute
-    :class:`repro.serve.testing.ServiceTestClock` and drive windows
-    manually.
-    """
-
-    def now(self) -> float:
-        return time.monotonic()
-
-    def wait(self, cond: threading.Condition, timeout: float | None) -> bool:
-        return cond.wait(timeout)
-
-
 # ---------------------------------------------------------------------- #
 # Service metrics (module-level: the registry is process-wide)
 # ---------------------------------------------------------------------- #
@@ -166,9 +132,7 @@ _m_rejected = obs_metrics.counter(
 _m_degraded = obs_metrics.counter(
     "serve.degraded_serial", "over-budget submissions degraded to serial")
 _m_batches = obs_metrics.counter(
-    "serve.batches", "coalesced batch executions")
-_h_batch_size = obs_metrics.histogram(
-    "serve.batch_size", "jobs per coalesced batch")
+    "serve.batches", "job executions, one per job that ran")
 _h_job_latency = obs_metrics.histogram(
     "serve.job_latency_s", "submit-to-complete latency per job")
 
@@ -184,20 +148,11 @@ def _total_pending_bytes() -> int:
     return sum(s.pending_bytes for s in list(_services))
 
 
-def _coalesce_ratio() -> float:
-    """Jobs executed per batch execution, over the process lifetime."""
-    done = _m_completed.value() + _m_errors.value()
-    batches = _m_batches.value()
-    return (done / batches) if batches else 0.0
-
-
 obs_metrics.gauge("serve.queue_depth",
                   "pending jobs across live services", _total_queue_depth)
 obs_metrics.gauge("serve.pending_bytes",
                   "priced bytes queued across live services",
                   _total_pending_bytes)
-obs_metrics.gauge("serve.coalesce_ratio",
-                  "completed jobs per batch execution", _coalesce_ratio)
 
 _job_ids = itertools.count(1)
 
@@ -245,17 +200,16 @@ class JobHandle:
     """
 
     __slots__ = (
-        "id", "_service", "_key", "_cplan", "_blas", "_A", "_B", "_shape",
+        "id", "_service", "_cplan", "_blas", "_A", "_B", "_shape",
         "_dtype", "_cost_bytes", "_submitted_at",
-        "_status", "_result", "_exc", "_batch_size", "_done",
+        "_status", "_result", "_exc", "_done",
         "__weakref__",
     )
 
-    def __init__(self, service, key, cplan, blas, A, B, shape, dtype,
+    def __init__(self, service, cplan, blas, A, B, shape, dtype,
                  cost_bytes, submitted_at) -> None:
         self.id = f"job-{next(_job_ids)}"
         self._service = service
-        self._key = key            # coalescing key; None for a BLAS job
         self._cplan = cplan        # the pinned or picked FMM plan, else None
         self._blas = blas          # a BLAS job's constant report fields
         self._A = A
@@ -267,7 +221,6 @@ class JobHandle:
         self._status = "pending"
         self._result = None
         self._exc: BaseException | None = None
-        self._batch_size = 0
         self._done = _Latch()
 
     @property
@@ -282,12 +235,6 @@ class JobHandle:
     @property
     def dtype(self) -> np.dtype:
         return self._dtype
-
-    @property
-    def batch_size(self) -> int:
-        """Jobs in the coalesced batch this job executed in (0 before
-        execution, 1 when it ran alone)."""
-        return self._batch_size
 
     def done(self) -> bool:
         return self._done.is_set()
@@ -331,8 +278,7 @@ class JobHandle:
         Looked up from the bounded report history keyed by job id
         (:func:`repro.obs.reports.report_for`) — *not* from the racy
         thread-local ``runtime.last_report()``.  None until the job
-        completes (or after eviction from the bounded history).  Jobs
-        coalesced into one batch share one report.
+        completes (or after eviction from the bounded history).
         """
         return obs_reports.report_for(self.id)
 
@@ -342,54 +288,34 @@ class JobHandle:
                 f"{self._status})")
 
 
-def execute_batch(jobs: list[JobHandle]):
-    """The default batch executor: run one claimed batch; return
-    ``(results, report)``.
+def execute_job(job: JobHandle):
+    """The default job executor: run one claimed job; return
+    ``(C, report)``.
 
     A BLAS job (auto resolved it classical) is one
-    :func:`repro.core.runtime.run_blas` call into a fresh result; the
-    scheduler hands those over one per call, so the report is that
-    job's.
-    For an FMM plan a single job executes 2-D; several stack into a
-    ``(batch, m, k)`` operand and run the batched lowering —
-    bitwise-equal per element either way — and each job gets a copy of
-    its slice, so no result keeps the stack alive.  The report is read
-    via ``last_report()`` *in this thread* immediately after the
-    execution, which is the one place that thread-local is race-free;
-    the service then attributes it to each job id in the history.
+    :func:`repro.core.runtime.run_blas` call into a fresh result; an FMM
+    job is one 2-D :func:`repro.core.runtime.execute_plan` call into a
+    zeroed ``C``.  The report is read via ``last_report()`` *in this
+    thread* immediately after the execution, which is the one place that
+    thread-local is race-free; the service then attributes it to the job
+    id in the history.
     """
-    lead = jobs[0]
-    cplan = lead._cplan
+    cplan = job._cplan
     if cplan is None:
-        results = [runtime.run_blas(j._A, j._B, None, j._blas) for j in jobs]
-        return results, runtime.last_report()
-    m, k, n = cplan.shape
-    if len(jobs) == 1:
-        C = np.zeros((m, n), dtype=cplan.dtype)
-        runtime.execute_plan(cplan, lead._A, lead._B, C)
-        results = [C]
+        C = runtime.run_blas(job._A, job._B, None, job._blas)
     else:
-        A3 = np.stack([j._A for j in jobs])
-        B3 = np.stack([j._B for j in jobs])
-        C3 = np.zeros((len(jobs), m, n), dtype=cplan.dtype)
-        runtime.execute_plan(cplan, A3, B3, C3)
-        results = [C.copy() for C in C3]
-    return results, runtime.last_report()
+        m, _, n = cplan.shape
+        C = np.zeros((m, n), dtype=cplan.dtype)
+        runtime.execute_plan(cplan, job._A, job._B, C)
+    return C, runtime.last_report()
 
 
 class MultiplyService:
-    """Asynchronous multiply submission front with request coalescing.
+    """Asynchronous multiply submission front: one scheduler thread runs
+    the queued jobs one at a time, first in first out.
 
     Parameters
     ----------
-    batch_window_s:
-        Seconds the scheduler holds a batch open for same-plan arrivals
-        after claiming its first job.  Default: the runtime-tunable
-        ``serve_batch_window_us`` (resolved per batch, so a tunable
-        update reaches a running service).
-    max_batch:
-        Most jobs coalesced into one execution.  Default: the
-        runtime-tunable ``serve_max_batch``.
     byte_budget:
         Admission budget in bytes: the sum over queued jobs of predicted
         workspace + operand/result bytes may not exceed it.  ``None``
@@ -398,9 +324,9 @@ class MultiplyService:
         Over-budget behavior: ``"queue"`` | ``"reject"`` | ``"serial"``
         (see :data:`repro.core.spec.OVERLOAD_POLICIES`).  Default
         ``"reject"``.
-    clock, executor:
-        Test seams (see module docstring).  ``executor(jobs)`` must
-        return ``(results, report_or_None)`` aligned with ``jobs``.
+    executor:
+        Test seam (see module docstring).  ``executor(job)`` must return
+        ``(C, report_or_None)``.
 
     Use as a context manager for a drained shutdown::
 
@@ -412,35 +338,20 @@ class MultiplyService:
     def __init__(
         self,
         *,
-        batch_window_s: float | None = None,
-        max_batch: int | None = None,
         byte_budget: int | None = None,
         policy: str | None = None,
-        clock=None,
         executor=None,
     ) -> None:
-        self._batch_window_s = (
-            None if batch_window_s is None else float(batch_window_s))
-        if self._batch_window_s is not None and self._batch_window_s < 0:
-            raise ValueError("batch_window_s must be >= 0")
-        self._max_batch = None if max_batch is None else int(max_batch)
-        if self._max_batch is not None and self._max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         self._byte_budget = None if byte_budget is None else int(byte_budget)
         if self._byte_budget is not None and self._byte_budget < 0:
             raise ValueError("byte_budget must be >= 0")
         self._policy = normalize_overload_policy(policy)
-        self._clock = clock if clock is not None else MonotonicClock()
-        self._executor = executor if executor is not None else execute_batch
+        self._executor = executor if executor is not None else execute_job
 
         self._cond = threading.Condition()
         self._queue: deque[JobHandle] = deque()
-        # Queued jobs per coalescing key, so a batch window checks its
-        # fill without scanning the queue on every wake.
-        self._key_counts: dict = {}
         self._pending_bytes = 0
         self._closed = False
-        self._draining = True
         # Per-instance counts (the registry counters are process-wide).
         self._counts = {
             "submitted": 0, "completed": 0, "errors": 0, "cancelled": 0,
@@ -450,21 +361,6 @@ class MultiplyService:
             target=self._loop, name="repro-serve-scheduler", daemon=True)
         self._thread.start()
         _services.add(self)
-
-    # ------------------------------------------------------------------ #
-    # Tunable-backed knobs (resolved per read so live overrides apply)
-    # ------------------------------------------------------------------ #
-    @property
-    def batch_window_s(self) -> float:
-        if self._batch_window_s is not None:
-            return self._batch_window_s
-        return effective_serve_batch_window_us() / 1e6
-
-    @property
-    def max_batch(self) -> int:
-        if self._max_batch is not None:
-            return self._max_batch
-        return effective_serve_max_batch()
 
     @property
     def byte_budget(self) -> int | None:
@@ -489,14 +385,12 @@ class MultiplyService:
         return self._closed
 
     def stats(self) -> dict:
-        """Per-instance lifecycle counts plus queue state and the
-        coalesce ratio (jobs executed per batch execution)."""
+        """Per-instance lifecycle counts plus queue state.  ``batches``
+        counts executions, one per job that ran."""
         with self._cond:
             out = dict(self._counts)
             out["queue_depth"] = len(self._queue)
             out["pending_bytes"] = self._pending_bytes
-        done = out["completed"] + out["errors"]
-        out["coalesce_ratio"] = done / out["batches"] if out["batches"] else 0.0
         return out
 
     # ------------------------------------------------------------------ #
@@ -544,11 +438,10 @@ class MultiplyService:
         A job that sets none of ``algorithm``, ``levels`` and ``variant``
         gets ``engine="auto"``'s pick: it resolves through the same
         memoized route as ``multiply(A, B, engine="auto", dtype=dtype,
-        fusion=fusion)`` and returns bitwise what that call returns.  A
-        classical pick runs as its own BLAS call, never stacked and never
-        held for a batch window.  Setting any of the
-        three pins the schedule, with ``"strassen"``, 1 and ``"abc"`` for
-        the ones left unset, so ``submit(A, B, levels=2)`` is
+        fusion=fusion)`` and returns bitwise what that call returns; a
+        classical pick runs as one BLAS call.  Setting any of the three
+        pins the schedule, with ``"strassen"``, 1 and ``"abc"`` for the
+        ones left unset, so ``submit(A, B, levels=2)`` is
         ``strassen@2``; the accepted spec is the direct-engine multiply
         surface (schedule strings and hybrid stacks included).  Before
         this default, a bare ``submit(A, B)`` ran ``strassen@1``.
@@ -589,13 +482,9 @@ class MultiplyService:
             )
         A = _contig_operand(A, dt, "A")
         B = _contig_operand(B, dt, "B")
-        # The coalescing key of an FMM job is the compiled plan's cache
-        # key (shape, schedule, variant, dtype, resolved fusion).  A BLAS
-        # job has none: it always runs alone.
-        key = None if cplan is None else cplan.key
         cost = self._price(cplan, dt, m, k, n)
-        job = JobHandle(self, key, cplan, blas, A, B, (m, k, n), dt, cost,
-                        self._clock.now())
+        job = JobHandle(self, cplan, blas, A, B, (m, k, n), dt, cost,
+                        time.monotonic())
 
         degraded = False
         with self._cond:
@@ -618,7 +507,7 @@ class MultiplyService:
                 if self._policy == "queue":
                     while (not self._closed
                            and self._pending_bytes + cost > budget):
-                        self._clock.wait(self._cond, None)
+                        self._cond.wait()
                     if self._closed:
                         raise ServiceClosedError("service is shut down")
                 elif self._policy == "serial":
@@ -628,8 +517,6 @@ class MultiplyService:
             if not degraded:
                 self._counts["submitted"] += 1
                 self._queue.append(job)
-                if key is not None:
-                    self._key_counts[key] = self._key_counts.get(key, 0) + 1
                 self._pending_bytes += cost
                 self._cond.notify_all()
         _m_submitted.inc()
@@ -645,12 +532,7 @@ class MultiplyService:
         degraded caller never stalls the scheduler.
         """
         job._status = "running"
-        try:
-            results, report = execute_batch([job])
-        except BaseException as exc:  # noqa: BLE001 - delivered via result()
-            self._finish_error([job], exc)
-        else:
-            self._finish_complete([job], results, report)
+        self._execute(job, execute_job)
         return job
 
     # ------------------------------------------------------------------ #
@@ -664,7 +546,6 @@ class MultiplyService:
                 self._queue.remove(job)
             except ValueError:
                 return False
-            self._uncount_locked(job)
             job._status = "cancelled"
             self._pending_bytes -= job._cost_bytes
             self._counts["cancelled"] += 1
@@ -677,103 +558,46 @@ class MultiplyService:
     # The scheduler
     # ------------------------------------------------------------------ #
     def _loop(self) -> None:
+        """Claim the queue's head, run it alone, repeat until closed and
+        drained.  A claimed job leaves the queue (no longer cancellable)
+        and stops counting against the byte budget."""
         while True:
             with self._cond:
                 while not self._queue and not self._closed:
-                    self._clock.wait(self._cond, None)
+                    self._cond.wait()
                 if not self._queue:
                     return  # closed and drained (or queue was cleared)
-                batch = self._collect_batch_locked()
-            if batch:
-                self._run_batch(batch)
+                job = self._queue.popleft()
+                self._pending_bytes -= job._cost_bytes
+                job._status = "running"
+                self._cond.notify_all()  # queue-policy submitters may fit now
+            self._execute(job, self._executor)
 
-    def _uncount_locked(self, job: JobHandle) -> None:
-        """Drop a job that leaves the queue from its key's count."""
-        if job._key is not None:
-            left = self._key_counts[job._key] - 1
-            if left:
-                self._key_counts[job._key] = left
-            else:
-                del self._key_counts[job._key]
-
-    def _collect_batch_locked(self) -> list[JobHandle]:
-        """Claim the next batch (called with the lock held).
-
-        A BLAS job at the head is claimed alone and at once: one
-        ``np.matmul`` has nothing to share, so it never waits for
-        company.  Otherwise the head's key selects the batch; the window
-        holds it open for more same-key arrivals until ``max_batch``
-        jobs are queued under it, the deadline passed, or shutdown
-        began.  Pending jobs stay in the queue (still cancellable) until
-        the batch closes, and then one pass splits the queue into the
-        batch and the rest.
-        """
-        key = self._queue[0]._key
-        if key is None:
-            batch = [self._queue.popleft()]
-        else:
-            max_batch = self.max_batch
-            deadline = self._clock.now() + self.batch_window_s
-            while (0 < self._key_counts.get(key, 0) < max_batch
-                   and not self._closed):
-                remaining = deadline - self._clock.now()
-                if remaining <= 0:
-                    break
-                self._clock.wait(self._cond, remaining)
-            batch, rest = [], deque()
-            for job in self._queue:
-                if job._key == key and len(batch) < max_batch:
-                    batch.append(job)
-                else:
-                    rest.append(job)
-            self._queue = rest
-        for job in batch:
-            self._uncount_locked(job)
-            self._pending_bytes -= job._cost_bytes
-            job._status = "running"
-        self._cond.notify_all()  # queue-policy submitters may fit now
-        return batch
-
-    def _run_batch(self, jobs: list[JobHandle]) -> None:
+    def _execute(self, job: JobHandle, executor) -> None:
+        """Run one claimed job and deliver its result or its exception."""
         try:
-            results, report = self._executor(jobs)
+            C, report = executor(job)
         except BaseException as exc:  # noqa: BLE001 - delivered via result()
-            self._finish_error(jobs, exc)
+            with self._cond:
+                job._exc = exc
+                job._status = "error"
+                self._counts["errors"] += 1
+                self._counts["batches"] += 1
+            job._done.set()
+            _m_errors.inc()
         else:
-            self._finish_complete(jobs, results, report)
-
-    def _finish_complete(self, jobs, results, report) -> None:
-        now = self._clock.now()
-        if report is not None:
-            for job in jobs:
+            now = time.monotonic()
+            if report is not None:
                 obs_reports.record_job(job.id, report)
-        with self._cond:
-            for job, C in zip(jobs, results):
+            with self._cond:
                 job._result = C
-                job._batch_size = len(jobs)
                 job._status = "complete"
-            self._counts["completed"] += len(jobs)
-            self._counts["batches"] += 1
-        for job in jobs:
+                self._counts["completed"] += 1
+                self._counts["batches"] += 1
             job._done.set()
             _m_completed.inc()
             _h_job_latency.observe(max(0.0, now - job._submitted_at))
         _m_batches.inc()
-        _h_batch_size.observe(len(jobs))
-
-    def _finish_error(self, jobs, exc) -> None:
-        with self._cond:
-            for job in jobs:
-                job._exc = exc
-                job._batch_size = len(jobs)
-                job._status = "error"
-            self._counts["errors"] += len(jobs)
-            self._counts["batches"] += 1
-        for job in jobs:
-            job._done.set()
-            _m_errors.inc()
-        _m_batches.inc()
-        _h_batch_size.observe(len(jobs))
 
     # ------------------------------------------------------------------ #
     # Shutdown
@@ -788,11 +612,9 @@ class MultiplyService:
         """
         with self._cond:
             self._closed = True
-            self._draining = drain
             if not drain:
                 cancelled = list(self._queue)
                 self._queue.clear()
-                self._key_counts.clear()
                 self._pending_bytes = 0
                 for job in cancelled:
                     job._status = "cancelled"

@@ -1,20 +1,14 @@
-"""Deterministic test seams for :class:`repro.serve.MultiplyService`.
+"""Deterministic test seam for :class:`repro.serve.MultiplyService`.
 
-The service takes its clock and its batch executor as constructor
-parameters; this module supplies the test doubles:
+The service takes its job executor as a constructor parameter; this
+module supplies the test double:
 
-* :class:`ServiceTestClock` — manual time.  ``now()`` only moves when
-  the test calls :meth:`~ServiceTestClock.advance`, so a coalescing
-  window stays open exactly as long as the test wants it open; waits
-  block on the real condition variable (woken by submits, cancels,
-  shutdown, and ``advance``) with a short bounded poll as a
-  missed-wakeup backstop — no test ever sleeps a wall-clock window.
-* :class:`FaultInjectingExecutor` — wraps the default batch executor
-  with a command queue: per-batch it can run normally, raise a chosen
-  exception into every job of the batch, or block ("deadlock") until
-  the test releases a gate — which is how cancellation races and
-  queue-full states are set up deterministically (hold the scheduler in
-  batch #1, arrange the queue, then release).
+* :class:`FaultInjectingExecutor` — wraps the default job executor with
+  a command queue: per job it can run normally, raise a chosen exception
+  into the job, or block ("deadlock") until the test releases a gate —
+  which is how cancellation races and queue-full states are set up
+  deterministically (hold the scheduler in job #1, arrange the queue,
+  then release).
 
 Nothing here is imported by the service itself.
 """
@@ -22,110 +16,44 @@ Nothing here is imported by the service itself.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 
-from repro.serve.service import execute_batch
+from repro.serve.service import execute_job
 
-__all__ = ["FaultInjectingExecutor", "ServiceTestClock"]
-
-#: Bounded poll the test clock uses as a missed-wakeup backstop.  Short
-#: enough that a lost notify costs milliseconds, long enough not to busy
-#: spin; it never *gates* progress — every state change notifies.
-_POLL_S = 0.02
-
-
-class ServiceTestClock:
-    """A manually advanced scheduler clock.
-
-    Drop-in for :class:`repro.serve.MonotonicClock`: ``now()`` returns
-    the test-controlled time, and ``wait()`` ignores the requested
-    timeout — the scheduler re-derives its deadline from ``now()`` on
-    every wakeup, so waking it is always safe and never closes a window
-    early.  :meth:`advance` moves time and notifies every condition that
-    has ever waited on this clock.
-    """
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._lock = threading.Lock()
-        self._now = float(start)
-        self._conds: set[threading.Condition] = set()
-
-    def now(self) -> float:
-        with self._lock:
-            return self._now
-
-    def wait(self, cond: threading.Condition, timeout: float | None) -> bool:
-        with self._lock:
-            self._conds.add(cond)
-        return cond.wait(_POLL_S)
-
-    def advance(self, dt: float) -> float:
-        """Move time forward by ``dt`` seconds and wake all waiters."""
-        if dt < 0:
-            raise ValueError("time only moves forward")
-        with self._lock:
-            self._now += float(dt)
-            now = self._now
-            conds = list(self._conds)
-        for cond in conds:
-            with cond:
-                cond.notify_all()
-        return now
-
-    def run_until(self, predicate, step: float = 1.0,
-                  timeout_s: float = 10.0) -> None:
-        """Advance simulated time in ``step`` increments until
-        ``predicate()`` holds, yielding the CPU between advances so the
-        scheduler thread observes each one.  The scheduler re-anchors a
-        batch deadline at ``now()`` when it *claims* the batch, so a
-        single big jump made before the claim would leave the window
-        open; stepping until the predicate holds is the deterministic
-        driver.  ``timeout_s`` is a wall-clock safety ceiling only — it
-        bounds a hung test, it never gates a passing one.
-        """
-        deadline = time.monotonic() + timeout_s
-        while not predicate():
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"predicate still false after {timeout_s}s of simulated "
-                    "stepping"
-                )
-            self.advance(step)
-            time.sleep(0.001)
+__all__ = ["FaultInjectingExecutor"]
 
 
 class FaultInjectingExecutor:
-    """A programmable batch executor for fault and race testing.
+    """A programmable job executor for fault and race testing.
 
     Commands queue up via :meth:`push_ok` / :meth:`push_raise` /
-    :meth:`push_block`; each arriving batch consumes one (default:
-    run normally).  Every call is recorded in :attr:`calls` as the list
-    of job ids it carried, in batch order — coalescing assertions read
-    it directly.
+    :meth:`push_block`; each arriving job consumes one (default: run
+    normally).  Every call is recorded in :attr:`calls` as the id of the
+    job it carried, in execution order — ordering assertions read it
+    directly.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._commands: deque = deque()
-        self.calls: list[list[str]] = []
+        self.calls: list[str] = []
 
     def push_ok(self, n: int = 1) -> None:
-        """Let the next ``n`` batches execute normally."""
+        """Let the next ``n`` jobs execute normally."""
         with self._lock:
             for _ in range(n):
                 self._commands.append(("ok", None))
 
     def push_raise(self, exc: BaseException) -> None:
-        """Make the next batch raise ``exc`` instead of executing."""
+        """Make the next job raise ``exc`` instead of executing."""
         with self._lock:
             self._commands.append(("raise", exc))
 
     def push_block(self, gate: threading.Event | None = None) -> threading.Event:
-        """Make the next batch block until the returned gate is set.
+        """Make the next job block until the returned gate is set.
 
-        The batch executes normally once released — the scheduler is
-        effectively frozen mid-batch, which is the window in which
+        The job executes normally once released — the scheduler is
+        effectively frozen mid-job, which is the window in which
         cancellation races and queue pile-ups are staged.
         """
         gate = gate or threading.Event()
@@ -133,13 +61,13 @@ class FaultInjectingExecutor:
             self._commands.append(("block", gate))
         return gate
 
-    def __call__(self, jobs):
+    def __call__(self, job):
         with self._lock:
-            self.calls.append([j.id for j in jobs])
+            self.calls.append(job.id)
             cmd, arg = (self._commands.popleft() if self._commands
                         else ("ok", None))
         if cmd == "block":
             arg.wait()
         elif cmd == "raise":
             raise arg
-        return execute_batch(jobs)
+        return execute_job(job)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -94,6 +96,25 @@ class TestCommands:
                   "--batch", batch, *out])
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--jobs", "-3"],
+        ["serve", "--jobs", "0"],
+        ["serve", "--submitters", "0"],
+        ["serve", "--submitters", "-2"],
+        ["serve", "--byte-budget-mb", "-1"],
+        ["serve", "--byte-budget-mb", "nan"],
+        ["trace", "run", "--repeat", "-1"],
+        ["trace", "run", "--repeat", "0"],
+    ], ids="_".join)
+    def test_count_below_its_floor_is_a_usage_error(self, capsys, argv):
+        """A negative job count, no submitters, a negative budget or no
+        repeats is refused by the parser, not served as nothing, bumped
+        to one or raised from the service constructor."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-m", "8", "-k", "8", "-n", "8"])
+        assert exc.value.code == 2
+        assert "must be >= " in capsys.readouterr().err
 
     def test_select(self, capsys):
         rc = main(["select", "-m", "4800", "-k", "480", "-n", "4800"])
@@ -327,3 +348,48 @@ class TestObservabilityCommands:
             assert name in snap["gauges"], name
         assert snap["counters"]["runtime.executions"] >= 1
         assert doc["reports"]  # the multiply above landed in the history
+
+
+class TestServeCommands:
+    @pytest.fixture(autouse=True)
+    def store(self, tmp_path):
+        """Price auto with the generic machine (classical at 96^3), so
+        the default route does not depend on this host's calibration."""
+        from repro.model.machines import generic_laptop
+        from repro.tune import WisdomStore, set_default_store
+
+        s = WisdomStore(tmp_path / "wisdom.json")
+        s.record_machine(generic_laptop())
+        set_default_store(s)
+        yield s
+        set_default_store(None)
+
+    def test_serve_default_jobs_take_the_blas_route(self, capsys):
+        rc = main(["serve", "-m", "96", "-k", "96", "-n", "96",
+                   "--jobs", "12", "--json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["core_path"] == "blas"
+        assert doc["jobs"] == doc["stats"]["completed"] == 12
+
+    def test_serve_pinned_jobs_run_one_execution_each(self, capsys):
+        rc = main(["serve", "-m", "64", "-k", "64", "-n", "64",
+                   "--jobs", "12", "--algorithm", "strassen", "--json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["core_path"] != "blas"
+        assert doc["stats"]["batches"] == doc["stats"]["completed"] == 12
+
+    @pytest.mark.parametrize("flag", ["--window-us", "--max-batch"])
+    def test_serve_has_no_batching_flags(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "-m", "8", "-k", "8", "-n", "8", flag, "8"])
+        assert exc.value.code == 2
+
+    def test_jobs_table_shows_one_cancelled_row(self, capsys):
+        rc = main(["jobs"])
+        assert rc == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("job-")]
+        assert len(rows) == 5
+        assert sum(" cancelled " in row for row in rows) == 1

@@ -10,8 +10,6 @@ from repro.core.spec import (
     DEFAULT_MEM_BUDGET_BYTES,
     DEFAULT_TILE_ROWS,
     FUSED_AUTO_THRESHOLD,
-    SERVE_BATCH_WINDOW_US,
-    SERVE_MAX_BATCH,
     TUNABLE_DEFAULTS,
     effective_fused_auto_threshold,
     effective_fused_group,
@@ -31,8 +29,6 @@ class TestSpecKnobs:
         assert TUNABLE_DEFAULTS == {
             "fused_group": DEFAULT_FUSED_GROUP,
             "fused_auto_threshold": FUSED_AUTO_THRESHOLD,
-            "serve_batch_window_us": SERVE_BATCH_WINDOW_US,
-            "serve_max_batch": SERVE_MAX_BATCH,
             "tile_rows": DEFAULT_TILE_ROWS,
             "mem_budget_bytes": DEFAULT_MEM_BUDGET_BYTES,
         }
@@ -44,8 +40,6 @@ class TestSpecKnobs:
         assert out == {
             "fused_group": 16,
             "fused_auto_threshold": 1024,
-            "serve_batch_window_us": SERVE_BATCH_WINDOW_US,
-            "serve_max_batch": SERVE_MAX_BATCH,
             "tile_rows": DEFAULT_TILE_ROWS,
             "mem_budget_bytes": DEFAULT_MEM_BUDGET_BYTES,
         }

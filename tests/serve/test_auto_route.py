@@ -2,15 +2,14 @@
 
 A job that names no schedule resolves like ``multiply(A, B,
 engine="auto")``; a classical pick runs as its own ``np.matmul`` into a
-fresh array, never stacked and never held for a batch window.  Pinned
-jobs keep the coalesced plan path.  These tests pin the results (bitwise
-against the direct calls), array ownership, exactly-once delivery under
-concurrent load, and that a new machine record re-resolves the route.
+fresh array.  Pinned jobs run their plan, one job per execution.  These
+tests pin the results (bitwise against the direct calls), exactly-once
+delivery under concurrent load, and that a new machine record re-resolves
+the route.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 
 import numpy as np
@@ -20,7 +19,7 @@ from repro.core import selection
 from repro.core.executor import multiply
 from repro.model.machines import MachineParams, generic_laptop
 from repro.serve import MultiplyService
-from repro.serve.testing import FaultInjectingExecutor, ServiceTestClock
+from repro.serve.testing import FaultInjectingExecutor
 from repro.tune import WisdomStore, set_default_store
 
 #: The ledger's serve job mix: shape and dtype.
@@ -75,12 +74,13 @@ class TestDefaultJobIsOneBlasCall:
             h = svc.submit(A, B)
             C = h.result(timeout=30.0)
         assert C.dtype == dtype
+        assert C.flags.owndata
         assert np.array_equal(C, want)
         assert np.array_equal(C, multiply(A, B, engine="auto"))
         rep = h.report()
         assert rep.core_path == "blas"
         assert rep.peak_workspace_bytes == 0
-        assert h.batch_size == 1
+        assert svc.stats()["batches"] == 1
 
     def test_integer_operands_promote_like_multiply(self, store, rng):
         A = rng.integers(-9, 9, (40, 30))
@@ -89,20 +89,6 @@ class TestDefaultJobIsOneBlasCall:
             C = svc.submit(A, B).result(timeout=30.0)
         assert C.dtype == np.float64
         assert np.array_equal(C, multiply(A, B, engine="auto"))
-
-    def test_blas_jobs_never_wait_for_a_window(self, store, rng):
-        A, B = _operands(rng, (96, 96, 96), np.float64)
-        # Frozen time: a pinned job would sit in its window forever.
-        ex = FaultInjectingExecutor()
-        svc = MultiplyService(clock=ServiceTestClock(), batch_window_s=10.0,
-                              executor=ex)
-        try:
-            handles = [svc.submit(A, B) for _ in range(4)]
-            for h in handles:
-                h.result(timeout=30.0)
-            assert ex.calls == [[h.id] for h in handles]
-        finally:
-            svc.shutdown(timeout=30.0)
 
     def test_blas_job_is_priced_at_operand_and_result_bytes(self, store, rng):
         from repro.serve import ServiceOverloadedError
@@ -141,29 +127,6 @@ class TestDefaultJobIsOneBlasCall:
             with pytest.raises(ValueError):
                 svc.submit(A, B, fusion="bogus")
             assert svc.stats()["submitted"] == 0
-
-
-class TestOwnArrays:
-    def test_no_two_results_of_a_claimed_batch_share_memory(self, store, rng):
-        A, B = _operands(rng, (48, 48, 48), np.float64)
-        clock = ServiceTestClock()
-        ex = FaultInjectingExecutor()
-        svc = MultiplyService(batch_window_s=1.0, max_batch=8, clock=clock,
-                              executor=ex)
-        try:
-            pinned = [svc.submit(A, B, algorithm="strassen") for _ in range(6)]
-            blas = [svc.submit(A, B) for _ in range(3)]
-            clock.run_until(lambda: all(h.done() for h in pinned + blas))
-        finally:
-            svc.shutdown(timeout=30.0)
-        assert [h.id for h in pinned] in ex.calls
-        results = [h.result() for h in pinned + blas]
-        for C in results:
-            assert C.flags.owndata
-        for X, Y in itertools.combinations(results, 2):
-            assert not np.shares_memory(X, Y)
-        ref = multiply(A, B, algorithm="strassen")
-        assert all(np.array_equal(h.result(), ref) for h in pinned)
 
 
 class TestConcurrentMixedLoad:
@@ -205,10 +168,10 @@ class TestConcurrentMixedLoad:
             assert svc.shutdown(drain=True, timeout=60.0)
 
         assert len(handles) == 1000
-        seen = [jid for call in ex.calls for jid in call]
-        assert sorted(seen) == sorted(h.id for h, _, _ in handles)
+        assert sorted(ex.calls) == sorted(h.id for h, _, _ in handles)
         st = svc.stats()
-        assert st["completed"] == 1000 and st["errors"] == 0
+        assert st["completed"] == st["batches"] == 1000
+        assert st["errors"] == 0
         assert st["queue_depth"] == 0 and st["pending_bytes"] == 0
         for h, i, pinned in handles:
             C = h.result()

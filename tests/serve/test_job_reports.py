@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.runtime import last_report
 from repro.obs.reports import ReportHistory
 from repro.serve import MultiplyService
-from repro.serve.testing import ServiceTestClock
+from repro.serve.testing import FaultInjectingExecutor
 
 
 class TestReportHistoryJobIndex:
@@ -56,20 +56,24 @@ class TestInterleavedJobsNeverSwapReports:
 
     def test_two_interleaved_jobs_get_their_own_reports(self, rng):
         # Distinct plans (shape and dtype differ) so a swapped report is
-        # unambiguous, pinned to strassen and submitted into one frozen
-        # window so both are in flight together (a default job would run
-        # as one BLAS call at once).
+        # unambiguous, pinned to strassen, and submitted while the
+        # scheduler is frozen inside the first so both are in flight
+        # together.
         A1 = rng.standard_normal((64, 48))
         B1 = rng.standard_normal((48, 72))
         A2 = rng.standard_normal((32, 32)).astype(np.float32)
         B2 = rng.standard_normal((32, 32)).astype(np.float32)
-        clock = ServiceTestClock()
-        svc = MultiplyService(batch_window_s=1.0, clock=clock)
+        ex = FaultInjectingExecutor()
+        gate = ex.push_block()
+        svc = MultiplyService(executor=ex)
         try:
             h1 = svc.submit(A1, B1, algorithm="strassen")
             h2 = svc.submit(A2, B2, algorithm="strassen")
-            clock.run_until(lambda: h1.done() and h2.done())
+            gate.set()
+            h1.result(timeout=30.0)
+            h2.result(timeout=30.0)
         finally:
+            gate.set()
             svc.shutdown(timeout=30.0)
         r1, r2 = h1.report(), h2.report()
         assert r1 is not None and r2 is not None

@@ -1,18 +1,16 @@
 """Property: the service is exactly-once and bitwise-faithful under load.
 
 N concurrent submitter threads fire mixed shapes / dtypes / schedules at
-one service.  Whatever the coalescer does with that interleaving, every
-job must terminate exactly once (complete or error, never both, never
-neither), every result must be **bitwise** equal to a direct serial
-:func:`repro.multiply` with the same spec, and every result must carry
-the per-request dtype — a float32 request must never come back upcast
-because it rode through a batch.
+one service.  Whatever the interleaving, every job must terminate
+exactly once (complete or error, never both, never neither) in an
+execution of its own, every result must be **bitwise** equal to a direct
+serial :func:`repro.multiply` with the same spec, and every result must
+carry the per-request dtype — a float32 request must never come back
+upcast.
 
-Bitwise equality across the batch path is a real invariant, not a
-tolerance shortcut: the batched lowering folds the stack into the same
-task slabs with the same per-element accumulation order as the 2-D run
-(see ``tests/core`` batched-equivalence coverage) — so coalescing is
-observationally invisible.
+The scheduler runs each job as the same 2-D plan execution the direct
+call runs, so bitwise equality is a real invariant, not a tolerance
+shortcut.
 """
 
 from __future__ import annotations
@@ -25,10 +23,10 @@ from hypothesis import strategies as st
 
 from repro.core.executor import multiply
 from repro.serve import MultiplyService
-from repro.serve.testing import FaultInjectingExecutor, ServiceTestClock
+from repro.serve.testing import FaultInjectingExecutor
 
 # The mixed-spec pool: shape x dtype x schedule.  Shapes include a
-# ragged one so peeling rides through the batch path too.
+# ragged one so peeling rides through the service too.
 SPECS = [
     ((32, 32, 32), np.float64, "strassen", 1),
     ((32, 32, 32), np.float32, "strassen", 1),
@@ -57,10 +55,8 @@ def _operands(spec_idx: int, seed: int):
 @settings(max_examples=12, deadline=None)
 def test_concurrent_mixed_load_is_exactly_once_and_bitwise(
         jobs, seed, submitters):
-    clock = ServiceTestClock()
     ex = FaultInjectingExecutor()
-    svc = MultiplyService(batch_window_s=1.0, max_batch=8,
-                          clock=clock, executor=ex)
+    svc = MultiplyService(executor=ex)
     results: dict[int, tuple] = {}
     lock = threading.Lock()
 
@@ -83,24 +79,23 @@ def test_concurrent_mixed_load_is_exactly_once_and_bitwise(
         for t in threads:
             t.join()
         assert len(results) == len(jobs)
-        clock.run_until(
-            lambda: all(h.done() for h, *_ in results.values()),
-            timeout_s=60.0)
+        for h, *_ in results.values():
+            h.result(timeout=60.0)
     finally:
         svc.shutdown(timeout=30.0)
 
     # Exactly once: every handle reached exactly one terminal state, and
-    # the executor saw each job id exactly once.
-    seen_ids = [jid for call in ex.calls for jid in call]
-    assert sorted(seen_ids) == sorted(h.id for h, *_ in results.values())
+    # the executor saw each job id exactly once, one job per call.
+    assert sorted(ex.calls) == sorted(h.id for h, *_ in results.values())
     st_counts = svc.stats()
     assert st_counts["completed"] + st_counts["errors"] == len(jobs)
+    assert st_counts["batches"] == len(jobs)
     assert st_counts["queue_depth"] == 0
 
     for i, (h, A, B, dtype, algorithm, levels) in results.items():
         assert h.status == "complete", f"job {i}: {h.status}"
         C = h.result(timeout=1.0)
-        # Per-request dtype preserved: no upcast through the batch path.
+        # Per-request dtype preserved: no upcast through the service.
         assert C.dtype == dtype
         # Bitwise equal to the direct serial multiply of the same spec.
         ref = multiply(A, B, algorithm=algorithm, levels=levels)

@@ -1,7 +1,7 @@
 """MultiplyService basics: lifecycle, correctness, admission control.
 
-Everything time-sensitive here runs through the deterministic seams in
-``repro.serve.testing``; no test sleeps a wall-clock coalescing window.
+Everything time-sensitive here runs through the deterministic seam in
+``repro.serve.testing``; no assertion depends on wall-clock timing.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.serve import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.serve.testing import FaultInjectingExecutor, ServiceTestClock
+from repro.serve.testing import FaultInjectingExecutor
 
 
 @pytest.fixture
@@ -89,10 +89,13 @@ class TestJobLifecycle:
 
     def test_no_thread_count_anywhere(self, ops):
         """Jobs run on one worker and BLAS threads their leaf products:
-        neither the service nor a submit takes a thread count."""
+        neither the service nor a submit takes a thread count.  The
+        service takes no batching knobs either: it runs one job per
+        execution, so there is no window, cap or clock to set."""
         A, B = ops
-        with pytest.raises(TypeError, match="threads"):
-            MultiplyService(threads=2)
+        for knob in ("threads", "batch_window_s", "max_batch", "clock"):
+            with pytest.raises(TypeError, match=knob):
+                MultiplyService(**{knob: 2})
         with MultiplyService() as svc:
             with pytest.raises(TypeError, match="threads"):
                 svc.submit(A, B, threads=2)
@@ -159,7 +162,7 @@ class TestAdmissionControl:
         svc = MultiplyService(byte_budget=int(1.5 * cost), policy="reject",
                               executor=ex)
         try:
-            first = svc.submit(A, B)   # claimed by the frozen batch
+            first = svc.submit(A, B)   # claimed by the frozen job
             wait_for(lambda: first.status == "running")
             second = svc.submit(A, B)  # queued: fits alone
             with pytest.raises(ServiceOverloadedError):
@@ -193,7 +196,7 @@ class TestAdmissionControl:
         svc = MultiplyService(byte_budget=int(1.5 * cost), policy="queue",
                               executor=ex)
         try:
-            first = svc.submit(A, B)   # claimed by the frozen batch
+            first = svc.submit(A, B)   # claimed by the frozen job
             wait_for(lambda: first.status == "running")
             svc.submit(A, B)           # queued: budget now full
             entered = threading.Event()
@@ -226,6 +229,16 @@ class TestAdmissionControl:
         finally:
             svc.shutdown()
 
+    def test_over_budget_submission_raises_instead_of_ooming(self, rng):
+        A = rng.standard_normal((256, 256))
+        B = rng.standard_normal((256, 256))
+        svc = MultiplyService(byte_budget=1 * 2**20, policy="reject")
+        try:
+            with pytest.raises(ServiceOverloadedError):
+                svc.submit(A, B, levels=1)
+        finally:
+            svc.shutdown()
+
     def test_policy_validates_at_construction(self):
         # Normalization runs before the scheduler thread starts, so a bad
         # policy never leaks a thread.
@@ -252,7 +265,7 @@ class TestShutdown:
         gate = ex.push_block()
         svc = MultiplyService(executor=ex)
         running = svc.submit(A, B)
-        # Wait for the scheduler to actually claim the first batch so the
+        # Wait for the scheduler to actually claim the first job so the
         # later submissions are deterministically still queued.
         wait_for(lambda: running.status == "running")
         queued = [svc.submit(A, B) for _ in range(3)]
@@ -290,8 +303,10 @@ class TestObservabilityPublication:
         before = obs_metrics.registry.snapshot()
         assert "serve.submitted" in before["counters"]
         assert "serve.queue_depth" in before["gauges"]
-        assert "serve.coalesce_ratio" in before["gauges"]
         assert "serve.job_latency_s" in before["histograms"]
+        # No batches to describe: one execution runs one job.
+        assert "serve.coalesce_ratio" not in before["gauges"]
+        assert "serve.batch_size" not in before["histograms"]
         base = before["counters"]["serve.completed"]
         with MultiplyService() as svc:
             svc.submit(A, B).result(timeout=30.0)
@@ -300,17 +315,22 @@ class TestObservabilityPublication:
 
     def test_queue_depth_gauge_tracks_live_services(self, ops):
         A, B = ops
-        # A frozen test clock keeps the coalescing window open forever, so
-        # both pinned jobs deterministically sit in the queue (still
-        # pending) when the gauge is read.
-        svc = MultiplyService(clock=ServiceTestClock(), batch_window_s=10.0)
+        # The scheduler is frozen inside job #1, so both pinned jobs
+        # behind it deterministically sit in the queue (still pending)
+        # when the gauge is read.
+        ex = FaultInjectingExecutor()
+        gate = ex.push_block()
+        svc = MultiplyService(executor=ex)
         try:
+            running = svc.submit(A, B)
+            wait_for(lambda: running.status == "running")
             svc.submit(A, B, algorithm="strassen")
             svc.submit(A, B, algorithm="strassen")
             snap = obs_metrics.registry.snapshot()
             assert snap["gauges"]["serve.queue_depth"] == 2
             assert snap["gauges"]["serve.pending_bytes"] > 0
         finally:
+            gate.set()
             svc.shutdown()
 
     def test_per_job_report_attributed_by_id(self, ops):
@@ -321,87 +341,5 @@ class TestObservabilityPublication:
             rep = h.report()
             assert rep is not None
             assert rep.shape == (64, 64, 64)
-            assert h.batch_size >= 1
-
-
-class TestTunableDefaults:
-    def test_window_and_cap_default_from_tunables(self):
-        from repro.core.spec import set_runtime_tunables
-
-        svc = MultiplyService()
-        try:
-            set_runtime_tunables(serve_batch_window_us=7000,
-                                 serve_max_batch=5)
-            assert svc.batch_window_s == pytest.approx(0.007)
-            assert svc.max_batch == 5
-        finally:
-            set_runtime_tunables()
-            svc.shutdown()
-
-    def test_explicit_knobs_beat_tunables(self):
-        from repro.core.spec import set_runtime_tunables
-
-        svc = MultiplyService(batch_window_s=0.5, max_batch=3)
-        try:
-            set_runtime_tunables(serve_batch_window_us=7000,
-                                 serve_max_batch=99)
-            assert svc.batch_window_s == 0.5
-            assert svc.max_batch == 3
-        finally:
-            set_runtime_tunables()
-            svc.shutdown()
-
-
-class TestCoalescingAcceptance:
-    """The ISSUE acceptance criterion, end to end."""
-
-    def test_32_concurrent_same_plan_submissions_coalesce(self, rng):
-        A = rng.standard_normal((64, 64))
-        B = rng.standard_normal((64, 64))
-        clock = ServiceTestClock()
-        ex = FaultInjectingExecutor()
-        svc = MultiplyService(batch_window_s=1.0, max_batch=8,
-                              clock=clock, executor=ex)
-        try:
-            handles = []
-            lock = threading.Lock()
-
-            def submit_one():
-                h = svc.submit(A, B, algorithm="strassen")
-                with lock:
-                    handles.append(h)
-
-            threads = [threading.Thread(target=submit_one)
-                       for _ in range(32)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            clock.run_until(lambda: all(h.done() for h in handles))
-
-            # <= 8 batched runs, observable via the coalesce-ratio stat.
             st = svc.stats()
-            assert st["completed"] == 32
-            assert st["batches"] <= 8
-            assert st["coalesce_ratio"] >= 4.0
-            assert len(ex.calls) == st["batches"]
-            # ... and via the registry gauge.
-            snap = obs_metrics.registry.snapshot()
-            assert snap["gauges"]["serve.coalesce_ratio"] > 1.0
-
-            # Results bitwise-equal to serial multiply.
-            ref = multiply(A, B)
-            for h in handles:
-                assert np.array_equal(h.result(timeout=30.0), ref)
-        finally:
-            svc.shutdown()
-
-    def test_over_budget_submission_raises_instead_of_ooming(self, rng):
-        A = rng.standard_normal((256, 256))
-        B = rng.standard_normal((256, 256))
-        svc = MultiplyService(byte_budget=1 * 2**20, policy="reject")
-        try:
-            with pytest.raises(ServiceOverloadedError):
-                svc.submit(A, B, levels=1)
-        finally:
-            svc.shutdown()
+            assert st["batches"] == st["completed"] == 1

@@ -8,8 +8,8 @@ layer promises:
 
 * ``shutdown(drain=True)`` returns ``True`` and every accepted job
   reaches a terminal state — the queue drains to empty, nothing wedges.
-* Zero leaked arena bytes: every workspace the batched executions
-  checked out went back (``arena_stats().bytes_in_use == 0``).
+* Zero leaked arena bytes: every workspace the executions checked out
+  went back (``arena_stats().bytes_in_use == 0``).
 """
 
 from __future__ import annotations

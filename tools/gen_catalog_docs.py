@@ -370,15 +370,11 @@ def render_obs_section() -> str:
 def render_serve_section() -> str:
     """The generated Serving block of ``docs/architecture.md``.
 
-    Statuses, policies and tunable defaults come straight from the
-    live constants (``repro.serve``, ``repro.core.spec``) — all
-    host-independent, so ``--check`` is deterministic across hosts.
+    Statuses and policies come straight from the live constants
+    (``repro.serve``, ``repro.core.spec``) — all host-independent, so
+    ``--check`` is deterministic across hosts.
     """
-    from repro.core.spec import (
-        OVERLOAD_POLICIES,
-        SERVE_BATCH_WINDOW_US,
-        SERVE_MAX_BATCH,
-    )
+    from repro.core.spec import OVERLOAD_POLICIES
     from repro.serve import JOB_STATUSES
 
     policy_notes = {
@@ -392,30 +388,24 @@ def render_serve_section() -> str:
         "",
         "`repro.serve.MultiplyService` turns the library call into a",
         "concurrent job API: `submit(A, B, **spec)` returns a `JobHandle`",
-        "immediately and a dedicated scheduler thread runs it.",
+        "immediately and a dedicated scheduler thread runs it.  The",
+        "scheduler claims queued jobs one at a time, first in first out,",
+        "and runs each alone; `submit` only enqueues, so a caller that",
+        "submits on a schedule never waits for a job's arithmetic.",
         "",
         "A job that names no schedule (no `algorithm`, `levels` or",
         "`variant`) gets `engine=\"auto\"`'s pick: it resolves through",
         "the same memoized route as `multiply(A, B, engine=\"auto\")`",
         "and returns bitwise what that call returns.  A classical pick,",
         "which is every job on hosts where FMM does not pay off at the",
-        "job's size, runs as its own BLAS call (`runtime.run_blas`):",
-        "no stacking, no plan and no batch window, since one",
-        "`np.matmul` has nothing to amortize.  Until this default, every",
-        "job ran `strassen@1`; setting any of the three spec arguments",
-        "still pins a schedule, with `strassen`, 1 and `abc` for the",
-        "rest.",
-        "",
-        "FMM jobs, pinned or picked, coalesce: the scheduler stacks",
-        "same-plan requests into one batched `execute_plan` call — the",
-        "compiled-plan cache key (shape, schedule, variant, dtype,",
-        "resolved fusion) is the coalescing key, so only jobs that",
-        "would compile and run identically ever share a batch, and a",
-        "`float32` request can never come back upcast.  The batched",
-        "lowering is bitwise-equal to the per-request 2-D path, so",
-        "coalescing is observationally invisible (the property suite in",
-        "`tests/serve/` holds it to that), and each job gets an array",
-        "of its own.",
+        "job's size, runs as one BLAS call (`runtime.run_blas`).",
+        "Until this default, every job ran `strassen@1`; setting any of",
+        "the three spec arguments still pins a schedule, with",
+        "`strassen`, 1 and `abc` for the rest.  An FMM job, pinned or",
+        "picked, runs as one 2-D `execute_plan` call into an array of",
+        "its own, bitwise-equal to the direct `multiply` of the same",
+        "spec and in the request's dtype (the property suite in",
+        "`tests/serve/` holds it to that).",
         "",
         "Job lifecycle: " + " → ".join(f"`{s}`" for s in JOB_STATUSES[:3])
         + " (terminal: " + ", ".join(f"`{s}`" for s in JOB_STATUSES[2:])
@@ -436,23 +426,16 @@ def render_serve_section() -> str:
         lines.append(f"- **{policy}** — {policy_notes[policy]}")
     lines += [
         "",
-        "The batching knobs are runtime tunables like the fusion knobs",
-        "(`set_runtime_tunables`), with compiled-in defaults",
-        f"`serve_batch_window_us={SERVE_BATCH_WINDOW_US}` and",
-        f"`serve_max_batch={SERVE_MAX_BATCH}`; constructor arguments",
-        "win over the tunables, and live",
-        "overrides apply to running services.  Queue depth, priced",
-        "bytes, batch sizes, coalesce ratio and per-job latency all",
-        "publish into the metrics registry (the `serve.*` rows in the",
-        "table above) — no parallel bookkeeping.",
+        "The service has no batching knobs: no window, no batch cap and",
+        "no tunable.  Queue depth, priced bytes, executions and per-job",
+        "latency all publish into the metrics registry (the `serve.*`",
+        "rows in the table above) — no parallel bookkeeping.",
         "",
         "`repro serve` drives a service under concurrent submitters from",
-        "the CLI and prints the coalesce ratio and the sample job's",
-        "`core_path`; `repro jobs` walks a",
-        "mixed batch through the whole lifecycle (including a",
-        "cancellation) and tabulates per-job status and reports.",
-        "`benchmarks/bench_serve.py` gates coalesced throughput against",
-        "naive per-request dispatch.",
+        "the CLI and prints the lifecycle counts and the sample job's",
+        "`core_path`; `repro jobs` walks a handful of mixed jobs through",
+        "the whole lifecycle (including a cancellation) and tabulates",
+        "per-job status and reports.",
         "",
         SERVE_END,
     ]
